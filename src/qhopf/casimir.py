@@ -42,10 +42,25 @@ from .invariants import (
     is_pseudo_invariant_form,
     pseudo_invariant_subspace,
 )
-from .quasihopf import QuasiHopfStructure, _run
+from .quasihopf import (
+    QuasiHopfStructure,
+    _all_zero,
+    _per_basis,
+    _phi_sandwich,
+    _phi_sandwich_inv,
+    _run,
+    _tensor_eq,
+    memoized,
+)
 from .report import AxiomReport
 from .representations import Representation, apply_rep_on_leg
-from .twisting import Twistor, check_twisted_canonical_identities, twist_structure
+from .twisting import (
+    Twistor,
+    check_twisted_canonical_identities,
+    twist_structure,
+    twisted_c1,
+    twisted_c2,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,20 +70,12 @@ from .twisting import Twistor, check_twisted_canonical_identities, twist_structu
 def build_C1(H: QuasiHopfStructure, c1: AlgebraElement) -> AlgebraElement:
     """Central element attached to an even invariant; both coassociator
     expressions are computed and must agree, and C1 beta = beta C1 = c1."""
-    A = H.algebra
     if not c1.is_even():
         raise OddElementError("odd element: C1 needs an even invariant")
     if not is_invariant_element(H, c1):
         raise NotInvariantError("not invariant under the adjoint action")
-    via_inv = A.zero()
-    for (x, y, z), c in H.phi_inv.coeffs.items():
-        via_inv = via_inv + (A.basis_element(x) * c1 * H.s_basis(y)
-                             * H.alpha * A.basis_element(z)).scale(c)
-    via_phi = A.zero()
-    for (x, y, z), c in H.phi.coeffs.items():
-        via_phi = via_phi + (H.s_basis(x) * H.alpha * A.basis_element(y)
-                             * c1 * H.s_basis(z)).scale(c)
-    if via_inv != via_phi:
+    via_inv = _phi_sandwich_inv(H, c1, H.alpha)
+    if via_inv != _phi_sandwich(H, H.alpha, c1):
         raise PostconditionError("the two C1 expressions disagree")
     central, witness = is_central(H, via_inv)
     if not central:
@@ -80,20 +87,12 @@ def build_C1(H: QuasiHopfStructure, c1: AlgebraElement) -> AlgebraElement:
 
 def build_C2(H: QuasiHopfStructure, c2: AlgebraElement) -> AlgebraElement:
     """Mirror of build_C1 for an even pseudo-invariant; C2 alpha = alpha C2 = c2."""
-    A = H.algebra
     if not c2.is_even():
         raise OddElementError("odd element: C2 needs an even pseudo-invariant")
     if not is_pseudo_invariant_element(H, c2):
         raise NotInvariantError("not invariant under the anti-adjoint action")
-    via_phi = A.zero()
-    for (x, y, z), c in H.phi.coeffs.items():
-        via_phi = via_phi + (H.s_basis(x) * c2 * A.basis_element(y)
-                             * H.beta * H.s_basis(z)).scale(c)
-    via_inv = A.zero()
-    for (x, y, z), c in H.phi_inv.coeffs.items():
-        via_inv = via_inv + (A.basis_element(x) * H.beta * H.s_basis(y)
-                             * c2 * A.basis_element(z)).scale(c)
-    if via_phi != via_inv:
+    via_phi = _phi_sandwich(H, c2, H.beta)
+    if via_phi != _phi_sandwich_inv(H, H.beta, c2):
         raise PostconditionError("the two C2 expressions disagree")
     central, witness = is_central(H, via_phi)
     if not central:
@@ -116,11 +115,8 @@ def quadratic_invariants(H: QuasiHopfStructure, omega: TensorElement
         if d * omega != omega * d:
             raise NotInvariantError(
                 f"omega does not commute with the coproduct at {A.labels[i]}")
-    c1 = A.zero()
-    c2 = A.zero()
-    for (i, j), w in omega.coeffs.items():
-        c1 = c1 + (A.basis_element(i) * H.beta * H.s_basis(j)).scale(w)
-        c2 = c2 + (H.s_basis(i) * H.alpha * A.basis_element(j)).scale(w)
+    c1 = H.contract(omega, (1,), right=(H.beta,))
+    c2 = H.contract(omega, (0,), right=(H.alpha,))
     if not is_invariant_element(H, c1):
         raise PostconditionError("quadratic c1 failed the invariance check")
     if not is_pseudo_invariant_element(H, c2):
@@ -132,6 +128,7 @@ def quadratic_invariants(H: QuasiHopfStructure, omega: TensorElement
 # the u-operator
 
 
+@memoized
 def u_operator(H: QuasiHopfStructure) -> AlgebraElement:
     """u = sum S(Y beta S(Z)) S(e^i) alpha e_i X (-1)^{[e_i]+[X]};
     conjugation by u implements the antipode squared."""
@@ -156,6 +153,7 @@ def u_operator(H: QuasiHopfStructure) -> AlgebraElement:
     return u
 
 
+@memoized
 def u_inverse(H: QuasiHopfStructure) -> AlgebraElement:
     """u^{-1} = sum S^{-1}(X) S^{-1}(alpha ebar^i) ebar_i Y beta S(Z)
     (-1)^{[ebar_i]}, from the inverse R-matrix."""
@@ -188,115 +186,30 @@ def u_inverse(H: QuasiHopfStructure) -> AlgebraElement:
 
 def _exchange_identities(H: QuasiHopfStructure, report: AxiomReport) -> None:
     """Four exchange identities moving an element across coassociator
-    contractions, checked as rank-2 tensor equalities for every basis a."""
+    contractions, checked as rank-2 tensor equalities for every basis a.
+    Each row: name, the two rank-3 sides, and the contraction applied to
+    both (antipode legs, right factors, split)."""
     A = H.algebra
-    legs2 = H.legs(2)
-
-    def pair(u_el: AlgebraElement, v_el: AlgebraElement, coeff) -> TensorElement:
-        return TensorElement.of(u_el, v_el).scale(coeff)
-
-    def check(name, lhs_fn, rhs_fn):
-        def fn():
-            for i in range(A.dim):
-                d = lhs_fn(i) - rhs_fn(i)
-                if not d.is_zero():
-                    return False, d, A.labels[i]
-            return True, None, None
-        _run(report, name, fn)
-
-    def lhs_phi_beta(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (x, y, z), c in H.phi.coeffs.items():
-            coeff = -c if (A.parity[i] * A.parity[x]) % 2 else c
-            acc = acc + pair(A.basis_element(x) * a,
-                             A.basis_element(y) * H.beta * H.s_basis(z), coeff)
-        return acc
-
-    def rhs_phi_beta(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (l1, l2, l3), d in H.delta_left(a).coeffs.items():
-            for (x, y, z), c in H.phi.coeffs.items():
-                coeff = d * c
-                if (A.parity[l2] * A.parity[x]) % 2:
-                    coeff = -coeff
-                acc = acc + pair(
-                    A.basis_element(l1) * A.basis_element(x),
-                    A.basis_element(l2) * A.basis_element(y) * H.beta
-                    * H.s_basis(z) * H.s_basis(l3), coeff)
-        return acc
-    check("exchange-phi-beta", lhs_phi_beta, rhs_phi_beta)
-
-    def lhs_phi_alpha(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (x, y, z), c in H.phi.coeffs.items():
-            coeff = -c if (A.parity[i] * A.parity[z]) % 2 else c
-            acc = acc + pair(H.s_basis(x) * H.alpha * A.basis_element(y),
-                             a * A.basis_element(z), coeff)
-        return acc
-
-    def rhs_phi_alpha(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (r1, r2, r3), d in H.delta_right(a).coeffs.items():
-            for (x, y, z), c in H.phi.coeffs.items():
-                coeff = d * c
-                if (A.parity[r2] * A.parity[z]) % 2:
-                    coeff = -coeff
-                acc = acc + pair(
-                    H.s_basis(r1) * H.s_basis(x) * H.alpha
-                    * A.basis_element(y) * A.basis_element(r2),
-                    A.basis_element(z) * A.basis_element(r3), coeff)
-        return acc
-    check("exchange-phi-alpha", lhs_phi_alpha, rhs_phi_alpha)
-
-    def lhs_phiinv_alpha(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (x, y, z), c in H.phi_inv.coeffs.items():
-            acc = acc + pair(a * A.basis_element(x),
-                             H.s_basis(y) * H.alpha * A.basis_element(z), c)
-        return acc
-
-    def rhs_phiinv_alpha(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (l1, l2, l3), d in H.delta_left(a).coeffs.items():
-            for (x, y, z), c in H.phi_inv.coeffs.items():
-                coeff = d * c
-                if (A.parity[x] * ((A.parity[l1] + A.parity[l2]) % 2)) % 2:
-                    coeff = -coeff
-                acc = acc + pair(
-                    A.basis_element(x) * A.basis_element(l1),
-                    H.s_basis(l2) * H.s_basis(y) * H.alpha
-                    * A.basis_element(z) * A.basis_element(l3), coeff)
-        return acc
-    check("exchange-phiinv-alpha", lhs_phiinv_alpha, rhs_phiinv_alpha)
-
-    def lhs_phiinv_beta(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (x, y, z), c in H.phi_inv.coeffs.items():
-            acc = acc + pair(A.basis_element(x) * H.beta * H.s_basis(y),
-                             A.basis_element(z) * a, c)
-        return acc
-
-    def rhs_phiinv_beta(i):
-        a = A.basis_element(i)
-        acc = TensorElement(legs2, {})
-        for (r1, r2, r3), d in H.delta_right(a).coeffs.items():
-            for (x, y, z), c in H.phi_inv.coeffs.items():
-                coeff = d * c
-                if (((A.parity[r2] + A.parity[r3]) % 2) * A.parity[z]) % 2:
-                    coeff = -coeff
-                acc = acc + pair(
-                    A.basis_element(r1) * A.basis_element(x) * H.beta
-                    * H.s_basis(y) * H.s_basis(r2),
-                    A.basis_element(r3) * A.basis_element(z), coeff)
-        return acc
-    check("exchange-phiinv-beta", lhs_phiinv_beta, rhs_phiinv_beta)
+    one = A.unit()
+    rows = (
+        ("exchange-phi-beta",  # x (x) y beta S(z)
+         lambda a: H.phi * TensorElement.of(a, one, one),
+         lambda a: H.delta_left(a) * H.phi, ((2,), (None, H.beta), 1)),
+        ("exchange-phi-alpha",  # S(x) alpha y (x) z
+         lambda a: TensorElement.of(one, one, a) * H.phi,
+         lambda a: H.phi * H.delta_right(a), ((0,), (H.alpha,), 2)),
+        ("exchange-phiinv-alpha",  # x (x) S(y) alpha z
+         lambda a: TensorElement.of(a, one, one) * H.phi_inv,
+         lambda a: H.phi_inv * H.delta_left(a), ((1,), (None, H.alpha), 1)),
+        ("exchange-phiinv-beta",  # x beta S(y) (x) z
+         lambda a: H.phi_inv * TensorElement.of(one, one, a),
+         lambda a: H.delta_right(a) * H.phi_inv, ((1,), (H.beta,), 2)),
+    )
+    for name, lhs, rhs, (s, right, split) in rows:
+        def diff(i, lhs=lhs, rhs=rhs, s=s, right=right, split=split):
+            a = A.basis_element(i)
+            return H.contract(lhs(a) - rhs(a), s, right=right, split=split)
+        _run(report, name, _per_basis(H, diff))
 
 
 def identity_suite(H: QuasiHopfStructure,
@@ -311,29 +224,17 @@ def identity_suite(H: QuasiHopfStructure,
     if H.r is not None:
         u = u_operator(H)
 
-        def alpha_u():
-            rhs = A.zero()
-            for (i, j), c in H.r.coeffs.items():
-                term = (H.s_basis(j) * H.alpha * A.basis_element(i)).scale(c)
-                if A.parity[i] % 2:
-                    term = -term
-                rhs = rhs + term
-            d = H.s(H.alpha) * u - rhs
-            return d.is_zero(), None if d.is_zero() else d, None
-        _run(report, "antipode-alpha-u", alpha_u)
+        # R^T = sum (-1)^{[r_i]} r^j (x) r_i, as R is even
+        _run(report, "antipode-alpha-u", _tensor_eq(
+            lambda: H.s(H.alpha) * u,
+            lambda: H.contract(H.r.swap(), (0,), right=(H.alpha,))))
 
         if H.antipode_inv is not None:
-            def u_rinv_alpha():
-                acc = A.zero()
-                for (i, j), c in H.r_inv.coeffs.items():
-                    term = (H.s_inv(H.alpha * A.basis_element(j))
-                            * A.basis_element(i)).scale(c)
-                    if A.parity[i] % 2:
-                        term = -term
-                    acc = acc + term
-                d = u * acc - H.alpha
-                return d.is_zero(), None if d.is_zero() else d, None
-            _run(report, "u-alpha-rinv", u_rinv_alpha)
+            # u sum (-1)^{[rbar_i]} S^{-1}(alpha rbar^j) rbar_i = alpha
+            _run(report, "u-alpha-rinv", _tensor_eq(
+                lambda: u * (TensorElement.of(H.alpha, A.unit()) * H.r_inv.swap())
+                .apply_maps([(0, H.antipode_inv)]).merge_all(),
+                lambda: H.alpha))
 
         def u_su_central():
             prod = u * H.s(u)
@@ -344,26 +245,12 @@ def identity_suite(H: QuasiHopfStructure,
                 None if central else witness[0]
         _run(report, "u-su-central", u_su_central)
 
-        def su_sbeta():
-            rhs = A.zero()
-            for (i, j), c in H.r.coeffs.items():
-                rhs = rhs + (A.basis_element(i) * H.beta * H.s_basis(j)).scale(c)
-            d = H.s(u) * H.s(H.beta) - rhs
-            return d.is_zero(), None if d.is_zero() else d, None
-        _run(report, "su-sbeta-r", su_sbeta)
-
-        _run(report, "s-squared-u", lambda: (
-            (H.s(H.s(u)) - u).is_zero(),
-            None if (H.s(H.s(u)) - u).is_zero() else H.s(H.s(u)) - u, None))
-
-        def u_conjugation():
-            for i in range(A.dim):
-                a = A.basis_element(i)
-                d = H.s(H.s(a)) * u - u * a
-                if not d.is_zero():
-                    return False, d, A.labels[i]
-            return True, None, None
-        _run(report, "u-conjugation", u_conjugation)
+        _run(report, "su-sbeta-r", _tensor_eq(
+            lambda: H.s(u) * H.s(H.beta),
+            lambda: H.contract(H.r, (1,), right=(H.beta,))))
+        _run(report, "s-squared-u", _all_zero(lambda: H.s(H.s(u)) - u))
+        _run(report, "u-conjugation", _per_basis(
+            H, lambda i: H.s(H.s(A.basis_element(i))) * u - u * A.basis_element(i)))
 
     if F is not None:
         report.extend(check_twisted_canonical_identities(H, F))
@@ -397,14 +284,12 @@ def central_from_theta(H: QuasiHopfStructure, theta: TensorElement,
         raise NotInvariantError("form not invariant")
     if mirror and not is_pseudo_invariant_form(H, xi):
         raise NotInvariantError("form not pseudo-invariant")
-    out = A.zero()
-    for (i, j, k), t in theta.coeffs.items():
-        if not mirror:
-            value = xi(A.basis_element(j) * H.beta * H.s_basis(k))
-            out = out + A.basis_element(i).scale(t * value)
-        else:
-            value = xi(H.s_basis(i) * H.alpha * A.basis_element(j))
-            out = out + A.basis_element(k).scale(t * value)
+    if not mirror:  # a (x) b beta S(c), then xi on the second leg
+        pairs = H.contract(theta, (2,), right=(None, H.beta), split=1)
+        out = pairs.apply_maps([(1, xi.as_map())]).as_element()
+    else:  # S(a) alpha b (x) c, then xi on the first leg
+        pairs = H.contract(theta, (0,), right=(H.alpha,), split=2)
+        out = pairs.apply_maps([(0, xi.as_map())]).as_element()
     central, witness = is_central(H, out)
     if not central:
         raise PostconditionError(
@@ -412,6 +297,7 @@ def central_from_theta(H: QuasiHopfStructure, theta: TensorElement,
     return out
 
 
+@memoized
 def trace_forms(H: QuasiHopfStructure, rep: Representation
                 ) -> Tuple[LinearForm, LinearForm]:
     """The supertrace forms  xi(a) = Str(u S^{-1}(alpha) a)  and
@@ -560,6 +446,9 @@ class CasimirReport:
     subject: str
     twistor: Optional[str] = None
     checks: List[CasimirCheck] = dataclass_field(default_factory=list)
+    # the verified twisted structure the checks ran in; not serialised
+    structure: Optional[QuasiHopfStructure] = dataclass_field(
+        default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -584,25 +473,6 @@ class CasimirReport:
         }
 
 
-def twisted_c1(H: QuasiHopfStructure, F: Twistor,
-               c1: AlgebraElement) -> AlgebraElement:
-    """c1^F = sum f_i c1 S(f^i): the invariant transported to the twisted
-    structure."""
-    acc = H.algebra.zero()
-    for (i, j), c in F.f.coeffs.items():
-        acc = acc + (H.basis_element(i) * c1 * H.s_basis(j)).scale(c)
-    return acc
-
-
-def twisted_c2(H: QuasiHopfStructure, F: Twistor,
-               c2: AlgebraElement) -> AlgebraElement:
-    """c2^F = sum S(fbar_i) c2 fbar^i."""
-    acc = H.algebra.zero()
-    for (i, j), c in F.f_inv.coeffs.items():
-        acc = acc + (H.s_basis(i) * c2 * H.basis_element(j)).scale(c)
-    return acc
-
-
 def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
                             powers: Sequence[int] = (-1, 0, 1, 2),
                             reps: Optional[Dict[str, Representation]] = None
@@ -617,35 +487,27 @@ def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
 
     Any inequality is recorded with the exact difference element."""
     HF = twist_structure(H, F, verify=True)
-    report = CasimirReport(subject=H.name or "structure", twistor=F.name)
+    report = CasimirReport(subject=H.name or "structure", twistor=F.name,
+                           structure=HF)
 
-    for t, c1 in enumerate(invariant_subspace(H).even):
-        base = build_C1(H, c1)
-        c1f = twisted_c1(H, F, c1)
-        if not is_invariant_element(HF, c1f):
+    for label, space, build, transport, invariant, failure in (
+            ("C1[inv:{}]", invariant_subspace, build_C1, twisted_c1,
+             is_invariant_element, "transported invariant fails invariance"),
+            ("C2[pinv:{}]", pseudo_invariant_subspace, build_C2, twisted_c2,
+             is_pseudo_invariant_element,
+             "transported pseudo-invariant fails its invariance")):
+        for t, c in enumerate(space(H).even):
+            base = build(H, c)
+            cf = transport(H, F, c)
+            if not invariant(HF, cf):
+                report.checks.append(CasimirCheck(
+                    label.format(t), base, agreement=False, witness=failure))
+                continue
+            twisted = build(HF, cf)
+            same = twisted == base
             report.checks.append(CasimirCheck(
-                f"C1[inv:{t}]", base, agreement=False,
-                witness="transported invariant fails invariance"))
-            continue
-        twisted = build_C1(HF, c1f)
-        same = twisted == base
-        report.checks.append(CasimirCheck(
-            f"C1[inv:{t}]", base, twist_invariant=same,
-            witness=None if same else twisted - base))
-
-    for t, c2 in enumerate(pseudo_invariant_subspace(H).even):
-        base = build_C2(H, c2)
-        c2f = twisted_c2(H, F, c2)
-        if not is_pseudo_invariant_element(HF, c2f):
-            report.checks.append(CasimirCheck(
-                f"C2[pinv:{t}]", base, agreement=False,
-                witness="transported pseudo-invariant fails its invariance"))
-            continue
-        twisted = build_C2(HF, c2f)
-        same = twisted == base
-        report.checks.append(CasimirCheck(
-            f"C2[pinv:{t}]", base, twist_invariant=same,
-            witness=None if same else twisted - base))
+                label.format(t), base, twist_invariant=same,
+                witness=None if same else twisted - base))
 
     if H.r is not None:
         u = u_operator(H)

@@ -40,17 +40,13 @@ from .quasihopf import (
     verify_quasitriangular,
 )
 from .structfile import load_entry, render_entry, save_entry
-from .twisting import twist_structure, validate_twistor
+from .twisting import identity_twistor, twist_structure, validate_twistor
 
 CHECK_NAMES = ("axioms", "qtri", "qybe", "identities", "all")
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
-
-
-def _element_table(x) -> Dict[str, str]:
-    return x.to_dict()
 
 
 def cmd_verify(args) -> int:
@@ -123,19 +119,19 @@ def cmd_casimir(args) -> int:
     out: Dict[str, object] = {"file": args.file, "kind": args.kind}
     if args.kind == "u":
         u = u_operator(H)
-        out["element"] = _element_table(u)
+        out["element"] = u.to_dict()
         out["checks"] = {"conjugates-antipode-squared": True,
                          "fixed-by-antipode-squared": True}
         if H.r_inv is not None and H.antipode_inv is not None:
-            out["inverse"] = _element_table(u_inverse(H))
+            out["inverse"] = u_inverse(H).to_dict()
             out["checks"]["two-sided-inverse"] = True
     elif args.kind in ("c1", "c2"):
         if args.source is None:
             raise QhopfError("--source is required for c1/c2 (beta, alpha, inv:N, pinv:N)")
         src = _pick_source(H, args.source)
         element = build_C1(H, src) if args.kind == "c1" else build_C2(H, src)
-        out["source"] = _element_table(src)
-        out["element"] = _element_table(element)
+        out["source"] = src.to_dict()
+        out["element"] = element.to_dict()
         out["checks"] = {"central": True, "formulas-agree": True,
                          "recovers-source": True}
     elif args.kind == "quadratic":
@@ -143,10 +139,10 @@ def cmd_casimir(args) -> int:
         omega = rtr_power(H, args.power)
         c1, c2 = quadratic_invariants(H, omega)
         out["power"] = args.power
-        out["c1"] = _element_table(c1)
-        out["c2"] = _element_table(c2)
-        out["C1"] = _element_table(build_C1(H, c1))
-        out["C2"] = _element_table(build_C2(H, c2))
+        out["c1"] = c1.to_dict()
+        out["c2"] = c2.to_dict()
+        out["C1"] = build_C1(H, c1).to_dict()
+        out["C2"] = build_C2(H, c2).to_dict()
         out["checks"] = {"invariant": True, "pseudo-invariant": True,
                          "central": True}
     elif args.kind in ("cm", "cmbar"):
@@ -155,7 +151,7 @@ def cmd_casimir(args) -> int:
         element = cm if args.kind == "cm" else cmbar
         out["power"] = args.power
         out["rep"] = rep.name
-        out["element"] = _element_table(element)
+        out["element"] = element.to_dict()
         out["checks"] = {"central": is_central(H, element)[0]}
     else:  # unreachable through argparse
         raise QhopfError(f"unknown kind {args.kind!r}")
@@ -175,22 +171,24 @@ def cmd_twist(args) -> int:
     H = entry.structure
     raw = entry.twistor(args.twistor)
     F = validate_twistor(raw.f, H, raw.f_inv, name=args.twistor)
-    twisted = twist_structure(H, F, verify=True)
-    twisted = twisted.with_data(name=f"{entry.name}-{args.twistor}")
-    from .twisting import identity_twistor
-    new_entry = CatalogEntry(
-        twisted.name, twisted, {"identity": identity_twistor(twisted)},
-        dict(entry.representations),
-        notes=f"{entry.name} twisted by {args.twistor}")
     result: Dict[str, object] = {"file": args.file, "twistor": args.twistor,
                                  "verified": True}
     status = 0
     if args.verify_invariance:
+        # the report carries the verified twisted structure it checked
         report = verify_twist_invariance(H, F, powers=(-1, 0, 1, 2),
                                          reps=entry.representations)
+        twisted = report.structure
         result["invariance"] = report.as_dict()
         if not report.passed:
             status = 1
+    else:
+        twisted = twist_structure(H, F, verify=True)
+    twisted = twisted.with_data(name=f"{entry.name}-{args.twistor}")
+    new_entry = CatalogEntry(
+        twisted.name, twisted, {"identity": identity_twistor(twisted)},
+        dict(entry.representations),
+        notes=f"{entry.name} twisted by {args.twistor}")
     if args.out:
         save_entry(new_entry, args.out)
         result["out"] = args.out
@@ -216,16 +214,16 @@ def cmd_center(args) -> int:
     entry = load_entry(args.file)
     z = center_of(entry.structure)
     data = {"file": args.file, "name": entry.name,
-            "even": [_element_table(v) for v in z.even],
-            "odd": [_element_table(v) for v in z.odd]}
+            "even": [v.to_dict() for v in z.even],
+            "odd": [v.to_dict() for v in z.odd]}
     if args.json:
         print(_dump(data))
     else:
         print(f"center of {entry.name}: dimension {z.dim}")
         for v in z.even:
-            print("  even:", _element_table(v))
+            print("  even:", v.to_dict())
         for v in z.odd:
-            print("  odd: ", _element_table(v))
+            print("  odd: ", v.to_dict())
     return 0
 
 

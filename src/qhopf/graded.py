@@ -280,13 +280,6 @@ class AlgebraElement:
         return AlgebraElement(self.algebra,
                               {i: c for i, c in self.coeffs.items() if par[i] == 1})
 
-    def homogeneous_parts(self) -> List[Tuple[int, "AlgebraElement"]]:
-        parts = []
-        for p, part in ((0, self.even_part()), (1, self.odd_part())):
-            if not part.is_zero():
-                parts.append((p, part))
-        return parts
-
     def _check_same(self, other: "AlgebraElement"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise BasisMismatchError("elements of different algebras")
@@ -605,11 +598,6 @@ class TensorElement:
             raise RankMismatchError("only rank-1 tensors convert to elements")
         return AlgebraElement(self.legs[0], {k[0]: c for k, c in self.coeffs.items()})
 
-    def as_scalar(self, field: FieldDescriptor) -> Scalar:
-        if self.rank != 0:
-            raise RankMismatchError("only rank-0 tensors convert to scalars")
-        return self.coeffs.get((), field.zero())
-
     # -- equality ----------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -704,14 +692,6 @@ class LinearMap:
             images.append(TensorElement(
                 (source,), {(i,): matrix[i][j] for i in range(source.dim)}))
         return LinearMap(source, (source,), images, name=name)
-
-    def compose(self, inner: "LinearMap", name: str = "") -> "LinearMap":
-        """self after inner, for rank 1 -> 1 maps."""
-        assert self.target_rank == 1 and inner.target_rank == 1
-        images = [TensorElement.of(self(inner(inner.source.basis_element(i))))
-                  for i in range(inner.source.dim)]
-        return LinearMap(inner.source, (self.target_legs[0],), images,
-                         name=name or f"{self.name}.{inner.name}")
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

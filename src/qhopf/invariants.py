@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError
-from .graded import AlgebraElement
+from .graded import AlgebraElement, LinearMap, TensorElement
 from .linalg import nullspace
 from .quasihopf import QuasiHopfStructure
 from .representations import Matrix, Representation, _mat_mul
@@ -39,6 +39,11 @@ class LinearForm:
         par = self.structure.algebra.parity
         return all(self.values[i].is_zero() for i in range(len(self.values))
                    if par[i] == 1)
+
+    def as_map(self) -> LinearMap:
+        """The form as a map to scalars, for use on a tensor leg (even forms)."""
+        A = self.structure.algebra
+        return LinearMap(A, (), [TensorElement((), {(): v}) for v in self.values])
 
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.values == other.values
@@ -65,44 +70,31 @@ class GradedSubspace:
 
 def adjoint_action(H: QuasiHopfStructure, a: AlgebraElement,
                    b: AlgebraElement) -> AlgebraElement:
-    A = H.algebra
-    acc = A.zero()
-    for pb, bpart in b.homogeneous_parts():
-        for i, ca in a.coeffs.items():
-            for (k1, k2), d in H.coproduct.on_basis(i).coeffs.items():
-                term = (A.basis_element(k1) * bpart * H.s_basis(k2)).scale(ca * d)
-                if pb * A.parity[k2] % 2:
-                    term = -term
-                acc = acc + term
-    return acc
+    return H.contract(H.delta(a), (1,), right=(b,))
 
 
 def anti_adjoint_action(H: QuasiHopfStructure, a: AlgebraElement,
                         b: AlgebraElement) -> AlgebraElement:
-    A = H.algebra
-    acc = A.zero()
-    for pb, bpart in b.homogeneous_parts():
-        for i, ca in a.coeffs.items():
-            for (k1, k2), d in H.coproduct.on_basis(i).coeffs.items():
-                term = (H.s_basis(k1) * bpart * A.basis_element(k2)).scale(ca * d)
-                if pb * A.parity[k1] % 2:
-                    term = -term
-                acc = acc + term
-    return acc
+    return H.contract(H.delta(a), (0,), left=(None, b))
+
+
+def _invariance_defect(H: QuasiHopfStructure, action, i: int,
+                       c: AlgebraElement) -> AlgebraElement:
+    """action(basis i, c) - eps(basis i) c: zero for all i iff c is invariant."""
+    return action(H, H.basis_element(i), c) - c.scale(H.eps(H.basis_element(i)))
+
+
+def _is_fixed(H: QuasiHopfStructure, action, c: AlgebraElement) -> bool:
+    return all(_invariance_defect(H, action, i, c).is_zero()
+               for i in range(H.algebra.dim))
 
 
 def is_invariant_element(H: QuasiHopfStructure, c: AlgebraElement) -> bool:
-    A = H.algebra
-    return all((adjoint_action(H, A.basis_element(i), c)
-                - c.scale(H.eps(A.basis_element(i)))).is_zero()
-               for i in range(A.dim))
+    return _is_fixed(H, adjoint_action, c)
 
 
 def is_pseudo_invariant_element(H: QuasiHopfStructure, c: AlgebraElement) -> bool:
-    A = H.algebra
-    return all((anti_adjoint_action(H, A.basis_element(i), c)
-                - c.scale(H.eps(A.basis_element(i)))).is_zero()
-               for i in range(A.dim))
+    return _is_fixed(H, anti_adjoint_action, c)
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +129,13 @@ def _graded_nullspace(H: QuasiHopfStructure, condition) -> GradedSubspace:
 def invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
     """Solutions of the adjoint-invariance condition; always contains beta."""
     return _graded_nullspace(
-        H, lambda i, c: adjoint_action(H, H.basis_element(i), c)
-        - c.scale(H.eps(H.basis_element(i))))
+        H, lambda i, c: _invariance_defect(H, adjoint_action, i, c))
 
 
 def pseudo_invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
     """Solutions of the anti-adjoint-invariance condition; contains alpha."""
     return _graded_nullspace(
-        H, lambda i, c: anti_adjoint_action(H, H.basis_element(i), c)
-        - c.scale(H.eps(H.basis_element(i))))
+        H, lambda i, c: _invariance_defect(H, anti_adjoint_action, i, c))
 
 
 def is_central(H: QuasiHopfStructure, x: AlgebraElement
@@ -195,26 +185,19 @@ def pseudo_invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearForm]:
     return _form_nullspace(H, lambda a, b: anti_adjoint_action(H, a, b))
 
 
-def is_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
+def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearForm) -> bool:
     A = H.algebra
-    for i in range(A.dim):
-        eps_a = H.eps(A.basis_element(i))
-        for j in range(A.dim):
-            lhs = xi(adjoint_action(H, A.basis_element(i), A.basis_element(j)))
-            if lhs != eps_a * xi.values[j]:
-                return False
-    return True
+    return all(xi(action(H, A.basis_element(i), A.basis_element(j)))
+               == H.eps(A.basis_element(i)) * xi.values[j]
+               for i in range(A.dim) for j in range(A.dim))
+
+
+def is_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
+    return _is_fixed_form(H, adjoint_action, xi)
 
 
 def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
-    A = H.algebra
-    for i in range(A.dim):
-        eps_a = H.eps(A.basis_element(i))
-        for j in range(A.dim):
-            lhs = xi(anti_adjoint_action(H, A.basis_element(i), A.basis_element(j)))
-            if lhs != eps_a * xi.values[j]:
-                return False
-    return True
+    return _is_fixed_form(H, anti_adjoint_action, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +297,19 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
     if not is_invariant_map(H, V, W, f, 0):
         raise NotInvariantError("not invariant under the l(V, W) action")
 
-    out = [[field.zero()] * V.dim for _ in range(W.dim)]
-    for (x, y, z), c in H.phi.coeffs.items():
-        pre = W.matrix_of(H.s_basis(x) * H.alpha * A.basis_element(y))
-        post = V.matrix_of(H.s_basis(z))
-        m = _mat_mul(_mat_mul(pre, f, field), post, field)
-        for p in range(W.dim):
-            for q in range(V.dim):
-                if not m[p][q].is_zero():
-                    out[p][q] = out[p][q] + c * m[p][q]
+    def sandwich(pairs) -> Matrix:
+        """sum c W(a) f V(b) over the terms c a (x) b of a rank-2 tensor."""
+        out = [[field.zero()] * V.dim for _ in range(W.dim)]
+        for (i, j), c in pairs.coeffs.items():
+            m = _mat_mul(_mat_mul(W.matrices[i], f, field), V.matrices[j], field)
+            for p in range(W.dim):
+                for q in range(V.dim):
+                    if not m[p][q].is_zero():
+                        out[p][q] = out[p][q] + c * m[p][q]
+        return out
 
-    alt = [[field.zero()] * V.dim for _ in range(W.dim)]
-    for (x, y, z), c in H.phi_inv.coeffs.items():
-        pre = W.matrix_of(A.basis_element(x))
-        post = V.matrix_of(H.s_basis(y) * H.alpha * A.basis_element(z))
-        m = _mat_mul(_mat_mul(pre, f, field), post, field)
-        for p in range(W.dim):
-            for q in range(V.dim):
-                if not m[p][q].is_zero():
-                    alt[p][q] = alt[p][q] + c * m[p][q]
+    out = sandwich(H.contract(H.phi, (0, 2), right=(H.alpha,), split=2))
+    alt = sandwich(H.contract(H.phi_inv, (1,), right=(None, H.alpha), split=1))
     if alt != out:
         raise NotInvariantError(
             "coassociator and inverse-coassociator projections disagree")

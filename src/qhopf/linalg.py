@@ -28,31 +28,6 @@ def identity(n: int, field: FieldDescriptor) -> Matrix:
     return m
 
 
-def mat_mul(a: Matrix, b: Matrix, field: FieldDescriptor) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(n, m, field)
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c.is_zero():
-                continue
-            for j in range(m):
-                if not b[t][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[t][j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector, field: FieldDescriptor) -> Vector:
-    out = [field.zero() for _ in a]
-    for i, row in enumerate(a):
-        acc = field.zero()
-        for c, x in zip(row, v):
-            if not c.is_zero() and not x.is_zero():
-                acc = acc + c * x
-        out[i] = acc
-    return out
-
-
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot columns)."""
     m = [row[:] for row in m]
@@ -81,13 +56,19 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
 
 def nullspace(m: Matrix, cols: int, field: FieldDescriptor) -> List[Vector]:
     """Echelon-form basis of the kernel of m (m may have zero rows)."""
-    if not m:
-        return [unit_vector(j, cols, field) for j in range(cols)]
-    red, pivots = rref(m)
-    free = [j for j in range(cols) if j not in pivots]
+    return _kernel(*rref(m), cols, field)
+
+
+def _kernel(red: Matrix, pivots: List[int], cols: int,
+            field: FieldDescriptor) -> List[Vector]:
+    """Kernel basis read off an RREF whose first ``cols`` columns are the
+    coefficient matrix; pivots at or beyond ``cols`` are ignored."""
+    pivots = [pc for pc in pivots if pc < cols]
     basis = []
     zero, one = field.zero(), field.one()
-    for j in free:
+    for j in range(cols):
+        if j in pivots:
+            continue
         v = [zero] * cols
         v[j] = one
         for r, pc in enumerate(pivots):
@@ -96,23 +77,18 @@ def nullspace(m: Matrix, cols: int, field: FieldDescriptor) -> List[Vector]:
     return basis
 
 
-def unit_vector(j: int, n: int, field: FieldDescriptor) -> Vector:
-    v = [field.zero()] * n
-    v[j] = field.one()
-    return v
-
-
 def solve_affine(m: Matrix, rhs: Vector, cols: int,
                  field: FieldDescriptor) -> Tuple[Optional[Vector], List[Vector]]:
     """Solve m x = rhs.  Returns (particular solution or None, kernel basis)."""
     aug = [row[:] + [b] for row, b in zip(m, rhs)]
     red, pivots = rref(aug)
+    kernel = _kernel(red, pivots, cols, field)
     if cols in pivots:  # pivot in the rhs column: inconsistent
-        return None, nullspace(m, cols, field)
+        return None, kernel
     particular = [field.zero()] * cols
     for r, pc in enumerate(pivots):
         particular[pc] = red[r][cols]
-    return particular, nullspace(m, cols, field)
+    return particular, kernel
 
 
 def invert(m: Matrix, field: FieldDescriptor) -> Optional[Matrix]:

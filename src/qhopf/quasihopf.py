@@ -12,8 +12,10 @@ every identity involved is linear in the quantified element.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field as dataclass_field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     NoRMatrixError,
@@ -41,35 +43,49 @@ def reindex(t: TensorElement, spec: str) -> TensorElement:
     return t.permute(tuple(int(c) - 1 for c in spec))
 
 
-class QuasiHopfStructure:
-    """The data (A, coproduct, counit, antipode, phi, alpha, beta [, R])."""
+def memoized(fn):
+    """Compute ``fn(H, *args)`` at most once per structure ``H``.  Integer
+    arguments key by value, others by identity; the arguments are stored
+    with the value, so an identity cannot be reused while its entry lives."""
+    @functools.wraps(fn)
+    def cached(H, *args):
+        key = (fn.__name__,) + tuple(a if isinstance(a, int) else id(a) for a in args)
+        hit = H._derived.get(key)
+        if hit is None:
+            hit = H._derived[key] = (fn(H, *args), args)
+        return hit[0]
+    return cached
 
-    def __init__(self, algebra: GradedAlgebra, coproduct: LinearMap,
-                 counit: LinearMap, antipode: LinearMap,
-                 phi: TensorElement, phi_inv: TensorElement,
-                 alpha: Optional[AlgebraElement], beta: Optional[AlgebraElement],
-                 r: Optional[TensorElement] = None,
-                 r_inv: Optional[TensorElement] = None,
-                 antipode_inv: Optional[LinearMap] = None,
-                 name: str = ""):
-        self.algebra = algebra
-        self.coproduct = coproduct
-        self.counit = counit
-        self.antipode = antipode
-        self.phi = phi
-        self.phi_inv = phi_inv
-        self.alpha = alpha
-        self.beta = beta
-        self.r = r
-        self.r_inv = r_inv
-        self.name = name
+
+@dataclass(frozen=True, eq=False, repr=False)
+class QuasiHopfStructure:
+    """The data (A, coproduct, counit, antipode, phi, alpha, beta [, R]).
+
+    Fields are read-only, so data derived from them (S on the basis, u,
+    u^{-1}, trace forms) is memoised on the structure; ``with_data`` makes
+    a modified copy with an empty memo."""
+
+    algebra: GradedAlgebra
+    coproduct: LinearMap
+    counit: LinearMap
+    antipode: LinearMap
+    phi: TensorElement
+    phi_inv: TensorElement
+    alpha: Optional[AlgebraElement]
+    beta: Optional[AlgebraElement]
+    r: Optional[TensorElement] = None
+    r_inv: Optional[TensorElement] = None
+    antipode_inv: Optional[LinearMap] = None
+    name: str = ""
+    _derived: Dict[tuple, tuple] = dataclass_field(default_factory=dict, init=False)
+
+    def __post_init__(self):
         self._shape_check()
-        if antipode_inv is None:
-            m = invert(antipode.as_matrix(), algebra.field)
-            antipode_inv = None if m is None else LinearMap.from_matrix(
-                algebra, m, name="antipode_inv")
-        self.antipode_inv = antipode_inv
-        self._s_cache: Dict[int, AlgebraElement] = {}
+        if self.antipode_inv is None:
+            m = invert(self.antipode.as_matrix(), self.algebra.field)
+            if m is not None:
+                object.__setattr__(self, "antipode_inv", LinearMap.from_matrix(
+                    self.algebra, m, name="antipode_inv"))
 
     def _shape_check(self):
         a = self.algebra
@@ -107,12 +123,9 @@ class QuasiHopfStructure:
     def s(self, x: AlgebraElement) -> AlgebraElement:
         return self.antipode(x)
 
+    @memoized
     def s_basis(self, i: int) -> AlgebraElement:
-        out = self._s_cache.get(i)
-        if out is None:
-            out = self.antipode(self.algebra.basis_element(i))
-            self._s_cache[i] = out
-        return out
+        return self.antipode(self.algebra.basis_element(i))
 
     def s_inv(self, x: AlgebraElement) -> AlgebraElement:
         if self.antipode_inv is None:
@@ -148,16 +161,46 @@ class QuasiHopfStructure:
         if self.r is None:
             raise NoRMatrixError(f"{self.name or 'structure'} has no R-matrix")
 
+    # -- contractions --------------------------------------------------------
+
+    def contract(self, t: TensorElement, s: Sequence[int] = (),
+                 left: Sequence[Optional[AlgebraElement]] = (),
+                 right: Sequence[Optional[AlgebraElement]] = (),
+                 split: Optional[int] = None):
+        """Sum over the terms of t of one word in its legs: apply the
+        antipode to the legs listed in s, multiply leg k by left[k] on the
+        left and by right[k] on the right (None or a missing entry is 1),
+        then multiply the legs together.  With ``split`` the legs before
+        and from that position are multiplied separately, giving a rank-2
+        tensor; otherwise the result is an element.
+
+        Every Koszul sign comes from the graded tensor product, so e.g.
+        contract(delta(a), (1,), right=(b,)) is the adjoint action
+        sum a_(1) b S(a_(2)) (-1)^{[b][a_(2)]}."""
+        if s:
+            t = t.apply_maps([(leg, self.antipode) for leg in s])
+        if any(x is not None for x in left):
+            t = self._pure(left, t.rank) * t
+        if any(x is not None for x in right):
+            t = t * self._pure(right, t.rank)
+        if split is None:
+            return t.merge_all()
+        while t.rank > split + 1:
+            t = t.merge(split, split + 1)
+        while t.rank > 2:
+            t = t.merge(0, 1)
+        return t
+
+    def _pure(self, factors: Sequence[Optional[AlgebraElement]],
+              rank: int) -> TensorElement:
+        one = self.algebra.unit()
+        padded = list(factors) + [None] * (rank - len(factors))
+        return TensorElement.of(*(one if x is None else x for x in padded))
+
     # -- copies ------------------------------------------------------------------
 
     def with_data(self, **kw) -> "QuasiHopfStructure":
-        base = dict(algebra=self.algebra, coproduct=self.coproduct,
-                    counit=self.counit, antipode=self.antipode,
-                    phi=self.phi, phi_inv=self.phi_inv, alpha=self.alpha,
-                    beta=self.beta, r=self.r, r_inv=self.r_inv,
-                    antipode_inv=self.antipode_inv, name=self.name)
-        base.update(kw)
-        return QuasiHopfStructure(**base)
+        return replace(self, **kw)
 
     def __eq__(self, other):
         if not isinstance(other, QuasiHopfStructure):
@@ -197,10 +240,8 @@ def _per_basis(H: QuasiHopfStructure, diff):
 
 
 def _tensor_eq(lhs_fn, rhs_fn):
-    def fn():
-        d = lhs_fn() - rhs_fn()
-        return (d.is_zero(), None if d.is_zero() else d, None)
-    return fn
+    """Exact equality of two tensors or elements; the witness is lhs - rhs."""
+    return _all_zero(lambda: lhs_fn() - rhs_fn())
 
 
 def _all_zero(*diff_fns):
@@ -221,10 +262,8 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
     report = AxiomReport(f"{H.name or 'structure'}:quasi-bialgebra")
     A = H.algebra
 
-    def coproduct_unit():
-        d = H.delta(A.unit()) - H.unit_tensor(2)
-        return d.is_zero(), None if d.is_zero() else d, None
-    _run(report, "coproduct-unit", coproduct_unit)
+    _run(report, "coproduct-unit", _tensor_eq(
+        lambda: H.delta(A.unit()), lambda: H.unit_tensor(2)))
 
     def coproduct_hom():
         for i in range(A.dim):
@@ -262,16 +301,12 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
         H, lambda i: H.delta_right(A.basis_element(i))
         - H.phi_inv * H.delta_left(A.basis_element(i)) * H.phi))
 
-    def pentagon():
-        legs4 = H.legs(4)
-        lhs = H.phi.apply_maps([(0, H.coproduct)]) * \
-            H.phi.apply_maps([(2, H.coproduct)])
-        rhs = H.phi.embed((0, 1, 2), legs4) * \
-            H.phi.apply_maps([(1, H.coproduct)]) * \
-            H.phi.embed((1, 2, 3), legs4)
-        d = lhs - rhs
-        return d.is_zero(), None if d.is_zero() else d, None
-    _run(report, "pentagon", pentagon)
+    legs4 = H.legs(4)
+    _run(report, "pentagon", _tensor_eq(
+        lambda: H.phi.apply_maps([(0, H.coproduct)])
+        * H.phi.apply_maps([(2, H.coproduct)]),
+        lambda: H.phi.embed((0, 1, 2), legs4)
+        * H.phi.apply_maps([(1, H.coproduct)]) * H.phi.embed((1, 2, 3), legs4)))
 
     def counit_coproduct():
         for i in range(A.dim):
@@ -295,43 +330,27 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
 def _antipode_alpha_diff(H: QuasiHopfStructure, i: int,
                          alpha: AlgebraElement) -> AlgebraElement:
     """sum S(a_(1)) alpha a_(2) - eps(a) alpha at a = basis i (alpha even)."""
-    A = H.algebra
-    acc = A.zero()
-    for (k1, k2), d in H.coproduct.on_basis(i).coeffs.items():
-        acc = acc + (H.s_basis(k1) * alpha * A.basis_element(k2)).scale(d)
-    return acc - alpha.scale(H.eps(A.basis_element(i)))
+    return H.contract(H.coproduct.on_basis(i), (0,), right=(alpha,)) \
+        - alpha.scale(H.eps(H.basis_element(i)))
 
 
 def _antipode_beta_diff(H: QuasiHopfStructure, i: int,
                         beta: AlgebraElement) -> AlgebraElement:
     """sum a_(1) beta S(a_(2)) - eps(a) beta at a = basis i (beta even)."""
-    A = H.algebra
-    acc = A.zero()
-    for (k1, k2), d in H.coproduct.on_basis(i).coeffs.items():
-        acc = acc + (A.basis_element(k1) * beta * H.s_basis(k2)).scale(d)
-    return acc - beta.scale(H.eps(A.basis_element(i)))
+    return H.contract(H.coproduct.on_basis(i), (1,), right=(beta,)) \
+        - beta.scale(H.eps(H.basis_element(i)))
 
 
 def _phi_sandwich_inv(H: QuasiHopfStructure, beta: AlgebraElement,
                       alpha: AlgebraElement) -> AlgebraElement:
     """sum Xbar beta S(Ybar) alpha Zbar over the inverse coassociator."""
-    A = H.algebra
-    acc = A.zero()
-    for (x, y, z), c in H.phi_inv.coeffs.items():
-        acc = acc + (A.basis_element(x) * beta * H.s_basis(y)
-                     * alpha * A.basis_element(z)).scale(c)
-    return acc
+    return H.contract(H.phi_inv, (1,), right=(beta, alpha))
 
 
 def _phi_sandwich(H: QuasiHopfStructure, alpha: AlgebraElement,
                   beta: AlgebraElement) -> AlgebraElement:
     """sum S(X) alpha Y beta S(Z) over the coassociator."""
-    A = H.algebra
-    acc = A.zero()
-    for (x, y, z), c in H.phi.coeffs.items():
-        acc = acc + (H.s_basis(x) * alpha * A.basis_element(y)
-                     * beta * H.s_basis(z)).scale(c)
-    return acc
+    return H.contract(H.phi, (0, 2), right=(alpha, beta))
 
 
 def verify_antipode_axioms(H: QuasiHopfStructure) -> AxiomReport:
@@ -371,13 +390,8 @@ def verify_antipode_axioms(H: QuasiHopfStructure) -> AxiomReport:
         return v == A.field.one(), v, None
     _run(report, "counit-canonical", counit_canonical)
 
-    def counit_antipode():
-        for i in range(A.dim):
-            d = H.eps(H.s_basis(i)) - H.eps(A.basis_element(i))
-            if not d.is_zero():
-                return False, d, A.labels[i]
-        return True, None, None
-    _run(report, "counit-antipode", counit_antipode)
+    _run(report, "counit-antipode", _per_basis(
+        H, lambda i: H.eps(H.s_basis(i)) - H.eps(A.basis_element(i))))
     return report
 
 
@@ -406,21 +420,14 @@ def verify_quasitriangular(H: QuasiHopfStructure) -> AxiomReport:
         H, lambda i: H.delta_t(A.basis_element(i)) * H.r
         - H.r * H.delta(A.basis_element(i))))
 
-    def hexagon_left():
-        lhs = H.r.apply_maps([(0, H.coproduct)])
-        rhs = reindex(H.phi_inv, "231") * H.r13() * reindex(H.phi, "132") \
-            * H.r23() * H.phi_inv
-        d = lhs - rhs
-        return d.is_zero(), None if d.is_zero() else d, None
-    _run(report, "hexagon-left", hexagon_left)
-
-    def hexagon_right():
-        lhs = H.r.apply_maps([(1, H.coproduct)])
-        rhs = reindex(H.phi, "312") * H.r13() * reindex(H.phi_inv, "213") \
-            * H.r12() * H.phi
-        d = lhs - rhs
-        return d.is_zero(), None if d.is_zero() else d, None
-    _run(report, "hexagon-right", hexagon_right)
+    _run(report, "hexagon-left", _tensor_eq(
+        lambda: H.r.apply_maps([(0, H.coproduct)]),
+        lambda: reindex(H.phi_inv, "231") * H.r13() * reindex(H.phi, "132")
+        * H.r23() * H.phi_inv))
+    _run(report, "hexagon-right", _tensor_eq(
+        lambda: H.r.apply_maps([(1, H.coproduct)]),
+        lambda: reindex(H.phi, "312") * H.r13() * reindex(H.phi_inv, "213")
+        * H.r12() * H.phi))
     return report
 
 
@@ -429,14 +436,11 @@ def verify_quasi_ybe(H: QuasiHopfStructure) -> AxiomReport:
     H.require_r()
     report = AxiomReport(f"{H.name or 'structure'}:quasi-ybe")
 
-    def qybe():
-        lhs = H.r12() * reindex(H.phi_inv, "231") * H.r13() \
-            * reindex(H.phi, "132") * H.r23() * H.phi_inv
-        rhs = reindex(H.phi_inv, "321") * H.r23() * reindex(H.phi, "312") \
-            * H.r13() * reindex(H.phi_inv, "213") * H.r12()
-        d = lhs - rhs
-        return d.is_zero(), None if d.is_zero() else d, None
-    _run(report, "quasi-yang-baxter", qybe)
+    _run(report, "quasi-yang-baxter", _tensor_eq(
+        lambda: H.r12() * reindex(H.phi_inv, "231") * H.r13()
+        * reindex(H.phi, "132") * H.r23() * H.phi_inv,
+        lambda: reindex(H.phi_inv, "321") * H.r23() * reindex(H.phi, "312")
+        * H.r13() * reindex(H.phi_inv, "213") * H.r12()))
     return report
 
 

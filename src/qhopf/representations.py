@@ -127,15 +127,6 @@ class Representation:
                                       name=f"rep:{self.name or 'V'}")
         return self._leg_map
 
-    def element_as_matrix(self, x: AlgebraElement) -> Matrix:
-        """Inverse of matrix_as_element for elements of End(V)."""
-        d, z = self.dim, self.field.zero()
-        out = [[z for _ in range(d)] for _ in range(d)]
-        for idx, c in x.coeffs.items():
-            i, j = divmod(idx, d)
-            out[i][j] = c
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Representation):
             return NotImplemented

@@ -118,17 +118,6 @@ def _pxgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
     return r0, s0, t0
 
 
-def _ppow(a: Poly, n: int) -> Poly:
-    out = (_QQ1,)
-    base = a
-    while n:
-        if n & 1:
-            out = _pmul(out, base)
-        base = _pmul(base, base)
-        n >>= 1
-    return out
-
-
 def cyclotomic_polynomial(n: int) -> Poly:
     """Coefficients of the n-th cyclotomic polynomial.
 
@@ -274,9 +263,6 @@ class Scalar:
         if self.field.kind == CYCLOTOMIC:
             return not self.value
         return not self.value[0]
-
-    def is_one(self) -> bool:
-        return self == self.field.one()
 
     # -- arithmetic -------------------------------------------------------
 

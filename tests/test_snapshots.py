@@ -1,0 +1,65 @@
+"""Byte identity of ``--json`` stdout against stored snapshots.
+
+Each file under ``tests/snapshots`` is the exact stdout of one CLI command,
+run in a directory holding copies of the golden files (so the ``file`` key
+is a bare file name).  Regenerate a snapshot only when a change of output
+is intended, and say why in the change log.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+import qhopf
+from qhopf.cli import main
+
+DATA = Path(qhopf.__file__).parent / "data"
+SNAPSHOTS = Path(__file__).parent / "snapshots"
+RATIONAL = ("z2-group", "z2-cocycle", "sweedler-h4", "grassmann-theta",
+            "sweedler-twisted")
+
+CASES = {f"verify-{name}": (["verify", f"{name}.qh", "--json"], 0)
+         for name in RATIONAL}
+CASES.update({
+    # beta + g with R removed: two exchange identities fail at x
+    "verify-sweedler-twisted-beta-g": (
+        ["verify", "sweedler-twisted-beta-g.qh", "--checks", "identities",
+         "--json"], 1),
+    "twist-sweedler-twisted-untwist": (
+        ["twist", "sweedler-twisted.qh", "--twistor", "untwist",
+         "--verify-invariance", "--json"], 0),
+    "twist-grassmann-theta-theta-pair": (
+        ["twist", "grassmann-theta.qh", "--twistor", "theta-pair",
+         "--verify-invariance", "--json"], 0),
+})
+for _label, _extra in (
+        ("u", ["--kind", "u"]),
+        ("c1-beta", ["--kind", "c1", "--source", "beta"]),
+        ("c2-alpha", ["--kind", "c2", "--source", "alpha"]),
+        ("quadratic", ["--kind", "quadratic"]),
+        ("cm-2-regular", ["--kind", "cm", "--power", "2", "--rep", "regular"])):
+    CASES[f"casimir-sweedler-h4-{_label}"] = (
+        ["casimir", "sweedler-h4.qh"] + _extra + ["--json"], 0)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("snapshots")
+    for name in RATIONAL:
+        shutil.copy(DATA / f"{name}.qh", root / f"{name}.qh")
+    doc = json.loads((DATA / "sweedler-twisted.qh").read_text())
+    doc["beta"] = {"1": "1", "g": "1"}
+    doc["r"] = doc["r_inv"] = None
+    (root / "sweedler-twisted-beta-g.qh").write_text(json.dumps(doc))
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_stdout_matches_snapshot(case, workdir, monkeypatch, capsys):
+    argv, status = CASES[case]
+    monkeypatch.chdir(workdir)
+    assert main(argv) == status
+    expected = (SNAPSHOTS / f"{case}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
