@@ -16,7 +16,7 @@ leg) are supported without a second sign calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BasisMismatchError,
@@ -671,27 +671,6 @@ class LinearMap:
 
     def on_basis(self, i: int) -> TensorElement:
         return self.images[i]
-
-    # -- rank 1 -> 1 helpers ----------------------------------------------
-
-    def as_matrix(self) -> List[List[Scalar]]:
-        """Column j is the image of basis element j (rank-1 maps only)."""
-        assert self.target_rank == 1
-        d, z = self.source.dim, self.source.field.zero()
-        m = [[z for _ in range(d)] for _ in range(d)]
-        for j, img in enumerate(self.images):
-            for (i,), c in img.coeffs.items():
-                m[i][j] = c
-        return m
-
-    @staticmethod
-    def from_matrix(source: BaseAlgebra, matrix: List[List[Scalar]],
-                    name: str = "") -> "LinearMap":
-        images = []
-        for j in range(source.dim):
-            images.append(TensorElement(
-                (source,), {(i,): matrix[i][j] for i in range(source.dim)}))
-        return LinearMap(source, (source,), images, name=name)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

@@ -10,13 +10,14 @@ returned with deterministic echelon-form bases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError
 from .graded import AlgebraElement, LinearMap, TensorElement
-from .linalg import nullspace
-from .quasihopf import QuasiHopfStructure
+from .linalg import nullspace, rows_of
+from .quasihopf import QuasiHopfStructure, condition_rows
 from .representations import Matrix, Representation, _mat_mul
 from .scalars import Scalar
 
@@ -106,23 +107,12 @@ def _graded_nullspace(H: QuasiHopfStructure, condition) -> GradedSubspace:
     the even and odd coordinates.  ``condition`` must be linear in the
     candidate element."""
     A = H.algebra
-    field = A.field
+    conditions = [functools.partial(condition, i) for i in range(A.dim)]
     out = GradedSubspace()
     for target_parity, bucket in ((0, out.even), (1, out.odd)):
         idx = [j for j in range(A.dim) if A.parity[j] == target_parity]
-        if not idx:
-            continue
-        rows: List[List[Scalar]] = []
-        for i in range(A.dim):
-            block = [[field.zero()] * len(idx) for _ in range(A.dim)]
-            for t, j in enumerate(idx):
-                image = condition(i, A.basis_element(j))
-                for k, c in image.coeffs.items():
-                    block[k][t] = c
-            rows.extend(block)
-        for vec in nullspace(rows, len(idx), field):
-            bucket.append(AlgebraElement(
-                A, {idx[t]: vec[t] for t in range(len(idx))}))
+        for vec in nullspace(condition_rows(A, idx, conditions), len(idx), A.field):
+            bucket.append(AlgebraElement(A, dict(zip(idx, vec))))
     return out
 
 
@@ -162,18 +152,14 @@ def center(H: QuasiHopfStructure) -> GradedSubspace:
 
 def _form_nullspace(H: QuasiHopfStructure, action) -> List[LinearForm]:
     A = H.algebra
-    field = A.field
-    rows: List[List[Scalar]] = []
+    rows = []
     for i in range(A.dim):
         eps_a = H.eps(A.basis_element(i))
         for j in range(A.dim):
-            acted = action(A.basis_element(i), A.basis_element(j))
-            row = [field.zero()] * A.dim
-            for k, c in acted.coeffs.items():
-                row[k] = row[k] + c
-            row[j] = row[j] - eps_a
+            row = dict(action(A.basis_element(i), A.basis_element(j)).coeffs)
+            row[j] = row.get(j, A.field.zero()) - eps_a
             rows.append(row)
-    return [LinearForm(H, tuple(vec)) for vec in nullspace(rows, A.dim, field)]
+    return [LinearForm(H, tuple(vec)) for vec in nullspace(rows, A.dim, A.field)]
 
 
 def invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearForm]:
@@ -204,11 +190,16 @@ def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
 # the module structure on linear maps V -> W
 
 
+def _matrix(V: Representation, W: Representation, entries, zero: Scalar) -> Matrix:
+    """The map V -> W with the given {(p, q): entry}, zero elsewhere."""
+    return [[entries.get((p, q), zero) for q in range(V.dim)] for p in range(W.dim)]
+
+
 def module_action(H: QuasiHopfStructure, V: Representation, W: Representation,
                   a: AlgebraElement, f: Matrix, f_parity: int) -> Matrix:
     """(a . f)(v) = sum a_(1) f(S(a_(2)) v) (-1)^{[f][a_(2)]} as matrices."""
     A, field = H.algebra, H.algebra.field
-    out = [[field.zero()] * V.dim for _ in range(W.dim)]
+    out = _matrix(V, W, {}, field.zero())
     for i, ca in a.coeffs.items():
         for (k1, k2), d in H.coproduct.on_basis(i).coeffs.items():
             m = _mat_mul(_mat_mul(W.matrix_of(A.basis_element(k1)), f, field),
@@ -236,33 +227,20 @@ def invariant_maps(H: QuasiHopfStructure, V: Representation,
     results: List[List[Matrix]] = []
     for parity in (0, 1):
         entries = _map_entries(V, W, parity)
-        if not entries:
-            results.append([])
-            continue
-        rows: List[List[Scalar]] = []
-        for i in range(A.dim):
-            a = A.basis_element(i)
-            eps_a = H.eps(a)
-            blocks = []
-            for (p0, q0) in entries:
-                f = [[field.zero()] * V.dim for _ in range(W.dim)]
-                f[p0][q0] = field.one()
+        columns = []
+        for p0, q0 in entries:
+            f = _matrix(V, W, {(p0, q0): field.one()}, field.zero())
+            column = {}
+            for i in range(A.dim):
+                a = A.basis_element(i)
                 acted = module_action(H, V, W, a, f, parity)
-                blocks.append(acted)
-            for p in range(W.dim):
-                for q in range(V.dim):
-                    row = [blocks[t][p][q] for t in range(len(entries))]
-                    for t, (p0, q0) in enumerate(entries):
-                        if (p0, q0) == (p, q):
-                            row[t] = row[t] - eps_a
-                    rows.append(row)
-        basis = []
-        for vec in nullspace(rows, len(entries), field):
-            f = [[field.zero()] * V.dim for _ in range(W.dim)]
-            for t, (p0, q0) in enumerate(entries):
-                f[p0][q0] = vec[t]
-            basis.append(f)
-        results.append(basis)
+                column.update(((i, p, q), x) for p, row in enumerate(acted)
+                              for q, x in enumerate(row))
+                column[(i, p0, q0)] = column[(i, p0, q0)] - H.eps(a)
+            columns.append(column)
+        results.append([
+            _matrix(V, W, dict(zip(entries, vec)), field.zero())
+            for vec in nullspace(rows_of(columns), len(entries), field)])
     return results[0], results[1]
 
 
@@ -299,7 +277,7 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
 
     def sandwich(pairs) -> Matrix:
         """sum c W(a) f V(b) over the terms c a (x) b of a rank-2 tensor."""
-        out = [[field.zero()] * V.dim for _ in range(W.dim)]
+        out = _matrix(V, W, {}, field.zero())
         for (i, j), c in pairs.coeffs.items():
             m = _mat_mul(_mat_mul(W.matrices[i], f, field), V.matrices[j], field)
             for p in range(W.dim):
@@ -335,13 +313,13 @@ def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
     = eps(a) (v, w);  returned as matrices B[i][j] = (v_i, w_j)."""
     A, field = H.algebra, H.algebra.field
     n = V.dim * W.dim
-    rows: List[List[Scalar]] = []
+    rows = []
     for idx in range(A.dim):
         a = A.basis_element(idx)
         eps_a = H.eps(a)
         for i in range(V.dim):
             for j in range(W.dim):
-                row = [field.zero()] * n
+                row = {i * W.dim + j: -eps_a}
                 for (k1, k2), d in H.coproduct.on_basis(idx).coeffs.items():
                     mv = V.matrix_of(A.basis_element(k1))
                     mw = W.matrix_of(A.basis_element(k2))
@@ -353,9 +331,8 @@ def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
                             continue
                         for q in range(W.dim):
                             if not mw[q][j].is_zero():
-                                row[p * W.dim + q] = row[p * W.dim + q] + \
-                                    coeff * mv[p][i] * mw[q][j]
-                row[i * W.dim + j] = row[i * W.dim + j] - eps_a
+                                row[p * W.dim + q] = row.get(p * W.dim + q, field.zero()) \
+                                    + coeff * mv[p][i] * mw[q][j]
                 rows.append(row)
     out = []
     for vec in nullspace(rows, n, field):

@@ -1,101 +1,97 @@
-"""Exact dense linear algebra over a FieldDescriptor.
+"""Exact sparse linear algebra over a FieldDescriptor.
 
-Matrices are lists of rows of Scalars.  Everything is deterministic:
-elimination scans columns left to right and the returned bases are in
-reduced row echelon form.
+A system is a list of sparse rows ``{column: Scalar}`` over the columns
+0..cols-1; absent entries are zero.  ``rows_of`` builds the rows from
+column images keyed by any hashable row label, so callers pass the
+coefficient dicts they already have.  There is one elimination routine,
+Gauss-Jordan ``rref``: it scans columns left to right and takes the
+shortest candidate row as pivot.  A reduced row echelon form depends only
+on the row space, so the returned kernel bases and particular solutions do
+not depend on the row order or the pivot choice.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import FieldDescriptor, Scalar
 
-Matrix = List[List[Scalar]]
+Row = Dict[int, Scalar]
 Vector = List[Scalar]
 
 
-def zeros(rows: int, cols: int, field: FieldDescriptor) -> Matrix:
-    z = field.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
+def rows_of(columns: Sequence[Mapping[Hashable, Scalar]]) -> List[Row]:
+    """Transpose column images: column j maps row labels to its entries."""
+    rows: Dict[Hashable, Row] = {}
+    for j, column in enumerate(columns):
+        for label, c in column.items():
+            rows.setdefault(label, {})[j] = c
+    return list(rows.values())
 
 
-def identity(n: int, field: FieldDescriptor) -> Matrix:
-    m = zeros(n, n, field)
-    one = field.one()
-    for i in range(n):
-        m[i][i] = one
-    return m
-
-
-def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot columns)."""
-    m = [row[:] for row in m]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form; pivots are taken in the columns below
+    ``cols`` and entries at or beyond it are carried along.  Returns the
+    nonzero reduced rows in pivot order and their pivot columns."""
+    pending = [r for r in ({k: v for k, v in row.items() if not v.is_zero()}
+                           for row in rows) if r]
+    reduced: List[Row] = []
     pivots: List[int] = []
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
-        if pivot is None:
+        candidates = [r for r in pending if c in r]
+        if not candidates:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        chosen = min(candidates, key=len)
+        inv = chosen[c].inv()
+        pivot = {k: v * inv for k, v in chosen.items()}
+        for row in reduced + candidates:
+            f = row.get(c)
+            if f is None or row is chosen:
+                continue
+            for k, v in pivot.items():
+                x = row[k] - f * v if k in row else -(f * v)
+                if x.is_zero():
+                    del row[k]
+                else:
+                    row[k] = x
+        pending = [r for r in pending if r and c not in r]  # drops chosen
+        reduced.append(pivot)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return reduced, pivots
 
 
-def nullspace(m: Matrix, cols: int, field: FieldDescriptor) -> List[Vector]:
-    """Echelon-form basis of the kernel of m (m may have zero rows)."""
-    return _kernel(*rref(m), cols, field)
+def nullspace(rows: Sequence[Mapping[int, Scalar]], cols: int,
+              field: FieldDescriptor) -> List[Vector]:
+    """Echelon-form basis of the kernel of the rows (which may be empty)."""
+    return _kernel(*rref(rows, cols), cols, field)
 
 
-def _kernel(red: Matrix, pivots: List[int], cols: int,
+def _kernel(red: List[Row], pivots: List[int], cols: int,
             field: FieldDescriptor) -> List[Vector]:
-    """Kernel basis read off an RREF whose first ``cols`` columns are the
-    coefficient matrix; pivots at or beyond ``cols`` are ignored."""
-    pivots = [pc for pc in pivots if pc < cols]
-    basis = []
+    """Kernel basis read off an RREF of the first ``cols`` columns; a pivot
+    beyond them (an inconsistent right-hand side) is ignored."""
     zero, one = field.zero(), field.one()
-    for j in range(cols):
-        if j in pivots:
-            continue
+    pivot_rows = [(pc, red[r]) for r, pc in enumerate(pivots) if pc < cols]
+    basis = []
+    for j in sorted(set(range(cols)) - set(pivots)):
         v = [zero] * cols
         v[j] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][j]
+        for pc, row in pivot_rows:
+            if j in row:
+                v[pc] = -row[j]
         basis.append(v)
     return basis
 
 
-def solve_affine(m: Matrix, rhs: Vector, cols: int,
+def solve_affine(rows: Sequence[Mapping[int, Scalar]], cols: int,
                  field: FieldDescriptor) -> Tuple[Optional[Vector], List[Vector]]:
-    """Solve m x = rhs.  Returns (particular solution or None, kernel basis)."""
-    aug = [row[:] + [b] for row, b in zip(m, rhs)]
-    red, pivots = rref(aug)
+    """Solve the system whose right-hand side is column ``cols`` of the rows.
+    Returns (particular solution or None, kernel basis)."""
+    red, pivots = rref(rows, cols + 1)
     kernel = _kernel(red, pivots, cols, field)
     if cols in pivots:  # pivot in the rhs column: inconsistent
         return None, kernel
     particular = [field.zero()] * cols
-    for r, pc in enumerate(pivots):
-        particular[pc] = red[r][cols]
+    for row, pc in zip(red, pivots):
+        particular[pc] = row.get(cols, particular[pc])
     return particular, kernel
-
-
-def invert(m: Matrix, field: FieldDescriptor) -> Optional[Matrix]:
-    """Inverse of a square matrix, or None if singular."""
-    n = len(m)
-    aug = [row[:] + identity(n, field)[i] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]

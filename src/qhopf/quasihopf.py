@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     NoRMatrixError,
@@ -31,7 +31,7 @@ from .graded import (
     TensorElement,
     check_antihomomorphism,
 )
-from .linalg import invert, nullspace, solve_affine
+from .linalg import Row, nullspace, rows_of, rref, solve_affine
 from .report import AxiomCheck, AxiomReport
 from .scalars import Scalar
 
@@ -82,10 +82,16 @@ class QuasiHopfStructure:
     def __post_init__(self):
         self._shape_check()
         if self.antipode_inv is None:
-            m = invert(self.antipode.as_matrix(), self.algebra.field)
-            if m is not None:
-                object.__setattr__(self, "antipode_inv", LinearMap.from_matrix(
-                    self.algebra, m, name="antipode_inv"))
+            # eliminate [S | 1]; an invertible S leaves [1 | S^{-1}]
+            A, n = self.algebra, self.algebra.dim
+            red, pivots = rref(rows_of(
+                [{i: c for (i,), c in img.coeffs.items()} for img in self.antipode.images]
+                + [{k: A.field.one()} for k in range(n)]), n)
+            if len(pivots) == n:
+                object.__setattr__(self, "antipode_inv", LinearMap(A, (A,), [
+                    TensorElement((A,), {(r,): row[n + k] for r, row in enumerate(red)
+                                         if n + k in row}) for k in range(n)],
+                    name="antipode_inv"))
 
     def _shape_check(self):
         a = self.algebra
@@ -459,6 +465,16 @@ def verify_structure(H: QuasiHopfStructure) -> AxiomReport:
 # solving for the canonical elements
 
 
+def condition_rows(A: GradedAlgebra, idx: Sequence[int], conditions,
+                   rhs: Optional[Mapping[tuple, Scalar]] = None) -> List[Row]:
+    """Sparse rows of the linear conditions cond(x) for cond in conditions,
+    in the coordinates idx of x.  Rows are labelled (condition number, basis
+    index); a right-hand side labelled the same way is column len(idx)."""
+    columns = [{(n, k): c for n, cond in enumerate(conditions)
+                for k, c in cond(A.basis_element(j)).coeffs.items()} for j in idx]
+    return rows_of(columns + ([rhs] if rhs else []))
+
+
 def solve_canonical_elements(H: QuasiHopfStructure
                              ) -> List[Tuple[AlgebraElement, AlgebraElement]]:
     """All (alpha, beta) pairs completing (coproduct, counit, antipode, phi)
@@ -476,39 +492,24 @@ def solve_canonical_elements(H: QuasiHopfStructure
     ncols = len(even_idx)
 
     def element_from(vec) -> AlgebraElement:
-        return AlgebraElement(A, {even_idx[t]: vec[t] for t in range(ncols)})
-
-    def rows_of(diff_fn) -> List[List[Scalar]]:
-        """Matrix rows of a linear condition over the even coordinates."""
-        rows = [[field.zero()] * ncols for _ in range(A.dim)]
-        for t, j in enumerate(even_idx):
-            image = diff_fn(A.basis_element(j))
-            for k, c in image.coeffs.items():
-                rows[k][t] = c
-        return rows
+        return AlgebraElement(A, dict(zip(even_idx, vec)))
 
     # beta: sum a_(1) beta S(a_(2)) = eps(a) beta for every basis a
-    beta_rows: List[List[Scalar]] = []
-    for i in range(A.dim):
-        beta_rows.extend(rows_of(lambda b: _antipode_beta_diff(H, i, b)))
-    beta_space = nullspace(beta_rows, ncols, field)
+    beta_space = nullspace(condition_rows(A, even_idx, [
+        functools.partial(_antipode_beta_diff, H, i) for i in range(A.dim)]),
+        ncols, field)
 
+    alpha_conditions = [functools.partial(_antipode_alpha_diff, H, i)
+                        for i in range(A.dim)]
+    # the two coassociator sandwiches equal 1
+    rhs = {(A.dim + n, k): c for n in (0, 1) for k, c in A.unit().coeffs.items()}
     results: List[Tuple[AlgebraElement, AlgebraElement]] = []
     for bvec in beta_space:
         beta0 = element_from(bvec)
-        rows: List[List[Scalar]] = []
-        rhs: List[Scalar] = []
-        for i in range(A.dim):
-            block = rows_of(lambda a: _antipode_alpha_diff(H, i, a))
-            rows.extend(block)
-            rhs.extend([field.zero()] * A.dim)
-        for sandwich in (lambda a: _phi_sandwich_inv(H, beta0, a),
-                         lambda a: _phi_sandwich(H, a, beta0)):
-            rows.extend(rows_of(sandwich))
-            unit_vec = [field.zero()] * A.dim
-            unit_vec[next(iter(A.unit_coeffs))] = field.one()
-            rhs.extend(unit_vec)
-        particular, kernel = solve_affine(rows, rhs, ncols, field)
+        particular, kernel = solve_affine(condition_rows(
+            A, even_idx, alpha_conditions + [
+                lambda a: _phi_sandwich_inv(H, beta0, a),
+                lambda a: _phi_sandwich(H, a, beta0)], rhs), ncols, field)
         if particular is None:
             continue
         candidates = [particular] + [

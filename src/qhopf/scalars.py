@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import FieldMismatchError, NotInvertibleError, ScalarSyntaxError
+from .errors import (FieldMismatchError, NotInvertibleError, ScalarSyntaxError,
+                     StructureValidationError)
 
 try:  # gmpy2 gives a large constant-factor speedup; fractions is the fallback
     from gmpy2 import mpq as QQ
@@ -155,13 +156,15 @@ class FieldDescriptor:
         if self.kind == RATIONALS:
             pass
         elif self.kind == CYCLOTOMIC:
-            if self.order is None or self.order < 1:
-                raise ValueError("cyclotomic order must be a positive integer")
+            if type(self.order) is not int or self.order < 1:
+                raise StructureValidationError(
+                    "cyclotomic order must be a positive integer")
         elif self.kind == RATIONAL_FUNCTIONS:
-            if not self.indeterminate or not self.indeterminate.isidentifier():
-                raise ValueError("indeterminate must be a nonempty identifier")
+            if not (isinstance(self.indeterminate, str) and self.indeterminate.isidentifier()):
+                raise StructureValidationError(
+                    "indeterminate must be a nonempty identifier")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise StructureValidationError(f"unknown field kind {self.kind!r}")
 
     @classmethod
     def rationals(cls) -> "FieldDescriptor":
@@ -370,7 +373,13 @@ class Scalar:
         return self.field == other.field and self.value == other.value
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        # a constant hashes as its rational value, agreeing with == against int
+        v = self.value
+        if self.field.kind == RATIONAL_FUNCTIONS and v[1] == (_QQ1,):
+            v = v[0]
+        if isinstance(v, tuple) and len(v) <= 1:
+            v = v[0] if v else _QQ0
+        return hash(v)
 
     def __bool__(self):
         return not self.is_zero()
@@ -457,6 +466,7 @@ def render_scalar(x: Scalar) -> str:
 # parsing
 
 _TOKEN_OPS = "+-*/^()"
+MAX_NESTING = 100  # parentheses and unary signs; bounds the recursion
 
 
 def _tokenize(text: str):
@@ -499,6 +509,7 @@ class _Parser:
     def __init__(self, text: str, field: FieldDescriptor):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.field = field
 
     def peek(self):
@@ -540,10 +551,18 @@ class _Parser:
         return value
 
     def factor(self) -> Scalar:
-        if self.peek()[0] == "-":
+        signs = 0
+        while self.peek()[0] == "-":  # iterative; a sign is one nesting level
+            self.check_depth(self.depth + signs)
             self.take()
-            return -self.factor()
-        return self.atom()
+            signs += 1
+        value = self.atom()
+        return -value if signs % 2 else value
+
+    def check_depth(self, depth: int):
+        if depth >= MAX_NESTING:
+            raise ScalarSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
 
     def atom(self) -> Scalar:
         kind, value, pos = self.peek()
@@ -573,9 +592,12 @@ class _Parser:
                 return base ** (sign * int(eval_))
             return base
         if kind == "(":
+            self.check_depth(self.depth)
             self.take()
+            self.depth += 1
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         raise ScalarSyntaxError(f"unexpected token {value!r}", pos)
 

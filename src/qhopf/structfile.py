@@ -124,7 +124,7 @@ def _parse_field(d: dict) -> FieldDescriptor:
     if kind == "rationals":
         return FieldDescriptor.rationals()
     if kind == "cyclotomic":
-        return FieldDescriptor.cyclotomic(int(_require(d, "order")))
+        return FieldDescriptor.cyclotomic(_require(d, "order"))
     if kind == "rational-functions":
         return FieldDescriptor.rational_functions(_require(d, "indeterminate"))
     raise StructureValidationError(f"unknown field kind {kind!r}")

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import NotInvertibleError, PostconditionError, StructureValidationError
 from .graded import AlgebraElement, TensorElement
-from .linalg import solve_affine
+from .linalg import rows_of, solve_affine
 from .quasihopf import (
     AxiomReport,
     QuasiHopfStructure,
@@ -32,37 +32,27 @@ from .quasihopf import (
 
 
 def invert_tensor(t: TensorElement) -> Optional[TensorElement]:
-    """Two-sided inverse of a tensor under the graded product, or None."""
-    legs = t.legs
-    keys = []
-    index = {}
-    sizes = [leg.dim for leg in legs]
+    """Two-sided inverse of a tensor under the graded product, or None.
 
-    def all_keys(prefix, depth):
-        if depth == len(sizes):
-            index[tuple(prefix)] = len(keys)
-            keys.append(tuple(prefix))
-            return
-        for i in range(sizes[depth]):
-            all_keys(prefix + [i], depth + 1)
-    all_keys([], 0)
-
-    field = legs[0].field
-    n = len(keys)
-    rows = [[field.zero()] * n for _ in range(n)]
-    for col, key in enumerate(keys):
-        basis_tensor = TensorElement(legs, {key: field.one()})
-        image = t * basis_tensor
-        for k, c in image.coeffs.items():
-            rows[index[k]][col] = c
-    unit = TensorElement.unit(legs)
-    rhs = [field.zero()] * n
-    for k, c in unit.coeffs.items():
-        rhs[index[k]] = c
-    particular, _ = solve_affine(rows, rhs, n, field)
+    An inverse is a polynomial in t, so it is solved for on the span of the
+    keys reached from the unit by repeated left multiplication with t."""
+    unit = TensorElement.unit(t.legs)
+    one = unit.field.one()
+    keys = list(unit.coeffs)
+    seen = set(keys)
+    columns = []
+    while len(columns) < len(keys):
+        image = t * TensorElement(t.legs, {keys[len(columns)]: one})
+        for k in image.coeffs:
+            if k not in seen:
+                seen.add(k)
+                keys.append(k)
+        columns.append(image.coeffs)
+    particular, _ = solve_affine(rows_of(columns + [unit.coeffs]), len(keys),
+                                 unit.field)
     if particular is None:
         return None
-    inv = TensorElement(legs, {keys[i]: particular[i] for i in range(n)})
+    inv = TensorElement(t.legs, dict(zip(keys, particular)))
     if t * inv != unit or inv * t != unit:
         return None
     return inv

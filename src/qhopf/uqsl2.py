@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .catalog import CatalogEntry
 from .errors import StructureValidationError
@@ -39,11 +39,10 @@ from .graded import (
     StructureConstants,
     TensorElement,
 )
-from .linalg import solve_affine
 from .quasihopf import QuasiHopfStructure, verify_structure
 from .representations import trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
-from .twisting import identity_twistor
+from .twisting import identity_twistor, invert_tensor
 
 C3 = FieldDescriptor.cyclotomic(3)
 
@@ -204,37 +203,6 @@ def _r_candidate(A: GradedAlgebra, red: _WordReducer,
     return TensorElement((A, A), coeffs)
 
 
-def _invert_in_monomial_span(r: TensorElement, A: GradedAlgebra
-                             ) -> Optional[TensorElement]:
-    """Solve r * x = 1 inside span{E^n K^i (x) F^m K^j}; the span is closed
-    under the product, so the inverse lives there when it exists."""
-    left_keys = [A.index_of(_monomial_label(n, 0, i))
-                 for n in range(3) for i in range(3)]
-    right_keys = [A.index_of(_monomial_label(0, m, j))
-                  for m in range(3) for j in range(3)]
-    keys = [(l, r_) for l in left_keys for r_ in right_keys]
-    pos = {k: t for t, k in enumerate(keys)}
-    n = len(keys)
-    rows = [[C3.zero()] * n for _ in range(n)]
-    for col, key in enumerate(keys):
-        image = r * TensorElement((A, A), {key: C3.one()})
-        for k, coeff in image.coeffs.items():
-            if k not in pos:
-                return None
-            rows[pos[k]][col] = coeff
-    unit = TensorElement.unit((A, A))
-    rhs = [C3.zero()] * n
-    for k, coeff in unit.coeffs.items():
-        rhs[pos[k]] = coeff
-    particular, _ = solve_affine(rows, rhs, n, C3)
-    if particular is None:
-        return None
-    inv = TensorElement((A, A), {keys[t]: particular[t] for t in range(n)})
-    if r * inv != unit or inv * r != unit:
-        return None
-    return inv
-
-
 def _search_r(H: QuasiHopfStructure, red: _WordReducer
               ) -> Tuple[TensorElement, TensorElement]:
     A = H.algebra
@@ -255,7 +223,7 @@ def _search_r(H: QuasiHopfStructure, red: _WordReducer
         rhs = r.apply_maps([(1, H.coproduct)])
         if rhs != r.embed((0, 2), H.legs(3)) * r.embed((0, 1), H.legs(3)):
             continue
-        r_inv = _invert_in_monomial_span(r, A)
+        r_inv = invert_tensor(r)
         if r_inv is None:
             continue
         return r, r_inv

@@ -1,0 +1,73 @@
+"""Scalar hashing, parser depth, field errors, and identity reports that
+survive a failing u-operator."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import qhopf
+from qhopf.cli import main
+from qhopf.errors import ScalarSyntaxError
+from qhopf.scalars import MAX_NESTING, FieldDescriptor, parse_scalar
+
+DATA = Path(qhopf.__file__).parent / "data"
+Q = FieldDescriptor.rationals()
+FIELDS = (Q, FieldDescriptor.cyclotomic(3), FieldDescriptor.rational_functions("q"))
+
+
+def corrupt(tmp_path, name, mutate):
+    doc = json.loads((DATA / f"{name}.qh").read_text())
+    mutate(doc)
+    out = tmp_path / f"{name}-corrupt.qh"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_constants_hash_like_the_equal_int_or_fraction(field):
+    for n in (0, 1, -3, 7):
+        x = field.from_int(n)
+        assert x == n and hash(x) == hash(n)
+    assert hash(field.parse("1/2")) == hash(Fraction(1, 2))
+    assert len({field.one(), 1, field.from_int(2) - field.one()}) == 1
+    if field.generator_name:
+        g = field.generator()
+        assert {g: "g"}[field.generator()] == "g"
+        assert hash(g * g) == hash(field.parse(f"{field.generator_name}^2"))
+
+
+@pytest.mark.parametrize("text", ["(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_syntax_error_with_a_position(text):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, Q)
+    assert err.value.position == MAX_NESTING
+
+
+def test_nesting_up_to_the_cap_parses():
+    depth = MAX_NESTING
+    assert parse_scalar("(" * depth + "3" + ")" * depth, Q) == 3
+    assert parse_scalar("-" * depth + "3", Q) == 3
+    assert parse_scalar("-" * (depth - 1) + "3", Q) == -3
+    assert parse_scalar("-(-(2)) - -1", Q) == 3
+
+
+@pytest.mark.parametrize("order", [0, "abc"])
+def test_bad_cyclotomic_order_exits_2_with_one_error_line(tmp_path, capsys, order):
+    def mutate(doc):
+        doc["field"]["order"] = order
+    assert main(["verify", corrupt(tmp_path, "small-uqsl2", mutate)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_identity_suite_reports_when_u_fails_to_conjugate(tmp_path, capsys):
+    def mutate(doc):
+        doc["beta"] = {"1": "1", "g": "1"}
+    bad = corrupt(tmp_path, "sweedler-twisted", mutate)
+    assert main(["verify", bad, "--checks", "axioms,identities", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["id"] for r in report["reports"] for c in r["checks"] if not c["passed"]}
+    assert {"exchange-phi-beta", "exchange-phiinv-beta", "u-conjugation"} <= failed
