@@ -65,5 +65,5 @@ class AxiomReport:
         for c in self.checks:
             mark = "ok  " if c.passed else "FAIL"
             at = f" @ {c.element}" if c.element else ""
-            lines.append(f"  [{mark}] {c.axiom}{at}")
+            lines.append(f"  [{mark}] {c.axiom}{at}  ({c.seconds:.3f} s)")
         return "\n".join(lines)

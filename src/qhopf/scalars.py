@@ -4,14 +4,22 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
 
 * ``rationals`` -- plain fractions,
 * ``cyclotomic(n)`` -- the field obtained by adjoining a primitive n-th
-  root of unity ``z``, elements stored as polynomials in ``z`` reduced
-  modulo the n-th cyclotomic polynomial,
+  root of unity ``z``.  An element ``(c_0 + c_1 z + ... ) / d`` is stored
+  as ``(numerators, d)``: a tuple of integer numerators ``c_i`` of degree
+  below ``phi(n)``, no trailing zeros, and one common denominator
+  ``d > 0`` coprime to their content; zero is ``((), 1)``.  A product is
+  an integer convolution whose degrees ``k >= phi(n)`` are folded back
+  with a per-order table of ``z^k mod Phi_n`` (integral, since ``Phi_n``
+  is monic with integer coefficients), followed by one gcd
+  normalisation.  The table is built on first use of an order.
 * ``rational-functions(q)`` -- rational functions in one indeterminate,
   stored as a coprime numerator/denominator pair with monic denominator.
 
 Every representation is canonical, so two scalars are equal exactly when
 their stored payloads are equal.  There is no floating point anywhere;
 every identity check downstream reduces to "is this payload empty/zero".
+A constant hashes as its rational value in every field, so a scalar
+agrees with ``int`` and ``Fraction`` under both ``==`` and ``hash``.
 
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
@@ -24,6 +32,7 @@ every identity check downstream reduces to "is this payload empty/zero".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .errors import (FieldMismatchError, NotInvertibleError, ScalarSyntaxError,
@@ -66,8 +75,9 @@ def _pmul(a: Poly, b: Poly) -> Poly:
         return ()
     out = [_QQ0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
     return _ptrim(out)
 
 
@@ -137,6 +147,106 @@ def cyclotomic_polynomial(n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# cyclotomic kernel over integer numerators
+
+_CZERO = ((), 1)
+_ORDERS = {}  # order n -> (Phi_n, phi(n), rows); rows[k - phi(n)] is z^k mod Phi_n
+
+
+def _order_data(n: int):
+    """Build and cache Phi_n and sparse integer rows of z^k mod Phi_n for
+    phi(n) <= k < 2 phi(n)."""
+    modulus = cyclotomic_polynomial(n)
+    phi = [int(c) for c in modulus]
+    m = len(phi) - 1
+    row = [-c for c in phi[:-1]]  # z^m, since Phi_n is monic
+    rows = []
+    for _ in range(m):
+        rows.append(tuple((i, t) for i, t in enumerate(row) if t))
+        top = row[-1]
+        row = [0] + row[:-1]
+        for i in range(m):
+            row[i] -= top * phi[i]
+    data = _ORDERS[n] = (modulus, m, tuple(rows))
+    return data
+
+
+def _cyclo(nums: list, den):
+    """Canonical payload of sum(nums[i] z^i) / den, for deg < phi(n) and den > 0."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _CZERO
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(c // g for c in nums), den // g
+    return tuple(nums), den
+
+
+def _creduce(conv: list, den, n: int):
+    """Fold the degrees k >= phi(n) of conv (all below 2 phi(n)) and normalise."""
+    _, m, rows = _ORDERS.get(n) or _order_data(n)
+    for k in range(len(conv) - 1, m - 1, -1):
+        c = conv[k]
+        if c:
+            for i, t in rows[k - m]:
+                conv[i] += c * t
+    del conv[m:]
+    return _cyclo(conv, den)
+
+
+def _cmul(a, b, n: int):
+    (x, dx), (y, dy) = a, b
+    if not x or not y:
+        return _CZERO
+    if len(y) == 1:
+        x, y = y, x
+    if len(x) == 1:  # a rational multiple needs no folding
+        c = x[0]
+        return _cyclo([c * d for d in y], dx * dy)
+    conv = [0] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        if c:
+            for j, d in enumerate(y):
+                conv[i + j] += c * d
+    return _creduce(conv, dx * dy, n)
+
+
+def _cadd(a, b):
+    (x, dx), (y, dy) = a, b
+    if not x:
+        return b
+    if not y:
+        return a
+    den = dx
+    if dx != dy:
+        g = gcd(dx, dy)
+        sx, sy = dy // g, dx // g
+        den = dx * sx
+        x = [c * sx for c in x]
+        y = [c * sy for c in y]
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    return _cyclo(out, den)
+
+
+def _cyclo_to_qq(a) -> Poly:
+    nums, den = a
+    return tuple(QQ(c, den) for c in nums)
+
+
+def _cyclo_from_qq(p: Poly):
+    den = 1
+    for c in p:
+        den = lcm(den, c.denominator)
+    return _cyclo([c.numerator * (den // c.denominator) for c in p], den)
+
+
+# ---------------------------------------------------------------------------
 # field descriptors
 
 RATIONALS = "rationals"
@@ -181,13 +291,7 @@ class FieldDescriptor:
     @property
     def modulus(self) -> Poly:
         assert self.kind == CYCLOTOMIC
-        cache = FieldDescriptor.__dict__.get("_moduli")
-        if cache is None:
-            cache = {}
-            setattr(FieldDescriptor, "_moduli", cache)
-        if self.order not in cache:
-            cache[self.order] = cyclotomic_polynomial(self.order)
-        return cache[self.order]
+        return (_ORDERS.get(self.order) or _order_data(self.order))[0]
 
     @property
     def generator_name(self) -> Optional[str]:
@@ -213,21 +317,16 @@ class FieldDescriptor:
         if self.kind == RATIONALS:
             return Scalar(self, r)
         if self.kind == CYCLOTOMIC:
-            return Scalar(self, _ptrim((r,)))
+            return Scalar(self, ((r.numerator,), r.denominator) if r else _CZERO)
         return Scalar(self, (_ptrim((r,)), (_QQ1,)))
 
     def generator(self) -> "Scalar":
         """The root of unity ``z`` or the indeterminate, as a scalar."""
         if self.kind == CYCLOTOMIC:
-            return self._from_poly((_QQ0, _QQ1))
+            return Scalar(self, _creduce([0, 1], 1, self.order))
         if self.kind == RATIONAL_FUNCTIONS:
             return Scalar(self, ((_QQ0, _QQ1), (_QQ1,)))
         raise ValueError("the rationals have no generator")
-
-    def _from_poly(self, p: Poly) -> "Scalar":
-        assert self.kind == CYCLOTOMIC
-        _, rem = _pdivmod(_ptrim(p), self.modulus)
-        return Scalar(self, rem)
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(text, self)
@@ -263,13 +362,13 @@ class Scalar:
     def is_zero(self) -> bool:
         if self.field.kind == RATIONALS:
             return self.value == 0
-        if self.field.kind == CYCLOTOMIC:
-            return not self.value
         return not self.value[0]
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
+        if other.__class__ is Scalar and other.field is self.field:
+            return other
         if isinstance(other, Scalar):
             if other.field != self.field:
                 raise FieldMismatchError(
@@ -287,7 +386,7 @@ class Scalar:
         if f.kind == RATIONALS:
             return Scalar(f, self.value + other.value)
         if f.kind == CYCLOTOMIC:
-            return Scalar(f, _padd(self.value, other.value))
+            return Scalar(f, _cadd(self.value, other.value))
         (n1, d1), (n2, d2) = self.value, other.value
         return _ratfun(f, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
@@ -298,7 +397,8 @@ class Scalar:
         if f.kind == RATIONALS:
             return Scalar(f, -self.value)
         if f.kind == CYCLOTOMIC:
-            return Scalar(f, _pneg(self.value))
+            nums, den = self.value
+            return Scalar(f, (tuple(-c for c in nums), den))
         n, d = self.value
         return Scalar(f, (_pneg(n), d))
 
@@ -319,8 +419,7 @@ class Scalar:
         if f.kind == RATIONALS:
             return Scalar(f, self.value * other.value)
         if f.kind == CYCLOTOMIC:
-            _, rem = _pdivmod(_pmul(self.value, other.value), f.modulus)
-            return Scalar(f, rem)
+            return Scalar(f, _cmul(self.value, other.value, f.order))
         (n1, d1), (n2, d2) = self.value, other.value
         return _ratfun(f, _pmul(n1, n2), _pmul(d1, d2))
 
@@ -334,11 +433,11 @@ class Scalar:
         if f.kind == RATIONALS:
             return Scalar(f, 1 / self.value)
         if f.kind == CYCLOTOMIC:
-            g, s, _ = _pxgcd(self.value, f.modulus)
+            g, s, _ = _pxgcd(_cyclo_to_qq(self.value), f.modulus)
             if len(g) != 1:  # cannot happen: cyclotomic polynomials are irreducible
                 raise NotInvertibleError("not invertible modulo the cyclotomic polynomial")
             _, rem = _pdivmod(tuple(c / g[0] for c in s), f.modulus)
-            return Scalar(f, rem)
+            return Scalar(f, _cyclo_from_qq(rem))
         n, d = self.value
         return _ratfun(f, d, n)
 
@@ -354,7 +453,14 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = self.field.one()
+        f = self.field
+        if f.kind == RATIONAL_FUNCTIONS:
+            num, den = self.value
+            if num and not any(num[:-1]) and not any(den[:-1]):
+                # c q^a / q^b with min(a, b) = 0: the power is c^n q^(an) / q^(bn)
+                return Scalar(f, ((_QQ0,) * ((len(num) - 1) * n) + (num[-1] ** n,),
+                                  (_QQ0,) * ((len(den) - 1) * n) + (_QQ1,)))
+        out = f.one()
         base = self
         while n:
             if n & 1:
@@ -370,12 +476,17 @@ class Scalar:
             other = self.field.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return ((self.field is other.field or self.field == other.field)
+                and self.value == other.value)
 
     def __hash__(self):
         # a constant hashes as its rational value, agreeing with == against int
         v = self.value
-        if self.field.kind == RATIONAL_FUNCTIONS and v[1] == (_QQ1,):
+        if self.field.kind == CYCLOTOMIC:
+            nums, den = v
+            if len(nums) <= 1:
+                v = QQ(nums[0], den) if nums else _QQ0
+        elif self.field.kind == RATIONAL_FUNCTIONS and v[1] == (_QQ1,):
             v = v[0]
         if isinstance(v, tuple) and len(v) <= 1:
             v = v[0] if v else _QQ0
@@ -399,10 +510,11 @@ def _ratfun(field: FieldDescriptor, num: Poly, den: Poly) -> Scalar:
         raise NotInvertibleError("not invertible: zero denominator")
     if not num:
         return Scalar(field, ((), (_QQ1,)))
-    g = _pgcd(num, den)
-    if len(g) > 1 or g[0] != 1:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
+    if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to anything
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num = _pdivmod(num, g)[0]
+            den = _pdivmod(den, g)[0]
     lead = den[-1]
     if lead != 1:
         num = tuple(c / lead for c in num)
@@ -450,7 +562,8 @@ def render_scalar(x: Scalar) -> str:
     if f.kind == RATIONALS:
         return _render_q(x.value)
     if f.kind == CYCLOTOMIC:
-        return _render_poly(x.value, "z")
+        nums, den = x.value
+        return _render_poly(nums if den == 1 else _cyclo_to_qq(x.value), "z")
     num, den = x.value
     if den == (_QQ1,):
         return _render_poly(num, f.indeterminate)
@@ -467,6 +580,7 @@ def render_scalar(x: Scalar) -> str:
 
 _TOKEN_OPS = "+-*/^()"
 MAX_NESTING = 100  # parentheses and unary signs; bounds the recursion
+MAX_EXPONENT = 1000  # |n| in NAME^n; bounds the size of a parsed power
 
 
 def _tokenize(text: str):
@@ -559,6 +673,13 @@ class _Parser:
         value = self.atom()
         return -value if signs % 2 else value
 
+    def integer(self) -> int:
+        _, text, pos = self.take("int")
+        try:
+            return int(text)
+        except ValueError:  # longer than the interpreter converts
+            raise ScalarSyntaxError("integer literal too long", pos) from None
+
     def check_depth(self, depth: int):
         if depth >= MAX_NESTING:
             raise ScalarSyntaxError(
@@ -567,15 +688,15 @@ class _Parser:
     def atom(self) -> Scalar:
         kind, value, pos = self.peek()
         if kind == "int":
-            self.take()
-            result = self.field.from_int(int(value))
+            num = self.integer()
             if self.peek()[0] == "/" and self.tokens[self.pos + 1][0] == "int":
                 self.take()
-                dkind, dval, dpos = self.take("int")
-                if int(dval) == 0:
+                dpos = self.peek()[2]
+                den = self.integer()
+                if den == 0:
                     raise ScalarSyntaxError("not invertible: zero denominator", dpos)
-                result = self.field.from_rational(QQ(int(value), int(dval)))
-            return result
+                return self.field.from_rational(QQ(num, den))
+            return self.field.from_int(num)
         if kind == "name":
             self.take()
             if value != self.field.generator_name:
@@ -584,12 +705,15 @@ class _Parser:
             base = self.field.generator()
             if self.peek()[0] == "^":
                 self.take()
-                sign = 1
+                sign, epos = 1, self.peek()[2]
                 if self.peek()[0] == "-":
                     self.take()
                     sign = -1
-                ekind, eval_, _ = self.take("int")
-                return base ** (sign * int(eval_))
+                exponent = self.integer()
+                if exponent > MAX_EXPONENT:
+                    raise ScalarSyntaxError(
+                        f"exponent larger than {MAX_EXPONENT}", epos)
+                return base ** (sign * exponent)
             return base
         if kind == "(":
             self.check_depth(self.depth)

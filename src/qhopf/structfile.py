@@ -113,30 +113,130 @@ def save_entry(entry: CatalogEntry, path: str) -> None:
 # parsing
 
 
-def _require(doc: dict, key: str):
+_MISSING = object()
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind, path: str):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise StructureValidationError(f"{path}: expected {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _key(doc: dict, key: str, kind, path: str = "", default=_MISSING):
+    """doc[key], checked to be of type kind; None passes when it is the default."""
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        raise StructureValidationError(f"structure file is missing {key!r}")
-    return doc[key]
+        if default is _MISSING:
+            raise StructureValidationError(f"{where}: missing")
+        return default
+    value = doc[key]
+    if value is None and default is None:
+        return None
+    return _typed(value, kind, where)
+
+
+def _label_items(table, path: str, labels):
+    """An object keyed by basis labels, as (label, value, path) triples."""
+    _typed(table, dict, path)
+    for lab in table:
+        if lab not in labels:
+            raise StructureValidationError(f"{path}: unknown label {lab!r}")
+    return [(lab, value, f"{path}.{lab}") for lab, value in table.items()]
+
+
+def _check_rows(rows, path: str, rank: int, labels) -> None:
+    """A list of [label * rank, scalar string] rows."""
+    _typed(rows, list, path)
+    for i, row in enumerate(rows):
+        where = f"{path}[{i}]"
+        _typed(row, list, where)
+        if len(row) != rank + 1:
+            raise StructureValidationError(f"{where}: expected {rank + 1} items")
+        for j, lab in enumerate(row[:rank]):
+            if not (isinstance(lab, str) and lab in labels):
+                raise StructureValidationError(f"{where}[{j}]: unknown label {lab!r}")
+        _typed(row[rank], str, f"{where}[{rank}]")
+
+
+def _check_shape(doc) -> None:
+    """Check the JSON shape of a structure document before it is parsed.
+
+    Every key, type, row length and basis label the parser reads is checked
+    here, so a malformed file fails with one :class:`StructureValidationError`
+    that names the JSON path, e.g. ``mul[0]: expected 4 items``.  The
+    mathematics (associativity, gradings, invertibility) is checked later,
+    by the constructors.
+    """
+    _typed(doc, dict, "structure file")
+    _key(doc, "name", str, default="")
+    _key(doc, "notes", str, default="")
+    field = _key(doc, "field", dict)
+    kind = _key(field, "kind", str, "field")
+    if kind == "cyclotomic":
+        _key(field, "order", int, "field")
+    elif kind == "rational-functions":
+        _key(field, "indeterminate", str, "field")
+    basis = _key(doc, "basis", dict)
+    labels = _key(basis, "labels", list, "basis")
+    for i, lab in enumerate(labels):
+        _typed(lab, str, f"basis.labels[{i}]")
+    for i, p in enumerate(_key(basis, "parity", list, "basis")):
+        _typed(p, int, f"basis.parity[{i}]")
+    if _key(basis, "unit", str, "basis") not in labels:
+        raise StructureValidationError(f"basis.unit: unknown label {basis['unit']!r}")
+    labels = set(labels)
+    for key, rank in (("mul", 3), ("phi", 3), ("phi_inv", 3)):
+        _check_rows(_key(doc, key, list), key, rank, labels)
+    for key in ("r", "r_inv"):
+        rows = _key(doc, key, list, default=None)
+        if rows is not None:
+            _check_rows(rows, key, 2, labels)
+    for _, rows, where in _label_items(_key(doc, "coproduct", dict), "coproduct", labels):
+        _check_rows(rows, where, 2, labels)
+    for key in ("counit", "alpha", "beta"):
+        for _, text, where in _label_items(_key(doc, key, dict), key, labels):
+            _typed(text, str, where)
+    for _, image, where in _label_items(_key(doc, "antipode", dict), "antipode", labels):
+        for _, text, at in _label_items(image, where, labels):
+            _typed(text, str, at)
+    for name, tw in _key(doc, "twistors", dict, default={}).items():
+        where = f"twistors.{name}"
+        _typed(tw, dict, where)
+        for key in ("f", "f_inv"):
+            _check_rows(_key(tw, key, list, where), f"{where}.{key}", 2, labels)
+    for name, rep in _key(doc, "representations", dict, default={}).items():
+        where = f"representations.{name}"
+        _typed(rep, dict, where)
+        for i, p in enumerate(_key(rep, "parity", list, where)):
+            _typed(p, int, f"{where}.parity[{i}]")
+        mats = _label_items(_key(rep, "matrices", dict, where), f"{where}.matrices", labels)
+        missing = labels.difference(lab for lab, _, _ in mats)
+        if missing:
+            raise StructureValidationError(
+                f"{where}.matrices: missing {sorted(missing)[0]!r}")
+        for _, rows, at in mats:
+            _typed(rows, list, at)
+            for i, row in enumerate(rows):
+                _typed(row, list, f"{at}[{i}]")
+                for j, text in enumerate(row):
+                    _typed(text, str, f"{at}[{i}][{j}]")
 
 
 def _parse_field(d: dict) -> FieldDescriptor:
-    kind = _require(d, "kind")
+    kind = d["kind"]
     if kind == "rationals":
         return FieldDescriptor.rationals()
     if kind == "cyclotomic":
-        return FieldDescriptor.cyclotomic(_require(d, "order"))
+        return FieldDescriptor.cyclotomic(d["order"])
     if kind == "rational-functions":
-        return FieldDescriptor.rational_functions(_require(d, "indeterminate"))
+        return FieldDescriptor.rational_functions(d["indeterminate"])
     raise StructureValidationError(f"unknown field kind {kind!r}")
 
 
 def _parse_tensor(rows, A: GradedAlgebra, rank: int) -> TensorElement:
     coeffs = {}
-    for row in rows:
-        if len(row) != rank + 1:
-            raise StructureValidationError(
-                f"tensor row {row!r} does not have rank {rank}")
-        *labs, text = row
+    for *labs, text in rows:
         key = tuple(A.index_of(lab) for lab in labs)
         s = parse_scalar(text, A.field)
         coeffs[key] = coeffs.get(key, A.field.zero()) + s
@@ -149,35 +249,32 @@ def _parse_element(d: Dict[str, str], A: GradedAlgebra) -> AlgebraElement:
 
 
 def entry_from_dict(doc: dict) -> CatalogEntry:
-    field = _parse_field(_require(doc, "field"))
-    basis_doc = _require(doc, "basis")
-    labels = tuple(_require(basis_doc, "labels"))
-    parity = tuple(int(p) for p in _require(basis_doc, "parity"))
-    unit = _require(basis_doc, "unit")
-    if unit not in labels:
-        raise StructureValidationError(f"unit label {unit!r} not in basis")
-    basis = GradedBasis(labels, parity, labels.index(unit))
+    _check_shape(doc)
+    field = _parse_field(doc["field"])
+    basis_doc = doc["basis"]
+    labels = tuple(basis_doc["labels"])
+    basis = GradedBasis(labels, tuple(basis_doc["parity"]),
+                        labels.index(basis_doc["unit"]))
 
     entries = {}
-    for row in _require(doc, "mul"):
-        i, j, k, text = row
+    for i, j, k, text in doc["mul"]:
         key = (labels.index(i), labels.index(j), labels.index(k))
         entries[key] = parse_scalar(text, field)
     A = GradedAlgebra(basis, StructureConstants(entries), field,
                       name=doc.get("name", ""))
 
-    cop_doc = _require(doc, "coproduct")
+    cop_doc = doc["coproduct"]
     cop_images = [_parse_tensor(cop_doc.get(lab, []), A, 2) for lab in labels]
     coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
 
-    eps_doc = _require(doc, "counit")
+    eps_doc = doc["counit"]
     eps_images = []
     for lab in labels:
         s = parse_scalar(eps_doc.get(lab, "0"), field)
         eps_images.append(TensorElement((), {(): s} if not s.is_zero() else {}))
     counit = LinearMap(A, (), eps_images, name="counit")
 
-    anti_doc = _require(doc, "antipode")
+    anti_doc = doc["antipode"]
     anti_images = [TensorElement.of(_parse_element(anti_doc.get(lab, {}), A))
                    for lab in labels]
     antipode = LinearMap(A, (A,), anti_images, name="antipode")
@@ -186,29 +283,26 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
     r_inv_rows = doc.get("r_inv")
     structure = QuasiHopfStructure(
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=_parse_tensor(_require(doc, "phi"), A, 3),
-        phi_inv=_parse_tensor(_require(doc, "phi_inv"), A, 3),
-        alpha=_parse_element(_require(doc, "alpha"), A),
-        beta=_parse_element(_require(doc, "beta"), A),
+        phi=_parse_tensor(doc["phi"], A, 3),
+        phi_inv=_parse_tensor(doc["phi_inv"], A, 3),
+        alpha=_parse_element(doc["alpha"], A),
+        beta=_parse_element(doc["beta"], A),
         r=None if r_rows is None else _parse_tensor(r_rows, A, 2),
         r_inv=None if r_inv_rows is None else _parse_tensor(r_inv_rows, A, 2),
         name=doc.get("name", ""))
 
     twistors = {}
     for name, tw in doc.get("twistors", {}).items():
-        twistors[name] = Twistor(_parse_tensor(_require(tw, "f"), A, 2),
-                                 _parse_tensor(_require(tw, "f_inv"), A, 2),
+        twistors[name] = Twistor(_parse_tensor(tw["f"], A, 2),
+                                 _parse_tensor(tw["f_inv"], A, 2),
                                  name=name)
     representations = {}
     for name, rp in doc.get("representations", {}).items():
-        carrier = tuple(int(p) for p in _require(rp, "parity"))
-        mats_doc = _require(rp, "matrices")
-        matrices = []
-        for lab in labels:
-            rows = mats_doc[lab]
-            matrices.append([[parse_scalar(c, field) for c in row]
-                             for row in rows])
-        representations[name] = Representation(A, carrier, matrices, name=name)
+        mats_doc = rp["matrices"]
+        matrices = [[[parse_scalar(c, field) for c in row] for row in mats_doc[lab]]
+                    for lab in labels]
+        representations[name] = Representation(A, tuple(rp["parity"]), matrices,
+                                               name=name)
     return CatalogEntry(doc.get("name", ""), structure, twistors,
                         representations, notes=doc.get("notes", ""))
 

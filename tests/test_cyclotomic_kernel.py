@@ -1,0 +1,121 @@
+"""The integer-numerator cyclotomic kernel: products, sums and inverses
+against sympy's remainder modulo the cyclotomic polynomial, canonical
+payloads, and the degree-1 fields cyclotomic(1) and cyclotomic(2)."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qhopf.scalars import QQ, FieldDescriptor
+
+ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+coefficients = st.lists(st.fractions(-20, 20, max_denominator=6), max_size=6)
+small_coefficients = st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                               Fraction(1, 2)]), max_size=5)
+
+
+def element(field, cs):
+    """sum cs[i] z^i, built through the public arithmetic."""
+    z, x = field.generator(), field.zero()
+    for i, c in enumerate(cs):
+        x = x + field.from_rational(QQ(c.numerator, c.denominator)) * z ** i
+    return x
+
+
+def sym(cs, z):
+    import sympy
+    return sum(sympy.Rational(c.numerator, c.denominator) * z ** i for i, c in enumerate(cs))
+
+
+def parsed(x, z):
+    import sympy
+    return sympy.sympify(str(x).replace("^", "**"), locals={"z": z})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS), coefficients, coefficients)
+def test_ring_ops_agree_with_sympy_remainder(n, xs, ys):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.cyclotomic_poly(n, z)
+    F = FieldDescriptor.cyclotomic(n)
+    x, y = element(F, xs), element(F, ys)
+    a, b = sym(xs, z), sym(ys, z)
+    assert sympy.expand(parsed(x * y, z) - sympy.rem(sympy.expand(a * b), phi, z)) == 0
+    assert sympy.expand(parsed(x + y, z) - sympy.rem(sympy.expand(a + b), phi, z)) == 0
+    assert sympy.expand(parsed(x - y, z) - sympy.rem(sympy.expand(a - b), phi, z)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS), coefficients)
+def test_inverse_agrees_with_sympy(n, xs):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.cyclotomic_poly(n, z)
+    F = FieldDescriptor.cyclotomic(n)
+    x = element(F, xs)
+    a = sympy.rem(sym(xs, z), phi, z)
+    if x.is_zero():
+        assert sympy.expand(a) == 0
+        return
+    assert sympy.expand(parsed(x.inv(), z) - sympy.invert(a, phi, z)) == 0
+
+
+@given(st.sampled_from(ORDERS), small_coefficients, small_coefficients)
+def test_equal_exactly_when_rendered_equal(n, xs, ys):
+    F = FieldDescriptor.cyclotomic(n)
+    x, y = element(F, xs), element(F, ys)
+    assert (x == y) == (str(x) == str(y))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(st.sampled_from(ORDERS), coefficients, coefficients)
+def test_payload_is_canonical(n, xs, ys):
+    F = FieldDescriptor.cyclotomic(n)
+    x, y = element(F, xs), element(F, ys)
+    for r in (x, y, x * y, x + y, x - y, -x, x * 2, F.from_rational(QQ(-3, 6))):
+        nums, den = r.value
+        assert den > 0
+        assert not nums or nums[-1] != 0
+        assert len(nums) < len(F.modulus)
+        assert gcd(den, *nums) == 1
+        assert r.is_zero() == (r.value == ((), 1))
+    if not y.is_zero():
+        q = (x * y) / y
+        assert q == x and q.value == x.value and str(q) == str(x)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_constants_hash_as_their_rational_value(n):
+    C = FieldDescriptor.cyclotomic(n)
+    for k in (0, 1, -1, 2, 12, -105):
+        assert hash(C.from_int(k)) == hash(k)
+        assert C.from_int(k) == k
+    for r in (Fraction(1, 2), Fraction(-7, 3)):
+        assert hash(C.from_rational(QQ(r.numerator, r.denominator))) == hash(r)
+
+
+def test_degree_one_fields():
+    C1, C2 = FieldDescriptor.cyclotomic(1), FieldDescriptor.cyclotomic(2)
+    z1, z2 = C1.generator(), C2.generator()
+    assert z1 == 1 and str(z1) == "1"
+    assert z2 == -1 and str(z2) == "-1"
+    assert C1.parse("z^2 + z/2") == C1.from_rational(QQ(3, 2))
+    assert C2.parse("z^3 + 3") == 2
+    assert (z2 + 3).inv() == C2.from_rational(QQ(1, 2))
+    assert z2 ** -5 == -1 and z1 ** 7 == 1
+    assert str(C2.parse("(z - 2)/3")) == "-1"
+
+
+def test_order_12_reduction():
+    # Phi_12 = z^4 - z^2 + 1, so z^6 = -1 and z^4 = z^2 - 1
+    C12 = FieldDescriptor.cyclotomic(12)
+    z = C12.generator()
+    assert z ** 6 == -1
+    assert str(z ** 4) == "z^2 - 1"
+    assert str(z ** 5) == "z^3 - z"
+    assert (z ** 3 / 2) * (z ** 3 * 4) == -2

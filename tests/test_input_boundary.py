@@ -1,7 +1,10 @@
-"""Scalar hashing, parser depth, field errors, and identity reports that
-survive a failing u-operator."""
+"""Scalar hashing, parser depth, field errors, malformed structure files, and
+identity reports that survive a failing u-operator."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,3 +74,26 @@ def test_identity_suite_reports_when_u_fails_to_conjugate(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     failed = {c["id"] for r in report["reports"] for c in r["checks"] if not c["passed"]}
     assert {"exchange-phi-beta", "exchange-phiinv-beta", "u-conjugation"} <= failed
+
+
+def _drop_g_matrix(doc):
+    del doc["representations"]["regular"]["matrices"]["g"]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["mul"].__setitem__(0, doc["mul"][0][:3]), "mul[0]: expected 4 items"),
+    (lambda doc: doc.__setitem__("mul", "x"), "mul: expected a list"),
+    (lambda doc: doc.__setitem__("r", 5), "r: expected a list"),
+    (_drop_g_matrix, "representations.regular.matrices: missing 'g'"),
+    (lambda doc: doc["mul"][2].__setitem__(1, "h"), "mul[2][1]: unknown label 'h'"),
+    (lambda doc: doc["alpha"].__setitem__("1", 1), "alpha.1: expected a string"),
+], ids=["short-mul-row", "mul-not-a-list", "r-is-a-number", "missing-matrix",
+        "unknown-label", "scalar-not-a-string"])
+def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message):
+    bad = corrupt(tmp_path, "z2-group", mutate)
+    env = dict(os.environ, PYTHONPATH=str(Path(qhopf.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "qhopf.cli", "verify", bad],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [f"error: {message}"]

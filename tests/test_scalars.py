@@ -1,8 +1,12 @@
+import sys
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qhopf.errors import FieldMismatchError, NotInvertibleError, ScalarSyntaxError
 from qhopf.scalars import FieldDescriptor, cyclotomic_polynomial, parse_scalar, QQ
+from qhopf.scalars import MAX_EXPONENT
 
 Q = FieldDescriptor.rationals()
 C3 = FieldDescriptor.cyclotomic(3)
@@ -137,3 +141,46 @@ small_c3 = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
 def test_cyclotomic_ring_ops_commute_with_parse(x, y):
     assert parse_scalar(str(x * y), C3) == x * y
     assert parse_scalar(str(x - y), C3) == x - y
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_large_monomial_powers_are_fast_and_exact(sign):
+    assert MAX_EXPONENT >= 1000
+    start = time.perf_counter()
+    x = parse_scalar(f"q^{sign * 1000}", RQ)
+    assert time.perf_counter() - start < 0.1
+    step = RQ.generator() if sign > 0 else RQ.generator().inv()
+    y = RQ.one()
+    for _ in range(1000):
+        y = y * step
+    assert x == y and str(x) == str(y) == f"q^{sign * 1000}"
+
+
+def test_monomial_powers_match_repeated_products():
+    for text in ("3*q^-2", "-q", "1/2*q^3", "-2/3"):
+        x = parse_scalar(text, RQ)
+        for n in (-3, 0, 1, 4):
+            y = RQ.one()
+            for _ in range(abs(n)):
+                y = y * (x if n > 0 else x.inv())
+            assert x ** n == y and str(x ** n) == str(y)
+
+
+@pytest.mark.parametrize("text, position", [("q^1001", 2), ("1 + q^-1001", 6),
+                                            ("z^99999999999", 2)])
+def test_exponent_above_the_cap_is_a_syntax_error(text, position):
+    field = C3 if text.startswith("z") else RQ
+    assert MAX_EXPONENT < 1001
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, field)
+    assert err.value.position == position
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integer strings of any length")
+@pytest.mark.parametrize("text, position", [("1" * 5000, 0), ("2/" + "3" * 5000, 2),
+                                            ("q^" + "9" * 5000, 2)])
+def test_overlong_integer_literal_is_a_syntax_error(text, position):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, RQ)
+    assert err.value.position == position
