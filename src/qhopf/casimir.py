@@ -17,7 +17,9 @@ from powers of R^T R.  Every constructor checks its postconditions
 raises on violation; where two printed formulas exist for one object both
 are computed and compared.  The twist-invariance verifier recomputes all
 of these inside a twisted structure and asserts exact equality with the
-untwisted values.
+untwisted values.  Represented constructions run on End(V) tensor legs,
+so every sum here is a contraction whose Koszul signs come from the graded
+tensor product; list matrices are only the format of a representation.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .quasihopf import (
     _run,
     _tensor_eq,
     memoized,
+    reindex,
 )
 from .report import AxiomReport
 from .representations import Representation, apply_rep_on_leg
@@ -128,21 +131,26 @@ def quadratic_invariants(H: QuasiHopfStructure, omega: TensorElement
 # the u-operator
 
 
+def _r_alpha(H: QuasiHopfStructure) -> AlgebraElement:
+    """sum S(e^i) alpha e_i (-1)^{[e_i]} over R = e_i (x) e^i; the sign is
+    that of the flip R^T, as R is even."""
+    return H.contract(H.r.swap(), (0,), right=(H.alpha,))
+
+
+def _alpha_rinv(H: QuasiHopfStructure) -> AlgebraElement:
+    """sum S^{-1}(alpha ebar^i) ebar_i (-1)^{[ebar_i]} over R^{-1} = ebar_i (x) ebar^i."""
+    return (TensorElement.of(H.alpha, H.algebra.unit()) * H.r_inv.swap()) \
+        .apply_maps([(0, H.antipode_inv)]).merge_all()
+
+
 @memoized
 def u_sum(H: QuasiHopfStructure) -> AlgebraElement:
-    """u = sum S(Y beta S(Z)) S(e^i) alpha e_i X (-1)^{[e_i]+[X]}, unchecked."""
+    """u = sum S(Y beta S(Z)) S(e^i) alpha e_i X (-1)^{[e_i]+[X]}, unchecked.
+    Moving X past Y and Z gives (-1)^{[X]}, as phi is even; the antipode
+    then acts on the product Y beta S(Z)."""
     H.require_r()
-    A = H.algebra
-    u = A.zero()
-    for (x, y, z), cphi in H.phi.coeffs.items():
-        left = H.s(A.basis_element(y) * H.beta * H.s_basis(z))
-        for (i, j), cr in H.r.coeffs.items():
-            term = (left * H.s_basis(j) * H.alpha * A.basis_element(i)
-                    * A.basis_element(x)).scale(cphi * cr)
-            if (A.parity[i] + A.parity[x]) % 2:
-                term = -term
-            u = u + term
-    return u
+    pairs = H.contract(reindex(H.phi, "231"), (1,), right=(H.beta,), split=2)
+    return H.contract(pairs.apply_maps([(0, H.antipode)]), right=(_r_alpha(H),))
 
 
 @memoized
@@ -166,21 +174,12 @@ def u_inverse(H: QuasiHopfStructure) -> AlgebraElement:
     H.require_r()
     if H.antipode_inv is None:
         raise AntipodeNotInvertibleError("the antipode is not invertible")
-    A = H.algebra
-    uinv = A.zero()
-    for (x, y, z), cphi in H.phi.coeffs.items():
-        tail = A.basis_element(y) * H.beta * H.s_basis(z)
-        for (i, j), cr in H.r_inv.coeffs.items():
-            term = (H.s_inv(A.basis_element(x))
-                    * H.s_inv(H.alpha * A.basis_element(j))
-                    * A.basis_element(i) * tail).scale(cphi * cr)
-            if A.parity[i] % 2:
-                term = -term
-            uinv = uinv + term
+    uinv = H.contract(H.phi.apply_maps([(0, H.antipode_inv)]), (2,),
+                      right=(_alpha_rinv(H), H.beta))
     if H.s(H.s(uinv)) != uinv:
         raise PostconditionError("u inverse is not fixed by the antipode squared")
     u = u_operator(H)
-    one = A.unit()
+    one = H.algebra.unit()
     if u * uinv != one or uinv * u != one:
         raise PostconditionError("u inverse does not invert u")
     return uinv
@@ -230,17 +229,11 @@ def identity_suite(H: QuasiHopfStructure,
     if H.r is not None:
         u = u_sum(H)  # unchecked: the checks below report its failures
 
-        # R^T = sum (-1)^{[r_i]} r^j (x) r_i, as R is even
         _run(report, "antipode-alpha-u", _tensor_eq(
-            lambda: H.s(H.alpha) * u,
-            lambda: H.contract(H.r.swap(), (0,), right=(H.alpha,))))
-
+            lambda: H.s(H.alpha) * u, lambda: _r_alpha(H)))
         if H.antipode_inv is not None:
-            # u sum (-1)^{[rbar_i]} S^{-1}(alpha rbar^j) rbar_i = alpha
             _run(report, "u-alpha-rinv", _tensor_eq(
-                lambda: u * (TensorElement.of(H.alpha, A.unit()) * H.r_inv.swap())
-                .apply_maps([(0, H.antipode_inv)]).merge_all(),
-                lambda: H.alpha))
+                lambda: u * _alpha_rinv(H), lambda: H.alpha))
 
         def u_su_central():
             prod = u * H.s(u)
@@ -375,8 +368,8 @@ def casimir_from_omega_rep(H: QuasiHopfStructure, rep: Representation,
     H.require_r()
     if H.antipode_inv is None:
         raise AntipodeNotInvertibleError("trace constructions need the inverse antipode")
-    A, field = H.algebra, H.algebra.field
-    end = rep.matrix_algebra()
+    A = H.algebra
+    end, rho = rep.matrix_algebra(), rep.leg_map()
     rep_leg_index = 1 if not mirror else 0
     expected = (A, end) if not mirror else (end, A)
     if omega_rep.legs != expected:
@@ -389,43 +382,24 @@ def casimir_from_omega_rep(H: QuasiHopfStructure, rep: Representation,
             raise NotInvariantError(
                 f"intertwining condition fails at {A.labels[i]}")
 
-    d = rep.dim
-    out = A.zero()
-    if not mirror:
-        legs3 = (A, end, A)
+    # theta lives on (A, End(V), A); every factor multiplied in below is even
+    legs3 = (A, end, A)
+    if not mirror:  # a (x) B (x) c  ->  a Str(u S^{-1}(alpha) B beta S(c))
         theta = apply_rep_on_leg(H.phi_inv, 1, rep) \
             * omega_rep.embed((0, 1), legs3) \
             * apply_rep_on_leg(H.phi, 1, rep)
-        pre = rep.matrix_of(u_operator(H) * H.s_inv(H.alpha))
-        post_cache = {}
-        for (i, e, k), t in theta.coeffs.items():
-            p, q = divmod(e, d)
-            post = post_cache.get(k)
-            if post is None:
-                post = rep.matrix_of(H.beta * H.s_basis(k))
-                post_cache[k] = post
-            # Str(pre . E[p,q] . post) = sum_s (+-) pre[s][p] post[q][s]
-            acc = field.zero()
-            for s in range(d):
-                v = pre[s][p] * post[q][s]
-                acc = acc - v if rep.carrier_parity[s] else acc + v
-            out = out + A.basis_element(i).scale(t * acc)
-    else:
-        # omega_rep lives in End(V) (x) A; inside the sandwich it occupies
-        # the middle and last legs of phi (1 (x) omega) phi^{-1}
-        legs3 = (A, end, A)
+        t = theta.apply_maps([(2, H.antipode)]).apply_maps([(2, rho)])
+        t = TensorElement.of(A.unit(), rho(u_operator(H) * H.s_inv(H.alpha)),
+                             rho(H.beta)) * t
+        out = t.merge(1, 2).apply_maps([(1, rep.supertrace_map())]).as_element()
+    else:  # a (x) B (x) c  ->  Str(u^{-1} S(beta) S(a) alpha B) c
         theta = apply_rep_on_leg(H.phi, 1, rep) \
             * omega_rep.embed((1, 2), legs3) \
             * apply_rep_on_leg(H.phi_inv, 1, rep)
-        tail = u_inverse(H) * H.s(H.beta)
-        for (i, e, k), t in theta.coeffs.items():
-            p, q = divmod(e, d)
-            pre = rep.matrix_of(tail * H.s_basis(i) * H.alpha)
-            # Str(pre . E[p,q]) = (+-) pre[q][p]
-            v = pre[q][p]
-            if rep.carrier_parity[q]:
-                v = -v
-            out = out + A.basis_element(k).scale(t * v)
+        t = theta.apply_maps([(0, H.antipode)]).apply_maps([(0, rho)])
+        t = TensorElement.of(rho(u_inverse(H) * H.s(H.beta)), end.unit(), A.unit()) \
+            * t * TensorElement.of(rho(H.alpha), end.unit(), A.unit())
+        out = t.merge(0, 1).apply_maps([(0, rep.supertrace_map())]).as_element()
     central, witness = is_central(H, out)
     if not central:
         raise PostconditionError(

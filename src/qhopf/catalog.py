@@ -94,7 +94,7 @@ def make_counit(A: GradedAlgebra, table: Dict[str, Union[int, Scalar]]) -> Linea
     for lab in A.labels:
         c = table[lab]
         s = c if isinstance(c, Scalar) else A.field.from_int(c)
-        images.append(TensorElement((), {(): s} if not s.is_zero() else {}))
+        images.append(TensorElement((), {(): s}))
     return LinearMap(A, (), images, name="counit")
 
 

@@ -63,12 +63,6 @@ class GradedBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise StructureValidationError(f"unknown basis label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -131,7 +125,7 @@ class GradedAlgebra(BaseAlgebra):
     two-sided unit law, and associativity on every basis triple."""
 
     def __init__(self, basis: GradedBasis, constants: StructureConstants,
-                 field: FieldDescriptor, validate: bool = True, name: str = ""):
+                 field: FieldDescriptor, name: str = ""):
         self.basis = basis
         self.field = field
         self.labels = basis.labels
@@ -139,8 +133,7 @@ class GradedAlgebra(BaseAlgebra):
         self.name = name
         self._mul = constants.table()
         self.unit_coeffs = {basis.unit_index: field.one()}
-        if validate:
-            self._validate()
+        self._validate()
 
     def mul_basis(self, i: int, j: int) -> Dict[int, Scalar]:
         return self._mul.get((i, j), {})
@@ -218,7 +211,8 @@ class MatrixSpaceAlgebra(BaseAlgebra):
         self.labels = tuple(f"E[{i},{j}]" for i in range(d) for j in range(d))
         self.parity = tuple((self.carrier_parity[i] + self.carrier_parity[j]) % 2
                             for i in range(d) for j in range(d))
-        self.unit_coeffs = {i * d + i: field.one() for i in range(d)}
+        self._one = field.one()
+        self.unit_coeffs = {i * d + i: self._one for i in range(d)}
 
     def mul_basis(self, a: int, b: int) -> Dict[int, Scalar]:
         d = self.carrier_dim
@@ -226,7 +220,7 @@ class MatrixSpaceAlgebra(BaseAlgebra):
         k, l = divmod(b, d)
         if j != k:
             return {}
-        return {i * d + l: self.field.one()}
+        return {i * d + l: self._one}
 
     def __eq__(self, other):
         if self is other:
@@ -313,10 +307,12 @@ class AlgebraElement:
         acc: Dict[int, Scalar] = {}
         for i, c in self.coeffs.items():
             for j, d in other.coeffs.items():
-                cd = c * d
-                for k, e in alg.mul_basis(i, j).items():
-                    s = acc.get(k)
-                    acc[k] = cd * e if s is None else s + cd * e
+                prods = alg.mul_basis(i, j)
+                if prods:
+                    cd = c * d
+                    for k, e in prods.items():
+                        s = acc.get(k)
+                        acc[k] = cd * e if s is None else s + cd * e
         return AlgebraElement(alg, acc)
 
     def __rmul__(self, other):
@@ -452,21 +448,17 @@ class TensorElement:
             for t in range(r - 1, -1, -1):
                 suffix[t] = suffix[t + 1] + parities[t][kx[t]]
             for ky, cy in other.coeffs.items():
-                exp = sum(parities[t][ky[t]] * suffix[t + 1] for t in range(r))
+                # look the leg products up first: most pairs of matrix units vanish
+                prods = [legs[t].mul_basis(kx[t], ky[t]) for t in range(r)]
+                if not all(prods):
+                    continue
                 coeff = cx * cy
-                if exp % 2:
+                if sum(parities[t][ky[t]] * suffix[t + 1] for t in range(r)) % 2:
                     coeff = -coeff
                 partial: Dict[Key, Scalar] = {(): coeff}
-                for t in range(r):
-                    prods = legs[t].mul_basis(kx[t], ky[t])
-                    if not prods:
-                        partial = {}
-                        break
-                    nxt: Dict[Key, Scalar] = {}
-                    for key, c in partial.items():
-                        for k, e in prods.items():
-                            nxt[key + (k,)] = c * e
-                    partial = nxt
+                for p in prods:
+                    partial = {key + (k,): c * e for key, c in partial.items()
+                               for k, e in p.items()}
                 for key, c in partial.items():
                     s = acc.get(key)
                     acc[key] = c if s is None else s + c

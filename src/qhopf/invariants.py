@@ -5,7 +5,9 @@ The adjoint action of a on b is  sum a_(1) b S(a_(2)) (-1)^{[b][a_(2)]},
 the anti-adjoint action is       sum S(a_(1)) b a_(2) (-1)^{[b][a_(1)]};
 signs depend on the parity of b, so inhomogeneous b is split into its
 even and odd parts and all solution spaces are computed per parity,
-returned with deterministic echelon-form bases.
+returned with deterministic echelon-form bases.  Maps V -> W are list
+matrices at the interface only; their module structure is computed on
+End(V (+) W) legs, where the graded tensor product supplies every sign.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import functools
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
-from .errors import NotInvariantError, OddElementError
+from .errors import NotInvariantError, OddElementError, StructureValidationError
 from .graded import AlgebraElement, LinearMap, TensorElement
 from .linalg import nullspace, rows_of
 from .quasihopf import QuasiHopfStructure, condition_rows
-from .representations import Matrix, Representation, _mat_mul
+from .representations import Matrix, Representation, direct_sum
 from .scalars import Scalar
 
 
@@ -190,72 +192,78 @@ def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
 # the module structure on linear maps V -> W
 
 
-def _matrix(V: Representation, W: Representation, entries, zero: Scalar) -> Matrix:
-    """The map V -> W with the given {(p, q): entry}, zero elsewhere."""
-    return [[entries.get((p, q), zero) for q in range(V.dim)] for p in range(W.dim)]
+class _Hom:
+    """l(V, W) as the block of End(V (+) W) with W's rows and V's columns.
+    A acts on V (+) W block-diagonally, so every product below is a product
+    of End legs and the graded tensor product supplies its Koszul sign."""
+
+    def __init__(self, H: QuasiHopfStructure, V: Representation, W: Representation):
+        self.H, self.V, self.W = H, V, W
+        self.U = direct_sum(V, W)
+        self.end = self.U.matrix_algebra()
+        self.keys = [[(V.dim + p) * self.U.dim + q for q in range(V.dim)]
+                     for p in range(W.dim)]
+
+    def element(self, f: Matrix, parity: int) -> AlgebraElement:
+        """The map f: V -> W, required to be homogeneous of the given parity."""
+        if len(f) != self.W.dim or any(len(row) != self.V.dim for row in f):
+            raise StructureValidationError(
+                f"a map V -> W must be a {self.W.dim}x{self.V.dim} matrix")
+        x = AlgebraElement(self.end, {k: c for row, keys in zip(f, self.keys)
+                                      for c, k in zip(row, keys)})
+        if not x.is_zero() and x.parity() != parity:
+            raise OddElementError(f"the map is not homogeneous of parity {parity}")
+        return x
+
+    def matrix(self, x: AlgebraElement) -> Matrix:
+        z = self.end.field.zero()
+        return [[x.coeffs.get(k, z) for k in keys] for keys in self.keys]
+
+    def sandwich(self, pairs: TensorElement, f: AlgebraElement) -> AlgebraElement:
+        """sum x f y over the terms x (x) y of a rank-2 tensor over A: the
+        product (x (x) y)(f (x) 1) carries the sign (-1)^{[f][y]}."""
+        rho = self.U.leg_map()
+        t = pairs.apply_maps([(0, rho), (1, rho)])
+        return (t * TensorElement.of(f, self.end.unit())).merge_all()
+
+    def act(self, a: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
+        """a . f = sum a_(1) f S(a_(2)) (-1)^{[f][a_(2)]}."""
+        return self.sandwich(self.H.delta(a).apply_maps([(1, self.H.antipode)]), f)
+
+    def defects(self, f: AlgebraElement):
+        """a . f - eps(a) f for every basis element a: all zero iff f is invariant."""
+        H = self.H
+        for i in range(H.algebra.dim):
+            a = H.basis_element(i)
+            yield self.act(a, f) - f.scale(H.eps(a))
 
 
 def module_action(H: QuasiHopfStructure, V: Representation, W: Representation,
                   a: AlgebraElement, f: Matrix, f_parity: int) -> Matrix:
-    """(a . f)(v) = sum a_(1) f(S(a_(2)) v) (-1)^{[f][a_(2)]} as matrices."""
-    A, field = H.algebra, H.algebra.field
-    out = _matrix(V, W, {}, field.zero())
-    for i, ca in a.coeffs.items():
-        for (k1, k2), d in H.coproduct.on_basis(i).coeffs.items():
-            m = _mat_mul(_mat_mul(W.matrix_of(A.basis_element(k1)), f, field),
-                         V.matrix_of(H.s_basis(k2)), field)
-            coeff = ca * d
-            if f_parity * A.parity[k2] % 2:
-                coeff = -coeff
-            for p in range(W.dim):
-                for q in range(V.dim):
-                    if not m[p][q].is_zero():
-                        out[p][q] = out[p][q] + coeff * m[p][q]
-    return out
-
-
-def _map_entries(V: Representation, W: Representation, parity: int):
-    """Matrix positions of the given parity as a map f: V -> W."""
-    return [(p, q) for p in range(W.dim) for q in range(V.dim)
-            if (W.carrier_parity[p] - V.carrier_parity[q]) % 2 == parity]
+    """(a . f)(v) = sum a_(1) f(S(a_(2)) v) (-1)^{[f][a_(2)]} for f of parity f_parity."""
+    hom = _Hom(H, V, W)
+    return hom.matrix(hom.act(a, hom.element(f, f_parity)))
 
 
 def invariant_maps(H: QuasiHopfStructure, V: Representation,
                    W: Representation) -> Tuple[List[Matrix], List[Matrix]]:
     """Bases of the invariant maps in l(V, W), split as (even, odd)."""
-    A, field = H.algebra, H.algebra.field
+    hom, field = _Hom(H, V, W), H.algebra.field
     results: List[List[Matrix]] = []
     for parity in (0, 1):
-        entries = _map_entries(V, W, parity)
-        columns = []
-        for p0, q0 in entries:
-            f = _matrix(V, W, {(p0, q0): field.one()}, field.zero())
-            column = {}
-            for i in range(A.dim):
-                a = A.basis_element(i)
-                acted = module_action(H, V, W, a, f, parity)
-                column.update(((i, p, q), x) for p, row in enumerate(acted)
-                              for q, x in enumerate(row))
-                column[(i, p0, q0)] = column[(i, p0, q0)] - H.eps(a)
-            columns.append(column)
+        entries = [k for keys in hom.keys for k in keys if hom.end.parity[k] == parity]
+        columns = [{(i, k): c for i, d in enumerate(hom.defects(hom.end.basis_element(e)))
+                    for k, c in d.coeffs.items()} for e in entries]
         results.append([
-            _matrix(V, W, dict(zip(entries, vec)), field.zero())
+            hom.matrix(AlgebraElement(hom.end, dict(zip(entries, vec))))
             for vec in nullspace(rows_of(columns), len(entries), field)])
     return results[0], results[1]
 
 
 def is_invariant_map(H: QuasiHopfStructure, V: Representation, W: Representation,
                      f: Matrix, f_parity: int) -> bool:
-    A = H.algebra
-    for i in range(A.dim):
-        a = A.basis_element(i)
-        acted = module_action(H, V, W, a, f, f_parity)
-        eps_a = H.eps(a)
-        for p in range(W.dim):
-            for q in range(V.dim):
-                if acted[p][q] != eps_a * f[p][q]:
-                    return False
-    return True
+    hom = _Hom(H, V, W)
+    return all(d.is_zero() for d in hom.defects(hom.element(f, f_parity)))
 
 
 def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
@@ -267,40 +275,26 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
     Verified postconditions: ftilde intertwines the two actions, recovers f
     through beta . ftilde = f, and the inverse-coassociator expression
     agrees."""
-    A, field = H.algebra, H.algebra.field
-    if any(not f[p][q].is_zero() and
-           (W.carrier_parity[p] - V.carrier_parity[q]) % 2 == 1
-           for p in range(W.dim) for q in range(V.dim)):
-        raise OddElementError("odd map: the projection needs an even f")
-    if not is_invariant_map(H, V, W, f, 0):
+    A, hom = H.algebra, _Hom(H, V, W)
+    x = hom.element(f, 0)
+    if not all(d.is_zero() for d in hom.defects(x)):
         raise NotInvariantError("not invariant under the l(V, W) action")
 
-    def sandwich(pairs) -> Matrix:
-        """sum c W(a) f V(b) over the terms c a (x) b of a rank-2 tensor."""
-        out = _matrix(V, W, {}, field.zero())
-        for (i, j), c in pairs.coeffs.items():
-            m = _mat_mul(_mat_mul(W.matrices[i], f, field), V.matrices[j], field)
-            for p in range(W.dim):
-                for q in range(V.dim):
-                    if not m[p][q].is_zero():
-                        out[p][q] = out[p][q] + c * m[p][q]
-        return out
-
-    out = sandwich(H.contract(H.phi, (0, 2), right=(H.alpha,), split=2))
-    alt = sandwich(H.contract(H.phi_inv, (1,), right=(None, H.alpha), split=1))
+    out = hom.sandwich(H.contract(H.phi, (0, 2), right=(H.alpha,), split=2), x)
+    alt = hom.sandwich(H.contract(H.phi_inv, (1,), right=(None, H.alpha), split=1), x)
     if alt != out:
         raise NotInvariantError(
             "coassociator and inverse-coassociator projections disagree")
 
+    rho = hom.U.leg_map()
     for i in range(A.dim):
-        b = A.basis_element(i)
-        if _mat_mul(W.matrix_of(b), out, field) != \
-           _mat_mul(out, V.matrix_of(b), field):
+        b = rho(A.basis_element(i))
+        if b * out != out * b:
             raise NotInvariantError(
                 f"projection does not intertwine the action of {A.labels[i]}")
-    if _mat_mul(W.matrix_of(H.beta), out, field) != f:
+    if rho(H.beta) * out != x:
         raise NotInvariantError("beta times the projection does not recover f")
-    return out
+    return hom.matrix(out)
 
 
 # ---------------------------------------------------------------------------

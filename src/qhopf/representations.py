@@ -5,13 +5,19 @@ acting on a graded carrier.  Only even representations are admitted: the
 matrix of a parity-p basis element maps parity-r vectors into the
 parity-(r+p) component.  That is exactly the condition under which the
 supertrace is graded-cyclic.
+
+List-of-lists matrices are the boundary format only: they are what a
+representation is built from, what ``matrix_of`` returns and what
+``supertrace`` reads.  All computation runs on tensor legs over End(V)
+(``leg_map``, ``supertrace_map``), so products of matrices and their
+Koszul signs come from the graded tensor calculus.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .errors import StructureValidationError
+from .errors import BasisMismatchError, StructureValidationError
 from .graded import (
     AlgebraElement,
     BaseAlgebra,
@@ -39,16 +45,15 @@ class Representation:
     """An even algebra homomorphism into matrices over a graded carrier."""
 
     def __init__(self, algebra: BaseAlgebra, carrier_parity: Sequence[int],
-                 matrices: Sequence[Matrix], name: str = "", validate: bool = True):
+                 matrices: Sequence[Matrix], name: str = ""):
         self.algebra = algebra
         self.carrier_parity = tuple(carrier_parity)
-        self.matrices = [
-            [row[:] for row in m] for m in matrices]
+        self.matrices = [[row[:] for row in m] for m in matrices]
         self.name = name
         self._matrix_algebra: Optional[MatrixSpaceAlgebra] = None
         self._leg_map: Optional[LinearMap] = None
-        if validate:
-            self._validate()
+        self._supertrace_map: Optional[LinearMap] = None
+        self._validate()
 
     @property
     def dim(self) -> int:
@@ -66,38 +71,25 @@ class Representation:
             if len(m) != d or any(len(row) != d for row in m):
                 raise StructureValidationError(
                     f"matrix for {A.labels[idx]} is not {d}x{d}")
-            p = A.parity[idx]
-            for i in range(d):
-                for j in range(d):
-                    if not m[i][j].is_zero() and \
-                       (self.carrier_parity[i] - self.carrier_parity[j]) % 2 != p:
-                        raise StructureValidationError(
-                            f"grading violation in the matrix of {A.labels[idx]}")
-        ident = self._identity()
-        if self.matrix_of(A.unit()) != ident:
+        rho = self.leg_map()
+        for idx, img in enumerate(rho.images):
+            if any(img.key_parity(key) != A.parity[idx] for key in img.coeffs):
+                raise StructureValidationError(
+                    f"grading violation in the matrix of {A.labels[idx]}")
+        if rho(A.unit()) != self.matrix_algebra().unit():
             raise StructureValidationError("the unit must act as the identity")
+        images = [rho(A.basis_element(i)) for i in range(A.dim)]
         for i in range(A.dim):
             for j in range(A.dim):
-                prod = _mat_mul(self.matrices[i], self.matrices[j], self.field)
-                if prod != self.matrix_of(A.basis_element(i) * A.basis_element(j)):
+                if images[i] * images[j] != rho(A.basis_element(i) * A.basis_element(j)):
                     raise StructureValidationError(
                         "not a homomorphism at "
                         f"({A.labels[i]}, {A.labels[j]})")
 
-    def _identity(self) -> Matrix:
-        z, o = self.field.zero(), self.field.one()
-        return [[o if i == j else z for j in range(self.dim)] for i in range(self.dim)]
-
     def matrix_of(self, x: AlgebraElement) -> Matrix:
         d, z = self.dim, self.field.zero()
-        out = [[z for _ in range(d)] for _ in range(d)]
-        for idx, c in x.coeffs.items():
-            m = self.matrices[idx]
-            for i in range(d):
-                for j in range(d):
-                    if not m[i][j].is_zero():
-                        out[i][j] = out[i][j] + c * m[i][j]
-        return out
+        coeffs = self.leg_map()(x).coeffs
+        return [[coeffs.get(i * d + j, z) for j in range(d)] for i in range(d)]
 
     def supertrace_of(self, x: AlgebraElement) -> Scalar:
         return supertrace(self.matrix_of(x), self.carrier_parity)
@@ -111,11 +103,9 @@ class Representation:
         return self._matrix_algebra
 
     def matrix_as_element(self, m: Matrix) -> AlgebraElement:
-        end = self.matrix_algebra()
         d = self.dim
-        return AlgebraElement(end, {i * d + j: m[i][j]
-                                    for i in range(d) for j in range(d)
-                                    if not m[i][j].is_zero()})
+        return AlgebraElement(self.matrix_algebra(), {
+            i * d + j: m[i][j] for i in range(d) for j in range(d)})
 
     def leg_map(self) -> LinearMap:
         """The representation as a parity-preserving map into End(V)."""
@@ -126,6 +116,17 @@ class Representation:
             self._leg_map = LinearMap(self.algebra, (end,), images,
                                       name=f"rep:{self.name or 'V'}")
         return self._leg_map
+
+    def supertrace_map(self) -> LinearMap:
+        """Str: End(V) -> k as a map on a tensor leg, Str(E[i,i]) = (-1)^{parity(v_i)}."""
+        if self._supertrace_map is None:
+            one, d = self.field.one(), self.dim
+            images = [TensorElement((), {(): -one if self.carrier_parity[i] else one}
+                                    if i == j else {})
+                      for i in range(d) for j in range(d)]
+            self._supertrace_map = LinearMap(self.matrix_algebra(), (), images,
+                                             name=f"str:{self.name or 'V'}")
+        return self._supertrace_map
 
     def __eq__(self, other):
         if not isinstance(other, Representation):
@@ -145,6 +146,7 @@ def apply_rep_on_leg(x: TensorElement, leg: int, rep: Representation) -> TensorE
 
 
 def _mat_mul(a: Matrix, b: Matrix, field: FieldDescriptor) -> Matrix:
+    """Plain product of list matrices, kept as the tests' independent reference."""
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = [[field.zero() for _ in range(m)] for _ in range(n)]
@@ -163,7 +165,18 @@ def validate_representation(matrices: Sequence[Matrix],
                             carrier_parity: Sequence[int],
                             algebra: BaseAlgebra, name: str = "") -> Representation:
     """Build a representation, verifying the homomorphism and grading rules."""
-    return Representation(algebra, carrier_parity, matrices, name=name, validate=True)
+    return Representation(algebra, carrier_parity, matrices, name=name)
+
+
+def direct_sum(V: Representation, W: Representation) -> Representation:
+    """V (+) W with the algebra acting block-diagonally; V's carrier comes first."""
+    if V.algebra is not W.algebra and V.algebra != W.algebra:
+        raise BasisMismatchError("direct sum of representations of different algebras")
+    z = V.field.zero()
+    matrices = [[row + [z] * W.dim for row in mv] + [[z] * V.dim + row for row in mw]
+                for mv, mw in zip(V.matrices, W.matrices)]
+    return Representation(V.algebra, V.carrier_parity + W.carrier_parity, matrices,
+                          name=f"{V.name or 'V'}+{W.name or 'W'}")
 
 
 def regular_representation(algebra: BaseAlgebra, name: str = "regular") -> Representation:

@@ -11,7 +11,8 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
   an integer convolution whose degrees ``k >= phi(n)`` are folded back
   with a per-order table of ``z^k mod Phi_n`` (integral, since ``Phi_n``
   is monic with integer coefficients), followed by one gcd
-  normalisation.  The table is built on first use of an order.
+  normalisation.  The table is built on first use of an order.  An
+  inverse is the product of the Galois conjugates over the rational norm.
 * ``rational-functions(q)`` -- rational functions in one indeterminate,
   stored as a coprime numerator/denominator pair with monic denominator.
 
@@ -32,7 +33,7 @@ agrees with ``int`` and ``Fraction`` under both ``==`` and ``hash``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Tuple
 
 from .errors import (FieldMismatchError, NotInvertibleError, ScalarSyntaxError,
@@ -109,24 +110,6 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     while b:
         a, b = b, _pdivmod(a, b)[1]
     return _pmonic(a)
-
-
-def _pxgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = (_QQ1,), ()
-    t0, t1 = (), (_QQ1,)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    if r0 and r0[-1] != 1:
-        lead = r0[-1]
-        r0 = tuple(c / lead for c in r0)
-        s0 = tuple(c / lead for c in s0)
-        t0 = tuple(c / lead for c in t0)
-    return r0, s0, t0
 
 
 def cyclotomic_polynomial(n: int) -> Poly:
@@ -239,11 +222,25 @@ def _cyclo_to_qq(a) -> Poly:
     return tuple(QQ(c, den) for c in nums)
 
 
-def _cyclo_from_qq(p: Poly):
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
-    return _cyclo([c.numerator * (den // c.denominator) for c in p], den)
+def _cinv(a, n: int):
+    """a^-1 = prod_k sigma_k(a) / N(a) over the Galois conjugates sigma_k: z -> z^k
+    (k coprime to n, k != 1), read off a table of z^j mod Phi_n; N(a) is rational."""
+    nums, den = a
+    m = (_ORDERS.get(n) or _order_data(n))[1]
+    powers = [((1,), 1)]
+    for _ in range(n - 1):
+        powers.append(_cmul(powers[-1], ((0, 1), 1), n))
+    conj = ((1,), 1)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            s = [0] * m
+            for i, c in enumerate(nums):
+                for j, t in enumerate(powers[i * k % n][0]):
+                    s[j] += c * t
+            conj = _cmul(conj, _cyclo(s, 1), n)
+    (norm,), _ = _cmul((nums, 1), conj, n)
+    sign = 1 if norm > 0 else -1
+    return _cyclo([sign * den * c for c in conj[0]], abs(norm))
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +430,7 @@ class Scalar:
         if f.kind == RATIONALS:
             return Scalar(f, 1 / self.value)
         if f.kind == CYCLOTOMIC:
-            g, s, _ = _pxgcd(_cyclo_to_qq(self.value), f.modulus)
-            if len(g) != 1:  # cannot happen: cyclotomic polynomials are irreducible
-                raise NotInvertibleError("not invertible modulo the cyclotomic polynomial")
-            _, rem = _pdivmod(tuple(c / g[0] for c in s), f.modulus)
-            return Scalar(f, _cyclo_from_qq(rem))
+            return Scalar(f, _cinv(self.value, f.order))
         n, d = self.value
         return _ratfun(f, d, n)
 

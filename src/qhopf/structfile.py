@@ -271,7 +271,7 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
     eps_images = []
     for lab in labels:
         s = parse_scalar(eps_doc.get(lab, "0"), field)
-        eps_images.append(TensorElement((), {(): s} if not s.is_zero() else {}))
+        eps_images.append(TensorElement((), {(): s}))
     counit = LinearMap(A, (), eps_images, name="counit")
 
     anti_doc = doc["antipode"]

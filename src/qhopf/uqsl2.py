@@ -169,7 +169,7 @@ def _build_maps(A: GradedAlgebra, red: _WordReducer):
             dF, b, _tensor_power(dE, a, unit2)))
         cop_images.append(img)
         eps = C3.one() if (a == 0 and b == 0) else C3.zero()
-        eps_images.append(TensorElement((), {(): eps} if not eps.is_zero() else {}))
+        eps_images.append(TensorElement((), {(): eps}))
         # antihomomorphism on the ordered word: S(K)^c S(F)^b S(E)^a
         s_el = one
         for _ in range(c):
