@@ -21,7 +21,8 @@ RATIONAL = ("z2-group", "z2-cocycle", "sweedler-h4", "grassmann-theta",
             "sweedler-twisted")
 
 CASES = {f"verify-{name}": (["verify", f"{name}.qh", "--json"], 0)
-         for name in RATIONAL}
+         for name in RATIONAL + ("small-uqsl2",)}
+CASES["center-small-uqsl2"] = (["center", "small-uqsl2.qh", "--json"], 0)
 CASES.update({
     # beta + g with R removed: two exchange identities fail at x
     "verify-sweedler-twisted-beta-g": (
@@ -47,7 +48,7 @@ for _label, _extra in (
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("snapshots")
-    for name in RATIONAL:
+    for name in RATIONAL + ("small-uqsl2",):
         shutil.copy(DATA / f"{name}.qh", root / f"{name}.qh")
     doc = json.loads((DATA / "sweedler-twisted.qh").read_text())
     doc["beta"] = {"1": "1", "g": "1"}
