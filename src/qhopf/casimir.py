@@ -24,6 +24,7 @@ tensor product; list matrices are only the format of a representation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +34,7 @@ from .errors import (
     OddElementError,
     PostconditionError,
 )
-from .graded import AlgebraElement, TensorElement
+from .graded import AlgebraElement, TensorElement, centralizes, quantify, require
 from .invariants import (
     LinearForm,
     invariant_subspace,
@@ -47,7 +48,7 @@ from .invariants import (
 from .quasihopf import (
     QuasiHopfStructure,
     _all_zero,
-    _per_basis,
+    _closed,
     _phi_sandwich,
     _phi_sandwich_inv,
     _run,
@@ -113,11 +114,8 @@ def quadratic_invariants(H: QuasiHopfStructure, omega: TensorElement
     A = H.algebra
     if not omega.is_even():
         raise OddElementError("omega must be even")
-    for i in range(A.dim):
-        d = H.delta(A.basis_element(i))
-        if d * omega != omega * d:
-            raise NotInvariantError(
-                f"omega does not commute with the coproduct at {A.labels[i]}")
+    require(centralizes(A, omega, H.delta, _closed(H)), NotInvariantError,
+            "omega does not commute with the coproduct at {}")
     c1 = H.contract(omega, (1,), right=(H.beta,))
     c2 = H.contract(omega, (0,), right=(H.alpha,))
     if not is_invariant_element(H, c1):
@@ -153,15 +151,17 @@ def u_sum(H: QuasiHopfStructure) -> AlgebraElement:
     return H.contract(pairs.apply_maps([(0, H.antipode)]), right=(_r_alpha(H),))
 
 
+def _u_conjugation(H: QuasiHopfStructure, u: AlgebraElement, i: int) -> AlgebraElement:
+    a = H.basis_element(i)
+    return H.s(H.s(a)) * u - u * a
+
+
 @memoized
 def u_operator(H: QuasiHopfStructure) -> AlgebraElement:
     """The u sum, checked: conjugation by u implements the antipode squared."""
     u, A = u_sum(H), H.algebra
-    for i in range(A.dim):
-        a = A.basis_element(i)
-        if H.s(H.s(a)) * u != u * a:
-            raise PostconditionError(
-                f"u does not conjugate the antipode squared at {A.labels[i]}")
+    require(quantify(A, functools.partial(_u_conjugation, H, u), 1, _closed(H)),
+            PostconditionError, "u does not conjugate the antipode squared at {}")
     if H.s(H.s(u)) != u:
         raise PostconditionError("u is not fixed by the antipode squared")
     return u
@@ -214,7 +214,7 @@ def _exchange_identities(H: QuasiHopfStructure, report: AxiomReport) -> None:
         def diff(i, lhs=lhs, rhs=rhs, s=s, right=right, split=split):
             a = A.basis_element(i)
             return H.contract(lhs(a) - rhs(a), s, right=right, split=split)
-        _run(report, name, _per_basis(H, diff))
+        _run(report, name, lambda: quantify(A, diff))
 
 
 def identity_suite(H: QuasiHopfStructure,
@@ -248,8 +248,8 @@ def identity_suite(H: QuasiHopfStructure,
             lambda: H.s(u) * H.s(H.beta),
             lambda: H.contract(H.r, (1,), right=(H.beta,))))
         _run(report, "s-squared-u", _all_zero(lambda: H.s(H.s(u)) - u))
-        _run(report, "u-conjugation", _per_basis(
-            H, lambda i: H.s(H.s(A.basis_element(i))) * u - u * A.basis_element(i)))
+        _run(report, "u-conjugation", lambda: quantify(
+            A, functools.partial(_u_conjugation, H, u), 1, _closed(H)))
 
     if F is not None:
         report.extend(check_twisted_canonical_identities(H, F))
@@ -269,16 +269,8 @@ def central_from_theta(H: QuasiHopfStructure, theta: TensorElement,
     A = H.algebra
     if not xi.is_even():
         raise NotInvariantError("form not invariant/even: odd values present")
-    for i in range(A.dim):
-        a = A.basis_element(i)
-        if not mirror:
-            it = H.delta_right(a)
-        else:
-            it = H.delta_left(a)
-        if it * theta != theta * it:
-            raise NotInvariantError(
-                "theta does not centralize the iterated coproduct at "
-                f"{A.labels[i]}")
+    require(centralizes(A, theta, H.delta_left if mirror else H.delta_right, _closed(H)),
+            NotInvariantError, "theta does not centralize the iterated coproduct at {}")
     if not mirror and not is_invariant_form(H, xi):
         raise NotInvariantError("form not invariant")
     if mirror and not is_pseudo_invariant_form(H, xi):
@@ -375,12 +367,9 @@ def casimir_from_omega_rep(H: QuasiHopfStructure, rep: Representation,
     if omega_rep.legs != expected:
         raise NotInvariantError("represented omega has the wrong leg layout")
 
-    for i in range(A.dim):
-        d = H.delta(A.basis_element(i))
-        dr = apply_rep_on_leg(d, rep_leg_index, rep)
-        if dr * omega_rep != omega_rep * dr:
-            raise NotInvariantError(
-                f"intertwining condition fails at {A.labels[i]}")
+    require(centralizes(A, omega_rep, lambda a: apply_rep_on_leg(
+        H.delta(a), rep_leg_index, rep), _closed(H)),
+        NotInvariantError, "intertwining condition fails at {}")
 
     # theta lives on (A, End(V), A); every factor multiplied in below is even
     legs3 = (A, end, A)

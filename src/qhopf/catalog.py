@@ -32,7 +32,7 @@ from .graded import (
     StructureConstants,
     TensorElement,
 )
-from .quasihopf import QuasiHopfStructure, solve_canonical_elements, verify_structure
+from .quasihopf import QuasiHopfStructure, require_verified, solve_canonical_elements
 from .representations import Representation, regular_representation, trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
 from .twisting import Twistor, identity_twistor, invert_tensor, twist_structure, validate_twistor
@@ -118,12 +118,7 @@ def tensor_from(A: GradedAlgebra,
 
 
 def _verified(H: QuasiHopfStructure) -> QuasiHopfStructure:
-    report = verify_structure(H)
-    if not report.passed:
-        failed = ", ".join(c.axiom for c in report.failures())
-        raise StructureValidationError(
-            f"catalog entry {H.name} failed verification: {failed}")
-    return H
+    return require_verified(H, f"catalog entry {H.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +352,13 @@ def load_builtin(name: str) -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _load(key: str) -> CatalogEntry:
-    if key == "z2-group":
-        return _build_z2_group()
-    if key == "z2-cocycle":
-        return _build_z2_cocycle()
-    if key == "sweedler-h4":
-        return _build_sweedler()
-    if key == "grassmann-theta":
-        return _build_grassmann()
-    if key == "sweedler-twisted":
-        return _build_sweedler_twisted()
     if key == "small-uqsl2":
         from .uqsl2 import build_small_uqsl2
         return build_small_uqsl2()
-    raise UnknownNameError(
-        f"unknown builtin {key!r}; available: {', '.join(BUILTIN_NAMES)}")
+    builders = {"z2-group": _build_z2_group, "z2-cocycle": _build_z2_cocycle,
+                "sweedler-h4": _build_sweedler, "grassmann-theta": _build_grassmann,
+                "sweedler-twisted": _build_sweedler_twisted}
+    if key not in builders:
+        raise UnknownNameError(
+            f"unknown builtin {key!r}; available: {', '.join(BUILTIN_NAMES)}")
+    return builders[key]()

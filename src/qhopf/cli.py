@@ -59,17 +59,10 @@ def cmd_verify(args) -> int:
     if "all" in requested:
         requested = ["axioms", "identities"] + \
             (["qtri", "qybe"] if H.r is not None else [])
-    reports = []
-    for c in requested:
-        if c == "axioms":
-            reports.append(verify_quasi_bialgebra(H))
-            reports.append(verify_antipode_axioms(H))
-        elif c == "qtri":
-            reports.append(verify_quasitriangular(H))
-        elif c == "qybe":
-            reports.append(verify_quasi_ybe(H))
-        elif c == "identities":
-            reports.append(identity_suite(H))
+    runs = {"axioms": (verify_quasi_bialgebra, verify_antipode_axioms),
+            "qtri": (verify_quasitriangular,), "qybe": (verify_quasi_ybe,),
+            "identities": (identity_suite,)}
+    reports = [verify(H) for c in requested for verify in runs[c]]
     passed = all(r.passed for r in reports)
     if args.json:
         print(_dump({"file": args.file, "name": entry.name, "passed": passed,
@@ -86,19 +79,14 @@ def _pick_source(H, selector: str):
         return H.beta
     if selector == "alpha":
         return H.alpha
-    if selector.startswith("inv:"):
-        sub = invariant_subspace(H).even
-        idx = int(selector[4:])
-        if idx >= len(sub):
-            raise QhopfError(f"invariant space has only {len(sub)} even vectors")
-        return sub[idx]
-    if selector.startswith("pinv:"):
-        sub = pseudo_invariant_subspace(H).even
-        idx = int(selector[5:])
-        if idx >= len(sub):
-            raise QhopfError(
-                f"pseudo-invariant space has only {len(sub)} even vectors")
-        return sub[idx]
+    for prefix, kind, space in (("inv:", "invariant", invariant_subspace),
+                                ("pinv:", "pseudo-invariant", pseudo_invariant_subspace)):
+        if selector.startswith(prefix):
+            sub = space(H).even
+            idx = int(selector[len(prefix):])
+            if idx >= len(sub):
+                raise QhopfError(f"{kind} space has only {len(sub)} even vectors")
+            return sub[idx]
     raise QhopfError(
         f"unknown source {selector!r}; use beta, alpha, inv:N or pinv:N")
 

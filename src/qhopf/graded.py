@@ -15,8 +15,9 @@ leg) are supported without a second sign calculus.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BasisMismatchError,
@@ -25,6 +26,7 @@ from .errors import (
     RankMismatchError,
     StructureValidationError,
 )
+from .linalg import rref
 from .report import AxiomCheck
 from .scalars import FieldDescriptor, Scalar
 
@@ -86,10 +88,32 @@ class BaseAlgebra:
     labels: Tuple[str, ...]
     parity: Tuple[int, ...]
     unit_coeffs: Dict[int, Scalar]
+    _generators: Optional[Tuple[int, ...]] = None
 
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    def generators(self) -> Tuple[int, ...]:
+        """Basis indices of a generating set G, computed once: walking the
+        basis in order, e_i joins G unless it lies in the span of the
+        right-nested words g1 (g2 (... (gk 1))) over G.  Needs only the
+        multiplication table and the unit law, not associativity."""
+        if self._generators is None:
+            gens, span = [], [dict(self.unit_coeffs)]
+            for i in range(self.dim):
+                if len(span) < self.dim and \
+                        len(rref(span + [{i: self.field.one()}], self.dim)[0]) > len(span):
+                    gens.append(i)
+                    span, words = [], [self.unit()]
+                    while words:
+                        w = words.pop()
+                        grown = rref(span + [w.coeffs], self.dim)[0]
+                        if len(grown) > len(span):
+                            span = grown
+                            words += [self.basis_element(g) * w for g in gens]
+            self._generators = tuple(gens)
+        return self._generators
 
     def mul_basis(self, i: int, j: int) -> Dict[int, Scalar]:
         raise NotImplementedError
@@ -121,8 +145,10 @@ class BaseAlgebra:
 
 class GradedAlgebra(BaseAlgebra):
     """A validated unital associative Z2-graded algebra given by structure
-    constants.  Validation runs at construction: parity compatibility,
-    two-sided unit law, and associativity on every basis triple."""
+    constants.  Validation runs at construction: parity compatibility, the
+    two-sided unit law, and (g x) y = g (x y) for generators g and basis x,
+    y.  That suffices: the a with (a x) y = a (x y) for all x, y contain 1
+    and are closed under products, as ((ab) x) y = a (b (xy)) = (ab)(xy)."""
 
     def __init__(self, basis: GradedBasis, constants: StructureConstants,
                  field: FieldDescriptor, name: str = ""):
@@ -137,22 +163,6 @@ class GradedAlgebra(BaseAlgebra):
 
     def mul_basis(self, i: int, j: int) -> Dict[int, Scalar]:
         return self._mul.get((i, j), {})
-
-    def _mul_dict_basis(self, x: Dict[int, Scalar], j: int) -> Dict[int, Scalar]:
-        acc: Dict[int, Scalar] = {}
-        for i, c in x.items():
-            for k, d in self.mul_basis(i, j).items():
-                s = acc.get(k)
-                acc[k] = c * d if s is None else s + c * d
-        return _clean(acc)
-
-    def _mul_basis_dict(self, i: int, y: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        acc: Dict[int, Scalar] = {}
-        for j, c in y.items():
-            for k, d in self.mul_basis(i, j).items():
-                s = acc.get(k)
-                acc[k] = c * d if s is None else s + c * d
-        return _clean(acc)
 
     def _validate(self):
         d = self.dim
@@ -169,16 +179,13 @@ class GradedAlgebra(BaseAlgebra):
                self.mul_basis(i, u) != {i: self.field.one()}:
                 raise StructureValidationError(
                     f"unit law fails at basis element {self.labels[i]}")
-        for i in range(d):
-            for j in range(d):
-                ij = self.mul_basis(i, j)
-                for l in range(d):
-                    left = self._mul_dict_basis(ij, l)
-                    right = self._mul_basis_dict(i, self.mul_basis(j, l))
-                    if left != right:
-                        raise StructureValidationError(
-                            "associativity fails at "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[l]})")
+        # the a with (a x) y = a (x y) for all x, y form a subalgebra
+        e = [self.basis_element(i) for i in range(d)]
+
+        def ex(i, j):
+            return AlgebraElement(self, self.mul_basis(i, j))
+        require(quantify(self, lambda i, j, l: ex(i, j) * e[l] - e[i] * ex(j, l), 3, True),
+                StructureValidationError, "associativity fails at {}")
 
     def __eq__(self, other):
         if self is other:
@@ -240,7 +247,43 @@ class MatrixSpaceAlgebra(BaseAlgebra):
 # elements
 
 
-class AlgebraElement:
+class _Sparse:
+    """Linear structure shared by elements and tensors: ``coeffs`` maps keys
+    to nonzero scalars; ``_like`` builds a sibling, ``_check`` its operand."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        self._check(other)
+        acc = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s: Union[Scalar, int]):
+        if isinstance(s, int):
+            s = self.field.from_int(s)
+        if s.is_zero():
+            return self._like({})
+        return self._like({k: s * c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return self.scale(other)
+        return NotImplemented
+
+
+class AlgebraElement(_Sparse):
     """Sparse linear combination of basis elements, zero coefficients stripped."""
 
     __slots__ = ("algebra", "coeffs")
@@ -249,8 +292,12 @@ class AlgebraElement:
         self.algebra = algebra
         self.coeffs = _clean(coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def field(self) -> FieldDescriptor:
+        return self.algebra.field
+
+    def _like(self, coeffs) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, coeffs)
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements (zero counts as even), else None."""
@@ -274,35 +321,14 @@ class AlgebraElement:
         return AlgebraElement(self.algebra,
                               {i: c for i, c in self.coeffs.items() if par[i] == 1})
 
-    def _check_same(self, other: "AlgebraElement"):
+    def _check(self, other: "AlgebraElement"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise BasisMismatchError("elements of different algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = acc.get(i)
-            acc[i] = c if s is None else s + c
-        return AlgebraElement(self.algebra, acc)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, s: Union[Scalar, int]) -> "AlgebraElement":
-        if isinstance(s, int):
-            s = self.algebra.field.from_int(s)
-        if s.is_zero():
-            return AlgebraElement(self.algebra, {})
-        return AlgebraElement(self.algebra, {i: s * c for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
-        self._check_same(other)
+        self._check(other)
         alg = self.algebra
         acc: Dict[int, Scalar] = {}
         for i, c in self.coeffs.items():
@@ -314,11 +340,6 @@ class AlgebraElement:
                         s = acc.get(k)
                         acc[k] = cd * e if s is None else s + cd * e
         return AlgebraElement(alg, acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -343,7 +364,7 @@ class AlgebraElement:
 # tensors
 
 
-class TensorElement:
+class TensorElement(_Sparse):
     """Sparse graded tensor; each leg may live over its own algebra."""
 
     __slots__ = ("legs", "coeffs")
@@ -364,14 +385,7 @@ class TensorElement:
 
     @staticmethod
     def unit(legs: Sequence[BaseAlgebra]) -> "TensorElement":
-        acc = {(): legs[0].field.one()}
-        for leg in legs:
-            nxt: Dict[Key, Scalar] = {}
-            for key, c in acc.items():
-                for i, u in leg.unit_coeffs.items():
-                    nxt[key + (i,)] = c * u
-            acc = nxt
-        return TensorElement(legs, acc)
+        return TensorElement.of(*(leg.unit() for leg in legs))
 
     @staticmethod
     def of(*factors: AlgebraElement) -> "TensorElement":
@@ -392,43 +406,17 @@ class TensorElement:
     def is_even(self) -> bool:
         return all(self.key_parity(k) == 0 for k in self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- linear structure --------------------------------------------------
 
-    def _check_legs(self, other: "TensorElement"):
+    def _check(self, other: "TensorElement"):
         if self.rank != other.rank:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
         for a, b in zip(self.legs, other.legs):
             if a is not b and a != b:
                 raise BasisMismatchError("tensor legs over different algebras")
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check_legs(other)
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = acc.get(k)
-            acc[k] = c if s is None else s + c
-        return TensorElement(self.legs, acc)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.legs, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, s: Union[Scalar, int]) -> "TensorElement":
-        if isinstance(s, int):
-            s = self.legs[0].field.from_int(s)
-        if s.is_zero():
-            return TensorElement(self.legs, {})
-        return TensorElement(self.legs, {k: s * c for k, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
+    def _like(self, coeffs) -> "TensorElement":
+        return TensorElement(self.legs, coeffs)
 
     # -- graded product ------------------------------------------------------
 
@@ -437,7 +425,7 @@ class TensorElement:
         keys K (left) and L (right) is sum over i < j of parity(L_i)*parity(K_j)."""
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
-        self._check_legs(other)
+        self._check(other)
         r = self.rank
         legs = self.legs
         parities = [leg.parity for leg in legs]
@@ -680,17 +668,64 @@ def identity_map(algebra: BaseAlgebra, name: str = "id") -> LinearMap:
                       for i in range(algebra.dim)], name=name)
 
 
+def quantify(algebra: BaseAlgebra, diff: Callable, arity: int = 1,
+             sound: bool = False) -> tuple:
+    """Find the first basis tuple (i, ...), in order, with diff(i, ...)
+    nonzero.  Returns (passed, difference, label, over, size): ``over`` is
+    "generators" or "basis", ``size`` the number of values of i.  With
+    ``sound`` the caller vouches that the a with diff(a, ...) = 0 for all
+    tuples form a subalgebra, so i runs over the generators; a failure
+    there is searched again over the basis, so witnesses do not change."""
+    def first(domain):
+        for idx in itertools.product(domain, *[range(algebra.dim)] * (arity - 1)):
+            d = diff(*idx)
+            if not d.is_zero():
+                names = [algebra.labels[i] for i in idx]
+                return d, names[0] if arity == 1 else f"({', '.join(names)})"
+        return None
+
+    if sound and first(algebra.generators()) is None:
+        return True, None, None, "generators", len(algebra.generators())
+    hit = first(range(algebra.dim))
+    return (hit is None, *(hit or (None, None)), "basis", algebra.dim)
+
+
+def require(result: tuple, error, message: str) -> None:
+    """Raise error(message) with the failing label in its {} when a quantify
+    result failed."""
+    if not result[0]:
+        raise error(message.format(result[2]))
+
+
+def centralizes(algebra: BaseAlgebra, t, image: Callable = lambda a: a,
+                sound: bool = True) -> tuple:
+    """quantify t image(a) = image(a) t over basis elements a; ``sound``
+    when image is a unital homomorphism."""
+    def diff(i):
+        x = image(algebra.basis_element(i))
+        return t * x - x * t
+    return quantify(algebra, diff, 1, sound)
+
+
+def multiplicativity(algebra: BaseAlgebra, f: Callable, sound: bool,
+                     anti: bool = False) -> tuple:
+    """quantify f(a x) = f(a) f(x), or with ``anti`` the graded rule
+    f(a x) = (-1)^{[a][x]} f(x) f(a), over basis pairs.  ``sound`` when
+    f(1) = 1, as source and target are associative."""
+    e = algebra.basis_element
+    images = [f(e(i)) for i in range(algebra.dim)]
+
+    def diff(i, j):
+        if not anti:
+            return f(e(i) * e(j)) - images[i] * images[j]
+        rhs = images[j] * images[i]
+        return f(e(i) * e(j)) - (-rhs if algebra.parity[i] * algebra.parity[j] else rhs)
+    return quantify(algebra, diff, 2, sound)
+
+
 def check_antihomomorphism(s_map: LinearMap, name: str = "antipode-antihomomorphism") -> AxiomCheck:
-    """Check the graded rule S(ab) = (-1)^{[a][b]} S(b) S(a) on all basis pairs."""
+    """Check the graded rule S(ab) = (-1)^{[a][b]} S(b) S(a) on basis pairs,
+    a over the generators when S(1) = 1."""
     alg = s_map.source
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ab = alg.basis_element(i) * alg.basis_element(j)
-            lhs = s_map(ab)
-            rhs = s_map(alg.basis_element(j)) * s_map(alg.basis_element(i))
-            if alg.parity[i] * alg.parity[j] % 2:
-                rhs = -rhs
-            if lhs != rhs:
-                return AxiomCheck(name, False, witness=lhs - rhs,
-                                  element=f"({alg.labels[i]}, {alg.labels[j]})")
-    return AxiomCheck(name, True)
+    return AxiomCheck(name, *multiplicativity(
+        alg, s_map, s_map(alg.unit()) == alg.unit(), anti=True))

@@ -8,6 +8,11 @@ even and odd parts and all solution spaces are computed per parity,
 returned with deterministic echelon-form bases.  Maps V -> W are list
 matrices at the interface only; their module structure is computed on
 End(V (+) W) legs, where the graded tensor product supplies every sign.
+
+A condition "for all a" is imposed for the generators a only: commuting
+with a is closed under products, and so is invariance under the actions
+once ``quasihopf._closed`` holds.  The reduced system has the same kernel,
+hence the same echelon basis.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError, StructureValidationError
-from .graded import AlgebraElement, LinearMap, TensorElement
+from .graded import AlgebraElement, LinearMap, TensorElement, centralizes, require
 from .linalg import nullspace, rows_of
-from .quasihopf import QuasiHopfStructure, condition_rows
+from .quasihopf import QuasiHopfStructure, _closed, condition_rows, memoized
 from .representations import Matrix, Representation, direct_sum
 from .scalars import Scalar
 
@@ -87,9 +92,14 @@ def _invariance_defect(H: QuasiHopfStructure, action, i: int,
     return action(H, H.basis_element(i), c) - c.scale(H.eps(H.basis_element(i)))
 
 
+def _domain(H: QuasiHopfStructure, sound: bool):
+    """The quantified elements a of a "for all a" condition, as indices."""
+    return H.algebra.generators() if sound else range(H.algebra.dim)
+
+
 def _is_fixed(H: QuasiHopfStructure, action, c: AlgebraElement) -> bool:
     return all(_invariance_defect(H, action, i, c).is_zero()
-               for i in range(H.algebra.dim))
+               for i in _domain(H, _closed(H)))
 
 
 def is_invariant_element(H: QuasiHopfStructure, c: AlgebraElement) -> bool:
@@ -104,12 +114,13 @@ def is_pseudo_invariant_element(H: QuasiHopfStructure, c: AlgebraElement) -> boo
 # solution spaces
 
 
-def _graded_nullspace(H: QuasiHopfStructure, condition) -> GradedSubspace:
+def _graded_nullspace(H: QuasiHopfStructure, condition,
+                      sound: bool) -> GradedSubspace:
     """Solve condition(basis_a_index, candidate) == 0 for all a, separately on
     the even and odd coordinates.  ``condition`` must be linear in the
-    candidate element."""
+    candidate element; with ``sound``, a runs over the generators."""
     A = H.algebra
-    conditions = [functools.partial(condition, i) for i in range(A.dim)]
+    conditions = [functools.partial(condition, i) for i in _domain(H, sound)]
     out = GradedSubspace()
     for target_parity, bucket in ((0, out.even), (1, out.odd)):
         idx = [j for j in range(A.dim) if A.parity[j] == target_parity]
@@ -121,31 +132,26 @@ def _graded_nullspace(H: QuasiHopfStructure, condition) -> GradedSubspace:
 def invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
     """Solutions of the adjoint-invariance condition; always contains beta."""
     return _graded_nullspace(
-        H, lambda i, c: _invariance_defect(H, adjoint_action, i, c))
+        H, lambda i, c: _invariance_defect(H, adjoint_action, i, c), _closed(H))
 
 
 def pseudo_invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
     """Solutions of the anti-adjoint-invariance condition; contains alpha."""
     return _graded_nullspace(
-        H, lambda i, c: _invariance_defect(H, anti_adjoint_action, i, c))
+        H, lambda i, c: _invariance_defect(H, anti_adjoint_action, i, c), _closed(H))
 
 
 def is_central(H: QuasiHopfStructure, x: AlgebraElement
                ) -> Tuple[bool, Optional[Tuple[str, AlgebraElement]]]:
-    """True when x commutes with every basis element; otherwise the first
-    failing commutator is the witness."""
-    A = H.algebra
-    for i in range(A.dim):
-        b = A.basis_element(i)
-        comm = x * b - b * x
-        if not comm.is_zero():
-            return False, (A.labels[i], comm)
-    return True, None
+    """True when x commutes with every generator, hence with A; otherwise the
+    first basis element with a nonzero commutator is the witness."""
+    passed, comm, at, *_ = centralizes(H.algebra, x)
+    return passed, None if passed else (at, comm)
 
 
 def center(H: QuasiHopfStructure) -> GradedSubspace:
     return _graded_nullspace(
-        H, lambda i, c: c * H.basis_element(i) - H.basis_element(i) * c)
+        H, lambda i, c: c * H.basis_element(i) - H.basis_element(i) * c, True)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +161,7 @@ def center(H: QuasiHopfStructure) -> GradedSubspace:
 def _form_nullspace(H: QuasiHopfStructure, action) -> List[LinearForm]:
     A = H.algebra
     rows = []
-    for i in range(A.dim):
+    for i in _domain(H, _closed(H)):
         eps_a = H.eps(A.basis_element(i))
         for j in range(A.dim):
             row = dict(action(A.basis_element(i), A.basis_element(j)).coeffs)
@@ -177,7 +183,7 @@ def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearForm) -> bool:
     A = H.algebra
     return all(xi(action(H, A.basis_element(i), A.basis_element(j)))
                == H.eps(A.basis_element(i)) * xi.values[j]
-               for i in range(A.dim) for j in range(A.dim))
+               for i in _domain(H, _closed(H)) for j in range(A.dim))
 
 
 def is_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
@@ -203,6 +209,7 @@ class _Hom:
         self.end = self.U.matrix_algebra()
         self.keys = [[(V.dim + p) * self.U.dim + q for q in range(V.dim)]
                      for p in range(W.dim)]
+        self._represented = {}
 
     def element(self, f: Matrix, parity: int) -> AlgebraElement:
         """The map f: V -> W, required to be homogeneous of the given parity."""
@@ -226,29 +233,47 @@ class _Hom:
         t = pairs.apply_maps([(0, rho), (1, rho)])
         return (t * TensorElement.of(f, self.end.unit())).merge_all()
 
+    def represented(self, i: int) -> TensorElement:
+        """a_(1) (x) S(a_(2)) for a = basis i, both legs acting on V (+) W."""
+        hit = self._represented.get(i)
+        if hit is None:
+            H, rho = self.H, self.U.leg_map()
+            hit = self._represented[i] = H.coproduct.on_basis(i).apply_maps(
+                [(1, H.antipode)]).apply_maps([(0, rho), (1, rho)])
+        return hit
+
     def act(self, a: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
         """a . f = sum a_(1) f S(a_(2)) (-1)^{[f][a_(2)]}."""
-        return self.sandwich(self.H.delta(a).apply_maps([(1, self.H.antipode)]), f)
+        t = TensorElement(self.represented(0).legs, {})
+        for i, c in a.coeffs.items():
+            t = t + self.represented(i).scale(c)
+        return (t * TensorElement.of(f, self.end.unit())).merge_all()
 
     def defects(self, f: AlgebraElement):
-        """a . f - eps(a) f for every basis element a: all zero iff f is invariant."""
+        """a . f - eps(a) f over the generators a (over the basis unless
+        the action is known to be one): all zero iff f is invariant."""
         H = self.H
-        for i in range(H.algebra.dim):
+        for i in _domain(H, _closed(H)):
             a = H.basis_element(i)
             yield self.act(a, f) - f.scale(H.eps(a))
+
+
+@memoized
+def _hom(H: QuasiHopfStructure, V: Representation, W: Representation) -> _Hom:
+    return _Hom(H, V, W)
 
 
 def module_action(H: QuasiHopfStructure, V: Representation, W: Representation,
                   a: AlgebraElement, f: Matrix, f_parity: int) -> Matrix:
     """(a . f)(v) = sum a_(1) f(S(a_(2)) v) (-1)^{[f][a_(2)]} for f of parity f_parity."""
-    hom = _Hom(H, V, W)
+    hom = _hom(H, V, W)
     return hom.matrix(hom.act(a, hom.element(f, f_parity)))
 
 
 def invariant_maps(H: QuasiHopfStructure, V: Representation,
                    W: Representation) -> Tuple[List[Matrix], List[Matrix]]:
     """Bases of the invariant maps in l(V, W), split as (even, odd)."""
-    hom, field = _Hom(H, V, W), H.algebra.field
+    hom, field = _hom(H, V, W), H.algebra.field
     results: List[List[Matrix]] = []
     for parity in (0, 1):
         entries = [k for keys in hom.keys for k in keys if hom.end.parity[k] == parity]
@@ -262,7 +287,7 @@ def invariant_maps(H: QuasiHopfStructure, V: Representation,
 
 def is_invariant_map(H: QuasiHopfStructure, V: Representation, W: Representation,
                      f: Matrix, f_parity: int) -> bool:
-    hom = _Hom(H, V, W)
+    hom = _hom(H, V, W)
     return all(d.is_zero() for d in hom.defects(hom.element(f, f_parity)))
 
 
@@ -275,7 +300,7 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
     Verified postconditions: ftilde intertwines the two actions, recovers f
     through beta . ftilde = f, and the inverse-coassociator expression
     agrees."""
-    A, hom = H.algebra, _Hom(H, V, W)
+    A, hom = H.algebra, _hom(H, V, W)
     x = hom.element(f, 0)
     if not all(d.is_zero() for d in hom.defects(x)):
         raise NotInvariantError("not invariant under the l(V, W) action")
@@ -287,11 +312,8 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
             "coassociator and inverse-coassociator projections disagree")
 
     rho = hom.U.leg_map()
-    for i in range(A.dim):
-        b = rho(A.basis_element(i))
-        if b * out != out * b:
-            raise NotInvariantError(
-                f"projection does not intertwine the action of {A.labels[i]}")
+    require(centralizes(A, out, rho), NotInvariantError,
+            "projection does not intertwine the action of {}")
     if rho(H.beta) * out != x:
         raise NotInvariantError("beta times the projection does not recover f")
     return hom.matrix(out)
@@ -308,7 +330,7 @@ def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
     A, field = H.algebra, H.algebra.field
     n = V.dim * W.dim
     rows = []
-    for idx in range(A.dim):
+    for idx in _domain(H, _closed(H)):
         a = A.basis_element(idx)
         eps_a = H.eps(a)
         for i in range(V.dim):

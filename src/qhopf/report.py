@@ -12,18 +12,21 @@ class AxiomCheck:
 
     ``witness`` holds the exact difference (tensor or element) when the check
     fails; ``element`` names the offending basis element for checks that are
-    quantified over the basis.
+    quantified over the basis.  ``over`` is the loop domain of such a check,
+    "generators" or "basis", and ``size`` the number of elements in it.
     """
 
     axiom: str
     passed: bool
     witness: Any = None
     element: Optional[str] = None
+    over: Optional[str] = None
+    size: int = 0
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        # timing is excluded: serialized reports must be byte-identical
-        # across runs on the same input
+        # timing and loop domain are excluded: serialized reports must be
+        # byte-identical across runs and engine versions on the same input
         d = {"id": self.axiom, "passed": self.passed}
         if self.element is not None:
             d["element"] = self.element
@@ -65,5 +68,9 @@ class AxiomReport:
         for c in self.checks:
             mark = "ok  " if c.passed else "FAIL"
             at = f" @ {c.element}" if c.element else ""
-            lines.append(f"  [{mark}] {c.axiom}{at}  ({c.seconds:.3f} s)")
+            over = ""
+            if c.over is not None:
+                noun = "generator" if c.over == "generators" else "basis element"
+                over = f"over {c.size} {noun}{'' if c.size == 1 else 's'}, "
+            lines.append(f"  [{mark}] {c.axiom}{at}  ({over}{c.seconds:.3f} s)")
         return "\n".join(lines)

@@ -24,6 +24,8 @@ from .graded import (
     LinearMap,
     MatrixSpaceAlgebra,
     TensorElement,
+    multiplicativity,
+    require,
 )
 from .scalars import FieldDescriptor, Scalar
 
@@ -78,13 +80,8 @@ class Representation:
                     f"grading violation in the matrix of {A.labels[idx]}")
         if rho(A.unit()) != self.matrix_algebra().unit():
             raise StructureValidationError("the unit must act as the identity")
-        images = [rho(A.basis_element(i)) for i in range(A.dim)]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if images[i] * images[j] != rho(A.basis_element(i) * A.basis_element(j)):
-                    raise StructureValidationError(
-                        "not a homomorphism at "
-                        f"({A.labels[i]}, {A.labels[j]})")
+        require(multiplicativity(A, rho, True), StructureValidationError,
+                "not a homomorphism at {}")
 
     def matrix_of(self, x: AlgebraElement) -> Matrix:
         d, z = self.dim, self.field.zero()
@@ -143,22 +140,6 @@ def apply_rep_on_leg(x: TensorElement, leg: int, rep: Representation) -> TensorE
     """Replace a symbolic tensor leg by its matrix image under the
     representation; the leg then lives over End(V) with matrix units as basis."""
     return x.apply_maps([(leg, rep.leg_map())])
-
-
-def _mat_mul(a: Matrix, b: Matrix, field: FieldDescriptor) -> Matrix:
-    """Plain product of list matrices, kept as the tests' independent reference."""
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[field.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c.is_zero():
-                continue
-            for j in range(m):
-                if not b[t][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[t][j]
-    return out
 
 
 def validate_representation(matrices: Sequence[Matrix],

@@ -32,6 +32,7 @@ agrees with ``int`` and ``Fraction`` under both ``==`` and ``hash``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Tuple
@@ -112,6 +113,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return _pmonic(a)
 
 
+@functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Poly:
     """Coefficients of the n-th cyclotomic polynomial.
 
@@ -248,6 +250,7 @@ def _cinv(a, n: int):
 
 RATIONALS = "rationals"
 CYCLOTOMIC = "cyclotomic"
+MAX_ORDER = 360  # largest cyclotomic order n; bounds the work a field can cost
 RATIONAL_FUNCTIONS = "rational-functions"
 
 
@@ -266,6 +269,9 @@ class FieldDescriptor:
             if type(self.order) is not int or self.order < 1:
                 raise StructureValidationError(
                     "cyclotomic order must be a positive integer")
+            if self.order > MAX_ORDER:
+                raise StructureValidationError(
+                    f"cyclotomic order {self.order} exceeds the limit {MAX_ORDER}")
         elif self.kind == RATIONAL_FUNCTIONS:
             if not (isinstance(self.indeterminate, str) and self.indeterminate.isidentifier()):
                 raise StructureValidationError(

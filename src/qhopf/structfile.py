@@ -41,10 +41,7 @@ def _field_dict(field: FieldDescriptor) -> dict:
 
 
 def _tensor_rows(t: TensorElement, labels) -> List[list]:
-    rows = []
-    for key in sorted(t.coeffs):
-        rows.append([labels[i] for i in key] + [str(t.coeffs[key])])
-    return rows
+    return [[labels[i] for i in key] + [str(c)] for key, c in sorted(t.coeffs.items())]
 
 
 def _element_dict(x: AlgebraElement, labels) -> Dict[str, str]:
@@ -52,21 +49,15 @@ def _element_dict(x: AlgebraElement, labels) -> Dict[str, str]:
 
 
 def _map_table(m: LinearMap, labels) -> Dict[str, list]:
-    table = {}
-    for i, img in enumerate(m.images):
-        table[labels[i]] = _tensor_rows(img, labels)
-    return table
+    return {labels[i]: _tensor_rows(img, labels) for i, img in enumerate(m.images)}
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:
     H = entry.structure
     A = H.algebra
     labels = A.labels
-    mul_rows = []
-    for (i, j) in sorted(A._mul):
-        for k in sorted(A._mul[(i, j)]):
-            mul_rows.append([labels[i], labels[j], labels[k],
-                             str(A._mul[(i, j)][k])])
+    mul_rows = [[labels[i], labels[j], labels[k], str(c)]
+                for (i, j) in sorted(A._mul) for k, c in sorted(A._mul[(i, j)].items())]
     doc = {
         "name": entry.name,
         "notes": entry.notes,

@@ -27,7 +27,7 @@ from .quasihopf import (
     QuasiHopfStructure,
     _run,
     _tensor_eq,
-    verify_structure,
+    require_verified,
 )
 
 
@@ -153,13 +153,8 @@ def twist_structure(H: QuasiHopfStructure, F: Twistor,
         alpha=twisted_alpha(H, F), beta=twisted_beta(H, F),
         r=r_f, r_inv=r_f_inv, antipode_inv=H.antipode_inv,
         name=f"{H.name or 'structure'}^{F.name}")
-    if verify:
-        report = verify_structure(twisted)
-        if not report.passed:
-            failed = ", ".join(c.axiom for c in report.failures())
-            raise PostconditionError(
-                f"twisted structure failed verification: {failed}")
-    return twisted
+    return require_verified(twisted, "twisted structure", PostconditionError) \
+        if verify else twisted
 
 
 def check_twisted_canonical_identities(H: QuasiHopfStructure,

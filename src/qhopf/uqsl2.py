@@ -29,7 +29,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, _verified
 from .errors import StructureValidationError
 from .graded import (
     AlgebraElement,
@@ -39,7 +39,7 @@ from .graded import (
     StructureConstants,
     TensorElement,
 )
-from .quasihopf import QuasiHopfStructure, verify_structure
+from .quasihopf import QuasiHopfStructure
 from .representations import trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
 from .twisting import identity_twistor, invert_tensor
@@ -206,16 +206,10 @@ def _r_candidate(A: GradedAlgebra, red: _WordReducer,
 def _search_r(H: QuasiHopfStructure, red: _WordReducer
               ) -> Tuple[TensorElement, TensorElement]:
     A = H.algebra
-    gens = [A.index_of("E"), A.index_of("F"), A.index_of("K")]
     for g, d, c in itertools.product((0, 1, 2), (1, 2, 0), (1, 2)):
         r = _r_candidate(A, red, g, d, c)
-        ok = True
-        for idx in gens:
-            a = A.basis_element(idx)
-            if H.delta_t(a) * r != r * H.delta(a):
-                ok = False
-                break
-        if not ok:
+        if any(H.delta_t(a) * r != r * H.delta(a)
+               for a in map(A.basis_element, A.generators())):
             continue
         lhs = r.apply_maps([(0, H.coproduct)])
         if lhs != r.embed((0, 2), H.legs(3)) * r.embed((1, 2), H.legs(3)):
@@ -240,11 +234,7 @@ def build_small_uqsl2() -> CatalogEntry:
         phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
         name="small-uqsl2")
     r, r_inv = _search_r(H0, red)
-    H = H0.with_data(r=r, r_inv=r_inv)
-    report = verify_structure(H)
-    if not report.passed:
-        failed = ", ".join(ch.axiom for ch in report.failures())
-        raise StructureValidationError(f"small-uqsl2 failed verification: {failed}")
+    H = _verified(H0.with_data(r=r, r_inv=r_inv))
     twistors = {"identity": identity_twistor(H)}
     reps = {"trivial": trivial_representation(H.counit)}
     return CatalogEntry("small-uqsl2", H, twistors, reps,

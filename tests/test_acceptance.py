@@ -34,7 +34,7 @@ from qhopf.quasihopf import (
     verify_quasitriangular,
     verify_structure,
 )
-from qhopf.representations import _mat_mul
+from reference import _mat_mul
 from qhopf.structfile import entry_from_dict
 
 DATA = Path(qhopf.__file__).parent / "data"

@@ -13,7 +13,8 @@ from qhopf.casimir import casimir_Cm, casimir_from_omega_rep, rtr_power, u_sum
 from qhopf.catalog import BUILTIN_NAMES, load_builtin
 from qhopf.invariants import invariant_maps
 from qhopf.linalg import nullspace, rows_of
-from qhopf.representations import _mat_mul, apply_rep_on_leg
+from qhopf.representations import apply_rep_on_leg
+from reference import _mat_mul
 from qhopf.twisting import twist_structure
 
 

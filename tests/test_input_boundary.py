@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,8 @@ import pytest
 
 import qhopf
 from qhopf.cli import main
-from qhopf.errors import ScalarSyntaxError
-from qhopf.scalars import MAX_NESTING, FieldDescriptor, parse_scalar
+from qhopf.errors import ScalarSyntaxError, StructureValidationError
+from qhopf.scalars import MAX_NESTING, MAX_ORDER, FieldDescriptor, parse_scalar
 
 DATA = Path(qhopf.__file__).parent / "data"
 Q = FieldDescriptor.rationals()
@@ -97,3 +98,17 @@ def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_cyclotomic_order_above_the_cap_exits_2_at_once(tmp_path, capsys):
+    def field(order):
+        return lambda doc: doc.update(field={"kind": "cyclotomic", "order": order})
+    path = corrupt(tmp_path, "z2-group", field(2310))
+    t0 = time.perf_counter()
+    assert main(["verify", path, "--json"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(MAX_ORDER) in err[0]
+    with pytest.raises(StructureValidationError):
+        FieldDescriptor.cyclotomic(MAX_ORDER + 1)
+    assert main(["verify", corrupt(tmp_path, "z2-group", field(105)), "--json"]) == 0

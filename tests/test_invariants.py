@@ -23,7 +23,7 @@ from qhopf.invariants import (
     pseudo_invariant_linear_forms,
     pseudo_invariant_subspace,
 )
-from qhopf.representations import _mat_mul
+from reference import _mat_mul
 
 
 def el(H, label):
@@ -247,3 +247,26 @@ def test_odd_map_rejected(e4):
     if odd:
         with pytest.raises(OddElementError):
             module_morphism_from_invariant(odd[0], H, reg, reg)
+
+
+def test_hom_module_is_built_once_per_pair(e3, monkeypatch):
+    import qhopf.invariants as invariants
+    built = []
+    real = invariants.direct_sum
+    monkeypatch.setattr(invariants, "direct_sum",
+                        lambda V, W: built.append((V, W)) or real(V, W))
+    H = e3.structure.with_data()
+    reg = e3.representations["regular"]
+    f = reg.matrix_of(el(H, "g"))
+    first = module_action(H, reg, reg, el(H, "x"), f, 0)
+    assert module_action(H, reg, reg, el(H, "x"), f, 0) == first
+    is_invariant_map(H, reg, reg, f, 0)
+    even, _ = invariant_maps(H, reg, reg)
+    assert all(module_morphism_from_invariant(m, H, reg, reg) == m for m in even)
+    assert len(built) == 1
+    # a linear combination acts as the combination of the basis actions
+    a = el(H, "x") + el(H, "gx").scale(3)
+    combo = module_action(H, reg, reg, a, f, 0)
+    parts = [module_action(H, reg, reg, el(H, lab), f, 0) for lab in ("x", "gx")]
+    assert combo == [[p + 3 * q for p, q in zip(r1, r2)]
+                     for r1, r2 in zip(*parts)]
