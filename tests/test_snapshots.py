@@ -19,6 +19,8 @@ DATA = Path(qhopf.__file__).parent / "data"
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 RATIONAL = ("z2-group", "z2-cocycle", "sweedler-h4", "grassmann-theta",
             "sweedler-twisted")
+Q_OF_Q = {"kind": "rational-functions", "indeterminate": "q"}
+C = "(2*q^2 - q + 3)/(q + 2)"  # a (deg 2)/(deg 1) coefficient in Q(q)
 
 CASES = {f"verify-{name}": (["verify", f"{name}.qh", "--json"], 0)
          for name in RATIONAL + ("small-uqsl2",)}
@@ -34,6 +36,13 @@ CASES.update({
     "twist-grassmann-theta-theta-pair": (
         ["twist", "grassmann-theta.qh", "--twistor", "theta-pair",
          "--verify-invariance", "--json"], 0),
+    # Q(q) copies: a twist with q-dependent entries, a broken counit law
+    "twist-sweedler-twisted-qq-fixed": (
+        ["twist", "sweedler-twisted.qq.qh", "--twistor", "fixed",
+         "--verify-invariance", "--json"], 0),
+    "verify-sweedler-twisted-qq-mutated": (
+        ["verify", "sweedler-twisted.qq.mutated.qh", "--checks", "all",
+         "--json"], 1),
 })
 for _label, _extra in (
         ("u", ["--kind", "u"]),
@@ -54,6 +63,14 @@ def workdir(tmp_path_factory):
     doc["beta"] = {"1": "1", "g": "1"}
     doc["r"] = doc["r_inv"] = None
     (root / "sweedler-twisted-beta-g.qh").write_text(json.dumps(doc))
+    doc = json.loads((DATA / "sweedler-twisted.qh").read_text())
+    doc["field"] = Q_OF_Q
+    doc["twistors"]["fixed"] = {"f": [["1", "1", "1"], ["x", "gx", C]],
+                                "f_inv": [["1", "1", "1"], ["x", "gx", f"-{C}"]]}
+    (root / "sweedler-twisted.qq.qh").write_text(json.dumps(doc))
+    row = next(r for r in doc["phi"] if r[:3] == ["1", "1", "1"])
+    row[3] = f"{row[3]} + {C}"
+    (root / "sweedler-twisted.qq.mutated.qh").write_text(json.dumps(doc))
     return root
 
 
@@ -64,3 +81,14 @@ def test_json_stdout_matches_snapshot(case, workdir, monkeypatch, capsys):
     assert main(argv) == status
     expected = (SNAPSHOTS / f"{case}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_twisted_file_matches_snapshot(workdir, monkeypatch, capsys):
+    # the written file holds the twisted phi, Delta and R, entries in Q(q)
+    monkeypatch.chdir(workdir)
+    assert main(["twist", "sweedler-twisted.qq.qh", "--twistor", "fixed",
+                 "--out", "twisted.qq.qh"]) == 0
+    capsys.readouterr()
+    expected = (SNAPSHOTS / "twist-sweedler-twisted-qq-fixed.qh").read_text(
+        encoding="utf-8")
+    assert (workdir / "twisted.qq.qh").read_text(encoding="utf-8") == expected
