@@ -14,7 +14,14 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
   normalisation.  The table is built on first use of an order.  An
   inverse is the product of the Galois conjugates over the rational norm.
 * ``rational-functions(q)`` -- rational functions in one indeterminate,
-  stored as a coprime numerator/denominator pair with monic denominator.
+  stored as ``(num, den)``: coefficient tuples over Q, constant term
+  first, no trailing zeros, coprime, with ``den`` monic; zero is
+  ``((), (1,))``.  Operands are reduced, so a result is cancelled across
+  them (Henrici): a product cancels ``n1`` with ``d2`` and ``n2`` with
+  ``d1``; a sum with ``g = gcd(d1, d2)`` and ``t = n1 (d2/g) + n2 (d1/g)``
+  cancels only ``gcd(t, g)``.  No gcd is taken when a side is constant,
+  so rational multiples and polynomial sums need none, and an inverse is
+  rescaled by its numerator's leading coefficient.
 
 Every representation is canonical, so two scalars are equal exactly when
 their stored payloads are equal.  There is no floating point anywhere;
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
@@ -47,6 +55,7 @@ except ImportError:  # pragma: no cover
 
 _QQ0 = QQ(0)
 _QQ1 = QQ(1)
+_PONE = (_QQ1,)
 
 Poly = Tuple  # dense coefficients, constant term first, no trailing zeros
 
@@ -68,13 +77,14 @@ def _padd(a: Poly, b: Poly) -> Poly:
                   for i in range(n))
 
 
-def _pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:  # a constant factor: scale, no convolution
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
     out = [_QQ0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
@@ -100,17 +110,14 @@ def _pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     return _ptrim(q), _ptrim(a)
 
 
-def _pmonic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
 def _pgcd(a: Poly, b: Poly) -> Poly:
     while b:
         a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+    return tuple(c / a[-1] for c in a)
+
+
+def _pquo(a: Poly, b: Poly) -> Poly:  # exact: b divides a
+    return a if b == _PONE else _pdivmod(a, b)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,6 +136,49 @@ def cyclotomic_polynomial(n: int) -> Poly:
             num, rem = _pdivmod(num, cyclotomic_polynomial(d))
             assert not rem
     return num
+
+
+# ---------------------------------------------------------------------------
+# rational-function kernel over canonical payloads (num, den)
+
+_RZERO = ((), _PONE)
+
+
+def _gcd1(a: Poly, b: Poly) -> Poly:  # a nonzero constant is coprime to anything
+    return _pgcd(a, b) if len(a) > 1 and len(b) > 1 else _PONE
+
+
+def _rmul(x, y):
+    """Henrici's product of reduced x, y: cancel n1 with d2 and n2 with d1."""
+    (n1, d1), (n2, d2) = x, y
+    if not n1 or not n2:
+        return _RZERO
+    if len(n2) == 1 and len(d2) == 1:
+        (n1, d1), (n2, d2) = y, x
+    if len(n1) == 1 and len(d1) == 1:  # a rational constant c: (c n2, d2)
+        return _pmul(n2, n1), d2
+    if x == y:  # a square: gcd(n, d) = 1 already
+        return _pmul(n1, n1), _pmul(d1, d1)
+    g1, g2 = _gcd1(n1, d2), _gcd1(n2, d1)
+    return (_pmul(_pquo(n1, g1), _pquo(n2, g2)),
+            _pmul(_pquo(d1, g2), _pquo(d2, g1)))
+
+
+def _radd(x, y):
+    """Henrici's sum of reduced x, y: only gcd(t, g) can cancel (see above)."""
+    (n1, d1), (n2, d2) = x, y
+    if not n1 or not n2:
+        return x if n1 else y
+    if len(d1) == 1 and len(d2) == 1:  # two polynomials
+        t = _padd(n1, n2)
+        return (t, _PONE) if t else _RZERO
+    g = _gcd1(d1, d2)
+    e1, e2 = _pquo(d1, g), _pquo(d2, g)
+    t = _padd(_pmul(n1, e2), _pmul(n2, e1))
+    if not t:
+        return _RZERO
+    h = _gcd1(t, g)
+    return _pquo(t, h), _pmul(_pmul(e1, e2), _pquo(g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +440,7 @@ class Scalar:
             return Scalar(f, self.value + other.value)
         if f.kind == CYCLOTOMIC:
             return Scalar(f, _cadd(self.value, other.value))
-        (n1, d1), (n2, d2) = self.value, other.value
-        return _ratfun(f, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        return Scalar(f, _radd(self.value, other.value))
 
     __radd__ = __add__
 
@@ -403,7 +452,7 @@ class Scalar:
             nums, den = self.value
             return Scalar(f, (tuple(-c for c in nums), den))
         n, d = self.value
-        return Scalar(f, (_pneg(n), d))
+        return Scalar(f, (tuple(-c for c in n), d))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -423,8 +472,7 @@ class Scalar:
             return Scalar(f, self.value * other.value)
         if f.kind == CYCLOTOMIC:
             return Scalar(f, _cmul(self.value, other.value, f.order))
-        (n1, d1), (n2, d2) = self.value, other.value
-        return _ratfun(f, _pmul(n1, n2), _pmul(d1, d2))
+        return Scalar(f, _rmul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -437,8 +485,8 @@ class Scalar:
             return Scalar(f, 1 / self.value)
         if f.kind == CYCLOTOMIC:
             return Scalar(f, _cinv(self.value, f.order))
-        n, d = self.value
-        return _ratfun(f, d, n)
+        n, d = self.value  # coprime already: rescale by n's leading coefficient
+        return Scalar(f, (tuple(c / n[-1] for c in d), tuple(c / n[-1] for c in n)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -471,8 +519,8 @@ class Scalar:
     # -- equality ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
+        if other.__class__ is not Scalar and isinstance(other, (int, Fraction, QQ)):
+            other = self.field.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return ((self.field is other.field or self.field == other.field)
@@ -501,24 +549,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
-
-
-def _ratfun(field: FieldDescriptor, num: Poly, den: Poly) -> Scalar:
-    """Canonicalize a rational function: coprime, monic denominator."""
-    if not den:
-        raise NotInvertibleError("not invertible: zero denominator")
-    if not num:
-        return Scalar(field, ((), (_QQ1,)))
-    if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to anything
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-    lead = den[-1]
-    if lead != 1:
-        num = tuple(c / lead for c in num)
-        den = tuple(c / lead for c in den)
-    return Scalar(field, (num, den))
 
 
 # ---------------------------------------------------------------------------

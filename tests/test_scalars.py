@@ -1,5 +1,6 @@
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,25 @@ def test_field_axioms_on_pool(field):
                 assert (x + y) + w == x + (y + w)
                 assert (x * y) * w == x * (y * w)
                 assert x * (y + w) == x * y + x * w
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_constants_agree_with_int_and_fraction(field):
+    for r in (0, 1, -2, Fraction(1, 2), Fraction(-7, 3)):
+        x = field.parse(str(r))
+        for other in (r, Fraction(r), QQ(r)):
+            assert x == other and other == x and not x != other
+            assert hash(x) == hash(other)
+        assert x != r + 1 and x != Fraction(r) + Fraction(1, 5)
+    assert {field.parse("1/2"): "half"}[Fraction(1, 2)] == "half"
+
+
+@pytest.mark.parametrize("field", [C3, C4, RQ], ids=str)
+def test_nonconstant_scalar_is_unequal_to_every_rational(field):
+    g = field.generator()
+    for x in (g, g + 1, g - field.from_rational(QQ(1, 2)), -g / 2):
+        for r in (0, 1, -2, Fraction(1, 2), Fraction(-1, 2), QQ(3, 5)):
+            assert x != r and r != x and not x == r
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
