@@ -19,9 +19,10 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
   ``((), (1,))``.  Operands are reduced, so a result is cancelled across
   them (Henrici): a product cancels ``n1`` with ``d2`` and ``n2`` with
   ``d1``; a sum with ``g = gcd(d1, d2)`` and ``t = n1 (d2/g) + n2 (d1/g)``
-  cancels only ``gcd(t, g)``.  No gcd is taken when a side is constant,
-  so rational multiples and polynomial sums need none, and an inverse is
-  rescaled by its numerator's leading coefficient.
+  cancels only ``gcd(t, g)``, and equal denominators give ``g = d1``
+  at once.  No gcd is taken when a side is constant, so rational
+  multiples and polynomial sums need none, and an inverse is rescaled by
+  its numerator's leading coefficient.
 
 Every representation is canonical, so two scalars are equal exactly when
 their stored payloads are equal.  There is no floating point anywhere;
@@ -153,12 +154,6 @@ def _rmul(x, y):
     (n1, d1), (n2, d2) = x, y
     if not n1 or not n2:
         return _RZERO
-    if len(n2) == 1 and len(d2) == 1:
-        (n1, d1), (n2, d2) = y, x
-    if len(n1) == 1 and len(d1) == 1:  # a rational constant c: (c n2, d2)
-        return _pmul(n2, n1), d2
-    if x == y:  # a square: gcd(n, d) = 1 already
-        return _pmul(n1, n1), _pmul(d1, d1)
     g1, g2 = _gcd1(n1, d2), _gcd1(n2, d1)
     return (_pmul(_pquo(n1, g1), _pquo(n2, g2)),
             _pmul(_pquo(d1, g2), _pquo(d2, g1)))
@@ -169,16 +164,16 @@ def _radd(x, y):
     (n1, d1), (n2, d2) = x, y
     if not n1 or not n2:
         return x if n1 else y
-    if len(d1) == 1 and len(d2) == 1:  # two polynomials
-        t = _padd(n1, n2)
-        return (t, _PONE) if t else _RZERO
-    g = _gcd1(d1, d2)
-    e1, e2 = _pquo(d1, g), _pquo(d2, g)
-    t = _padd(_pmul(n1, e2), _pmul(n2, e1))
+    if d1 == d2:  # one denominator (two polynomials too): g = d1, e1 = e2 = 1
+        g, e, t = d1, _PONE, _padd(n1, n2)
+    else:
+        g = _gcd1(d1, d2)
+        e1, e2 = _pquo(d1, g), _pquo(d2, g)
+        e, t = _pmul(e1, e2), _padd(_pmul(n1, e2), _pmul(n2, e1))
     if not t:
         return _RZERO
     h = _gcd1(t, g)
-    return _pquo(t, h), _pmul(_pmul(e1, e2), _pquo(g, h))
+    return _pquo(t, h), _pmul(e, _pquo(g, h))
 
 
 # ---------------------------------------------------------------------------
