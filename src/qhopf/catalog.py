@@ -1,7 +1,9 @@
 """Built-in catalog of verified quasi-Hopf structures.
 
 Every entry is constructed from first principles and passes the full
-verifier before it is handed out:
+verifier before it is handed out.  An entry whose R-matrix is chosen at
+build time passes its candidates to ``search_r``, which keeps the first
+one the verifier accepts; that verification is the entry's.
 
 * ``z2-group``        the group algebra of Z2, with the nontrivial
                       triangular R-matrix and a projector twist,
@@ -9,9 +11,10 @@ verifier before it is handed out:
                       1 - 2 p- (x) p- (x) p-; canonical elements solved,
 * ``sweedler-h4``     the 4-dimensional algebra (g, x | g^2=1, x^2=0,
                       xg=-gx) with its one-parameter R-matrix,
-* ``grassmann-theta`` the super pair (1, theta) with theta odd; the
-                      R-matrix ansatz 1 + c theta (x) theta is solved from
-                      the hexagons,
+* ``grassmann-theta`` the super pair (1, theta) with theta odd and the
+                      R-matrix 1 + theta (x) theta, the point c = 1 of a
+                      family 1 + c theta (x) theta that satisfies the
+                      hexagons for every c,
 * ``sweedler-twisted`` the Sweedler entry twisted by F = 1 + x (x) gx,
                       which is genuinely quasi (nontrivial coassociator),
 * ``small-uqsl2``     a 27-dimensional small quantum group over the
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import StructureValidationError, UnknownNameError
 from .graded import (
@@ -32,7 +35,12 @@ from .graded import (
     StructureConstants,
     TensorElement,
 )
-from .quasihopf import QuasiHopfStructure, require_verified, solve_canonical_elements
+from .quasihopf import (
+    QuasiHopfStructure,
+    require_verified,
+    solve_canonical_elements,
+    verify_structure,
+)
 from .representations import Representation, regular_representation, trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
 from .twisting import Twistor, identity_twistor, invert_tensor, twist_structure, validate_twistor
@@ -119,6 +127,25 @@ def tensor_from(A: GradedAlgebra,
 
 def _verified(H: QuasiHopfStructure) -> QuasiHopfStructure:
     return require_verified(H, f"catalog entry {H.name}")
+
+
+def search_r(H: QuasiHopfStructure, candidates: Iterable[TensorElement],
+             what: str) -> QuasiHopfStructure:
+    """H with the first candidate R that intertwines the coproduct with its
+    flip on the generators (the one R axiom that needs no inverse), has an
+    inverse and passes ``verify_structure``, which is the entry's verification."""
+    A = H.algebra
+    gens = [A.basis_element(i) for i in A.generators()]
+    for r in candidates:
+        if any(H.delta_t(a) * r != r * H.delta(a) for a in gens):
+            continue
+        r_inv = invert_tensor(r)
+        if r_inv is not None:
+            candidate = H.with_data(r=r, r_inv=r_inv)
+            if verify_structure(candidate).passed:
+                return candidate
+    raise StructureValidationError(
+        f"catalog entry {H.name}: no R-matrix in {what} passed verification")
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +239,6 @@ def _sweedler_algebra() -> GradedAlgebra:
     return make_algebra(["1", "g", "x", "gx"], [0, 0, 0, 0], "1", prods, name="H4")
 
 
-def _sweedler_r(H: QuasiHopfStructure) -> Tuple[TensorElement, TensorElement]:
-    """Solve for the nilpotent part of the R-matrix over a small sign family,
-    keeping the first candidate that passes the quasitriangularity axioms."""
-    from .quasihopf import verify_quasi_ybe, verify_quasitriangular
-    A = H.algebra
-    base = _z2_r2(A)
-    for signs in ((1, 1, -1, 1), (1, -1, 1, 1), (1, 1, 1, -1), (-1, 1, 1, 1),
-                  (1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1), (-1, -1, -1, -1)):
-        s1, s2, s3, s4 = signs
-        nil = tensor_from(A, [("x", "x", QQ(s1, 2)), ("x", "gx", QQ(s2, 2)),
-                              ("gx", "x", QQ(s3, 2)), ("gx", "gx", QQ(s4, 2))])
-        r = base + nil
-        r_inv = invert_tensor(r)
-        if r_inv is None:
-            continue
-        candidate = H.with_data(r=r, r_inv=r_inv)
-        if verify_quasitriangular(candidate).passed and \
-           verify_quasi_ybe(candidate).passed:
-            return r, r_inv
-    raise StructureValidationError("no R-matrix found for the Sweedler entry")
-
-
 def _build_sweedler() -> CatalogEntry:
     A = _sweedler_algebra()
     coproduct = make_coproduct(A, {
@@ -250,8 +255,12 @@ def _build_sweedler() -> CatalogEntry:
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
         phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
         name="sweedler-h4")
-    r, r_inv = _sweedler_r(H0)
-    H = _verified(H0.with_data(r=r, r_inv=r_inv))
+    # R is the Z2 R-matrix plus a nilpotent part with coefficients +-1/2
+    base, nil = _z2_r2(A), (("x", "x"), ("x", "gx"), ("gx", "x"), ("gx", "gx"))
+    signs = ((1, 1, -1, 1), (1, -1, 1, 1), (1, 1, 1, -1), (-1, 1, 1, 1),
+             (1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1), (-1, -1, -1, -1))
+    H = search_r(H0, (base + tensor_from(A, [(*k, QQ(s, 2)) for k, s in zip(nil, ss)])
+                      for ss in signs), "the sign family")
     ft = H.unit_tensor(2) + tensor_from(A, [("x", "gx", 1)])
     ft_inv = H.unit_tensor(2) - tensor_from(A, [("x", "gx", 1)])
     twistors = {"identity": identity_twistor(H),
@@ -280,8 +289,8 @@ def _build_grassmann() -> CatalogEntry:
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
         phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
         name="grassmann-theta")
-    r, r_inv = solve_grassmann_r(H0)
-    H = _verified(H0.with_data(r=r, r_inv=r_inv))
+    # the hexagon residuals of R(c) are polynomial in c and vanish identically
+    H = search_r(H0, [grassmann_r_candidate(H0, 1)], "R(c) = 1 + c th (x) th at c = 1")
     f = H.unit_tensor(2) + tensor_from(A, [("th", "th", 1)])
     f_inv = H.unit_tensor(2) - tensor_from(A, [("th", "th", 1)])
     twistors = {"identity": identity_twistor(H),
@@ -297,23 +306,6 @@ def grassmann_r_candidate(H: QuasiHopfStructure, c) -> TensorElement:
     A = H.algebra
     s = c if isinstance(c, Scalar) else A.field.from_int(c)
     return H.unit_tensor(2) + tensor_from(A, [("th", "th", 1)]).scale(s)
-
-
-def solve_grassmann_r(H: QuasiHopfStructure) -> Tuple[TensorElement, TensorElement]:
-    """The hexagon residuals for R(c) = 1 + c theta (x) theta are polynomial
-    in c; sampling three points shows they vanish identically, so every c
-    works.  The catalog freezes c = 1."""
-    from .quasihopf import verify_quasi_ybe, verify_quasitriangular
-    for c in (0, 1, -1):
-        r = grassmann_r_candidate(H, c)
-        r_inv = invert_tensor(r)
-        candidate = H.with_data(r=r, r_inv=r_inv)
-        if not (verify_quasitriangular(candidate).passed
-                and verify_quasi_ybe(candidate).passed):
-            raise StructureValidationError(
-                f"hexagons rejected the Grassmann R-matrix at c={c}")
-    r = grassmann_r_candidate(H, 1)
-    return r, invert_tensor(r)
 
 
 # ---------------------------------------------------------------------------

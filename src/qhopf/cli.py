@@ -82,11 +82,11 @@ def _pick_source(H, selector: str):
     for prefix, kind, space in (("inv:", "invariant", invariant_subspace),
                                 ("pinv:", "pseudo-invariant", pseudo_invariant_subspace)):
         if selector.startswith(prefix):
-            sub = space(H).even
-            idx = int(selector[len(prefix):])
-            if idx >= len(sub):
-                raise QhopfError(f"{kind} space has only {len(sub)} even vectors")
-            return sub[idx]
+            sub, idx = space(H).even, selector[len(prefix):]
+            if not idx.isdecimal() or int(idx) >= len(sub):
+                raise QhopfError(f"source {selector!r}: N must be an index below "
+                                 f"{len(sub)}, the number of even {kind} vectors")
+            return sub[int(idx)]
     raise QhopfError(
         f"unknown source {selector!r}; use beta, alpha, inv:N or pinv:N")
 

@@ -61,10 +61,6 @@ class GradedBasis:
         if self.parity[self.unit_index] != 0:
             raise StructureValidationError("the unit must be even")
 
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class StructureConstants:

@@ -139,6 +139,18 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return num
 
 
+def _power(x, n: int, mul, one):
+    """x^n for n >= 0 by square-and-multiply; no square after the last bit."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rational-function kernel over canonical payloads (num, den)
 
@@ -497,19 +509,9 @@ class Scalar:
             return self.inv() ** (-n)
         f = self.field
         if f.kind == RATIONAL_FUNCTIONS:
-            num, den = self.value
-            if num and not any(num[:-1]) and not any(den[:-1]):
-                # c q^a / q^b with min(a, b) = 0: the power is c^n q^(an) / q^(bn)
-                return Scalar(f, ((_QQ0,) * ((len(num) - 1) * n) + (num[-1] ** n,),
-                                  (_QQ0,) * ((len(den) - 1) * n) + (_QQ1,)))
-        out = f.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            # num, den coprime and den monic: so are num^n, den^n, with no gcd
+            return Scalar(f, tuple(_power(p, n, _pmul, _PONE) for p in self.value))
+        return _power(self, n, Scalar.__mul__, f.one())
 
     # -- equality ---------------------------------------------------------
 

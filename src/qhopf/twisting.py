@@ -64,9 +64,6 @@ class Twistor:
     f_inv: TensorElement
     name: str = "F"
 
-    def flip(self) -> TensorElement:
-        return self.f.swap()
-
 
 def validate_twistor(f: TensorElement, H: QuasiHopfStructure,
                      f_inv: Optional[TensorElement] = None,

@@ -11,16 +11,16 @@ order 3.  The Hopf structure used here is
     coproduct(E) = E (x) K + 1 (x) E,    coproduct(F) = F (x) 1 + K^{-1} (x) F,
     antipode(E) = -E K^{-1},             antipode(F) = -K F,
 
-with trivial coassociator and alpha = beta = 1.  The R-matrix is found by
-scanning the standard exponent conventions
+with trivial coassociator and alpha = beta = 1.  The R-matrix is chosen
+among the standard exponent conventions
 
     R = (1/3) sum_{n,i,j} (q - q^{-1})^n / [n]! *
             q^{g n(n-1)/2 + d n(i-j) + c i j}  E^n K^i (x) F^n K^j
 
-over small (g, d, c) and keeping the first candidate that satisfies the
-intertwining property and both hexagons exactly; its inverse is solved
-inside the 81-dimensional monomial span.  Everything is verified by the
-generic axiom checker before the entry is returned.
+for small (g, d, c) by ``catalog.search_r``, the catalog's one R-matrix
+search: the first candidate that intertwines the coproduct with its flip,
+has an inverse and passes the generic verifier is kept, and that
+verification is the entry's.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .catalog import CatalogEntry, _verified
-from .errors import StructureValidationError
+from .catalog import CatalogEntry, search_r
 from .graded import (
     AlgebraElement,
     GradedAlgebra,
@@ -42,7 +41,7 @@ from .graded import (
 from .quasihopf import QuasiHopfStructure
 from .representations import trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
-from .twisting import identity_twistor, invert_tensor
+from .twisting import identity_twistor
 
 C3 = FieldDescriptor.cyclotomic(3)
 
@@ -203,28 +202,6 @@ def _r_candidate(A: GradedAlgebra, red: _WordReducer,
     return TensorElement((A, A), coeffs)
 
 
-def _search_r(H: QuasiHopfStructure, red: _WordReducer
-              ) -> Tuple[TensorElement, TensorElement]:
-    A = H.algebra
-    for g, d, c in itertools.product((0, 1, 2), (1, 2, 0), (1, 2)):
-        r = _r_candidate(A, red, g, d, c)
-        if any(H.delta_t(a) * r != r * H.delta(a)
-               for a in map(A.basis_element, A.generators())):
-            continue
-        lhs = r.apply_maps([(0, H.coproduct)])
-        if lhs != r.embed((0, 2), H.legs(3)) * r.embed((1, 2), H.legs(3)):
-            continue
-        rhs = r.apply_maps([(1, H.coproduct)])
-        if rhs != r.embed((0, 2), H.legs(3)) * r.embed((0, 1), H.legs(3)):
-            continue
-        r_inv = invert_tensor(r)
-        if r_inv is None:
-            continue
-        return r, r_inv
-    raise StructureValidationError(
-        "no R-matrix convention passed the quantum-group hexagons")
-
-
 def build_small_uqsl2() -> CatalogEntry:
     A, red = _build_algebra()
     coproduct, counit, antipode = _build_maps(A, red)
@@ -233,8 +210,9 @@ def build_small_uqsl2() -> CatalogEntry:
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
         phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
         name="small-uqsl2")
-    r, r_inv = _search_r(H0, red)
-    H = _verified(H0.with_data(r=r, r_inv=r_inv))
+    H = search_r(H0, (_r_candidate(A, red, g, d, c) for g, d, c in
+                      itertools.product((0, 1, 2), (1, 2, 0), (1, 2))),
+                 "the exponent conventions (g, d, c)")
     twistors = {"identity": identity_twistor(H)}
     reps = {"trivial": trivial_representation(H.counit)}
     return CatalogEntry("small-uqsl2", H, twistors, reps,

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import qhopf
 from qhopf.cli import main
 from qhopf.structfile import load_entry
@@ -143,6 +145,50 @@ def test_casimir_quadratic(capsys):
     assert doc["c1"] == {"1": "1"}  # beta, since R^T R = 1 (x) 1
 
 
+def one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, source", [("c1", "inv:0"), ("c2", "pinv:0")])
+def test_casimir_from_an_invariant_vector(kind, source, capsys):
+    assert main(["casimir", path("sweedler-h4"), "--kind", kind,
+                 "--source", source, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["source"] == {"1": "1"} and doc["element"] == {"1": "1"}
+
+
+@pytest.mark.parametrize("source", ["inv:1", "pinv:7", "inv:-1", "pinv:x", "inv:"])
+def test_casimir_source_index_out_of_range(source, capsys):
+    assert main(["casimir", path("sweedler-h4"), "--kind", "c1",
+                 "--source", source]) == 2
+    assert one_error_line(capsys)
+
+
+def test_casimir_cm_picks_a_representation_without_rep(tmp_path, capsys):
+    assert main(["casimir", path("sweedler-h4"), "--kind", "cm", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rep"] == "regular"
+    no_regular = corrupt(tmp_path, "z2-group",
+                         lambda doc: doc["representations"].pop("regular"))
+    assert main(["casimir", no_regular, "--kind", "cm", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rep"] == "sign"  # first by name
+    no_reps = corrupt(tmp_path, "sweedler-h4",
+                      lambda doc: doc["representations"].clear())
+    assert main(["casimir", no_reps, "--kind", "cm"]) == 2
+    assert one_error_line(capsys)
+
+
+def test_casimir_text_output(capsys):
+    assert main(["casimir", path("z2-group"), "--kind", "u"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kind: u",
+        "checks: {'conjugates-antipode-squared': True, "
+        "'fixed-by-antipode-squared': True, 'two-sided-inverse': True}",
+        "element: {'g': '1'}",
+        "inverse: {'g': '1'}"]
+
+
 def test_casimir_source_required(capsys):
     assert main(["casimir", path("z2-group"), "--kind", "c1"]) == 2
 
@@ -189,6 +235,17 @@ def test_twist_z2_reports_u_invariance(capsys):
     assert u_checks[0]["element"] == {"g": "1"}
 
 
+def test_twist_text_output_with_invariance(capsys):
+    assert main(["twist", path("z2-group"), "--twistor", "pminus",
+                 "--verify-invariance"]) == 0
+    out = capsys.readouterr().out
+    rendered, summary = out.split("twist-invariance: ")
+    assert json.loads(rendered)["name"] == "z2-group-pminus"
+    lines = summary.splitlines()
+    assert lines[0] == "PASS" and "  [ok  ] u" in lines
+    assert all(line.startswith("  [ok  ] ") for line in lines[1:])
+
+
 def test_twist_unknown_twistor(capsys):
     assert main(["twist", path("z2-group"), "--twistor", "nope"]) == 2
 
@@ -207,3 +264,11 @@ def test_center_super_entry(capsys):
     assert main(["center", path("grassmann-theta"), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["even"] == [{"1": "1"}] and doc["odd"] == [{"th": "1"}]
+
+
+def test_center_text_output(capsys):
+    assert main(["center", path("grassmann-theta")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "center of grassmann-theta: dimension 2",
+        "  even: {'1': '1'}",
+        "  odd:  {'th': '1'}"]

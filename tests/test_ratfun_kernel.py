@@ -159,3 +159,16 @@ def test_equal_denominators_take_one_gcd(gcd_calls):
     total = x + y
     assert gcd_calls == [((QQ(2), QQ(2)), (QQ(1), QQ(0), QQ(1)))]  # gcd(t, d1) only
     assert total.value == RQ.parse("(2*q + 2)/(q^2 + 1)").value
+
+
+def test_powers_of_a_reduced_fraction_take_no_gcd(gcd_calls):
+    """num/den is coprime with den monic, so (num^k, den^k) is canonical."""
+    x = RQ.parse("(q + 1)/(q - 1)")
+    square = RQ.parse("(q + 1)*(q + 1)/((q - 1)*(q - 1))")
+    cube = RQ.parse("(q + 1)*(q + 1)*(q + 1)/((q - 1)*(q - 1)*(q - 1))")
+    gcd_calls.clear()
+    powers = x ** 2, x ** 3
+    assert gcd_calls == []
+    assert [p.value for p in powers] == [square.value, cube.value]
+    for p in powers:
+        assert_canonical(p)

@@ -176,6 +176,21 @@ def test_large_monomial_powers_are_fast_and_exact(sign):
     assert x == y and str(x) == str(y) == f"q^{sign * 1000}"
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_powers_match_repeated_products(field):
+    pool = elements(field)
+    if field is RQ:
+        pool.append(RQ.parse("(q + 1)/(q - 1)"))
+    for x in pool:
+        for n in range(-3, 6):
+            if n < 0 and x.is_zero():
+                continue
+            y = field.one()
+            for _ in range(abs(n)):
+                y = y * (x if n > 0 else x.inv())
+            assert x ** n == y and str(x ** n) == str(y)
+
+
 def test_monomial_powers_match_repeated_products():
     for text in ("3*q^-2", "-q", "1/2*q^3", "-2/3"):
         x = parse_scalar(text, RQ)
