@@ -86,15 +86,8 @@ def make_algebra(labels: Sequence[str], parity: Sequence[int], unit: str,
 
 def make_coproduct(A: GradedAlgebra,
                    table: Dict[str, List[Tuple[str, str, Union[int, Scalar]]]]) -> LinearMap:
-    images = []
-    for lab in A.labels:
-        coeffs = {}
-        for k1, k2, c in table[lab]:
-            s = c if isinstance(c, Scalar) else A.field.from_int(c)
-            key = (A.index_of(k1), A.index_of(k2))
-            coeffs[key] = coeffs.get(key, A.field.zero()) + s
-        images.append(TensorElement((A, A), coeffs))
-    return LinearMap(A, (A, A), images, name="coproduct")
+    return LinearMap(A, (A, A), [tensor_from(A, table[lab]) for lab in A.labels],
+                     name="coproduct")
 
 
 def make_counit(A: GradedAlgebra, table: Dict[str, Union[int, Scalar]]) -> LinearMap:
@@ -115,14 +108,9 @@ def make_antipode(A: GradedAlgebra,
 def tensor_from(A: GradedAlgebra,
                 entries: List[Tuple]) -> TensorElement:
     """entries: tuples of basis labels followed by a coefficient."""
-    coeffs = {}
-    rank = len(entries[0]) - 1
-    for entry in entries:
-        *labs, c = entry
-        s = c if isinstance(c, Scalar) else A.field.from_rational(QQ(c))
-        key = tuple(A.index_of(l) for l in labs)
-        coeffs[key] = coeffs.get(key, A.field.zero()) + s
-    return TensorElement((A,) * rank, coeffs)
+    return TensorElement.from_terms((A,) * (len(entries[0]) - 1), (
+        (tuple(A.index_of(l) for l in labs),
+         c if isinstance(c, Scalar) else A.field.from_rational(QQ(c))) for *labs, c in entries))
 
 
 def _verified(H: QuasiHopfStructure) -> QuasiHopfStructure:
@@ -133,15 +121,17 @@ def search_r(H: QuasiHopfStructure, candidates: Iterable[TensorElement],
              what: str) -> QuasiHopfStructure:
     """H with the first candidate R that intertwines the coproduct with its
     flip on the generators (the one R axiom that needs no inverse), has an
-    inverse and passes ``verify_structure``, which is the entry's verification."""
+    inverse and passes ``verify_structure``, which is the entry's verification.
+    The R-free reports run once, on H without R; each candidate inherits them."""
     A = H.algebra
     gens = [A.basis_element(i) for i in A.generators()]
+    bare = H.with_data(r=None, r_inv=None)
     for r in candidates:
         if any(H.delta_t(a) * r != r * H.delta(a) for a in gens):
             continue
         r_inv = invert_tensor(r)
         if r_inv is not None:
-            candidate = H.with_data(r=r, r_inv=r_inv)
+            candidate = bare.with_r(r, r_inv)
             if verify_structure(candidate).passed:
                 return candidate
     raise StructureValidationError(

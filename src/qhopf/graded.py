@@ -11,6 +11,10 @@ graded tensor product rule
 extended to arbitrary ranks.  Tensor legs may live over different graded
 algebras; this is how matrix-valued legs (a representation applied to one
 leg) are supported without a second sign calculus.
+
+Coefficients are ``Scalar`` objects; the kernels compute on their raw
+payloads with the field's payload table and wrap each nonzero sum into a
+``Scalar`` once (``_collect``), with no second pass for zeros.
 """
 
 from __future__ import annotations
@@ -35,6 +39,26 @@ Key = Tuple[int, ...]
 
 def _clean(coeffs: Mapping) -> dict:
     return {k: v for k, v in coeffs.items() if not v.is_zero()}
+
+
+def _collect(field: FieldDescriptor, terms) -> dict:
+    """Sum payload terms (key, value) per key with the field's payload
+    operations and wrap each nonzero sum into a Scalar once."""
+    add, acc = field.ops.add, {}
+    for key, v in terms:
+        s = acc.get(key)
+        acc[key] = v if s is None else add(s, v)
+    is_zero = field.ops.is_zero
+    return {k: Scalar(field, v) for k, v in acc.items() if not is_zero(v)}
+
+
+def _expand(mul: Callable, coeff, factors: Sequence[Mapping[int, Scalar]]) -> list:
+    """The payload terms (key, value) of coeff times the tensor product of
+    the factors, each a dict from basis index to Scalar."""
+    terms = [((), coeff)]
+    for f in factors:
+        terms = [(key + (k,), mul(c, e.value)) for key, c in terms for k, e in f.items()]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +139,10 @@ class BaseAlgebra:
         raise NotImplementedError
 
     def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, {i: self.field.one()})
+        return AlgebraElement(self, {i: self.field.one()}, False)
 
     def unit(self) -> "AlgebraElement":
-        return AlgebraElement(self, dict(self.unit_coeffs))
+        return AlgebraElement(self, dict(self.unit_coeffs), False)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
@@ -130,7 +154,7 @@ class BaseAlgebra:
             s = v if isinstance(v, Scalar) else self.field.from_int(v)
             if not s.is_zero():
                 out[idx] = out.get(idx, self.field.zero()) + s
-        return AlgebraElement(self, _clean(out))
+        return AlgebraElement(self, out)
 
     def index_of(self, label: str) -> int:
         try:
@@ -176,12 +200,16 @@ class GradedAlgebra(BaseAlgebra):
                 raise StructureValidationError(
                     f"unit law fails at basis element {self.labels[i]}")
         # the a with (a x) y = a (x y) for all x, y form a subalgebra
-        e = [self.basis_element(i) for i in range(d)]
+        table, mul, neg = self._mul, self.field.ops.mul, self.field.ops.neg
 
-        def ex(i, j):
-            return AlgebraElement(self, self.mul_basis(i, j))
-        require(quantify(self, lambda i, j, l: ex(i, j) * e[l] - e[i] * ex(j, l), 3, True),
-                StructureValidationError, "associativity fails at {}")
+        def assoc(i, j, l):  # (e_i e_j) e_l - e_i (e_j e_l), straight from the table
+            left = ((m, mul(c.value, e.value)) for k, c in table.get((i, j), {}).items()
+                    for m, e in table.get((k, l), {}).items())
+            right = ((m, neg(mul(c.value, e.value))) for k, c in table.get((j, l), {}).items()
+                     for m, e in table.get((i, k), {}).items())
+            return AlgebraElement(self, _collect(self.field, itertools.chain(left, right)), False)
+        require(quantify(self, assoc, 3, True), StructureValidationError,
+                "associativity fails at {}")
 
     def __eq__(self, other):
         if self is other:
@@ -256,8 +284,9 @@ class _Sparse:
         self._check(other)
         acc = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = acc.get(k)
-            acc[k] = c if s is None else s + c
+            acc[k] = acc[k] + c if k in acc else c
+            if acc[k].is_zero():
+                del acc[k]
         return self._like(acc)
 
     def __neg__(self):
@@ -271,7 +300,8 @@ class _Sparse:
             s = self.field.from_int(s)
         if s.is_zero():
             return self._like({})
-        return self._like({k: s * c for k, c in self.coeffs.items()})
+        f, v, mul = s.field, s.value, s.field.ops.mul
+        return self._like({k: Scalar(f, mul(v, c.value)) for k, c in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -284,16 +314,16 @@ class AlgebraElement(_Sparse):
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: BaseAlgebra, coeffs: Mapping[int, Scalar]):
+    def __init__(self, algebra: BaseAlgebra, coeffs: Mapping[int, Scalar], clean=True):
         self.algebra = algebra
-        self.coeffs = _clean(coeffs)
+        self.coeffs = _clean(coeffs) if clean else coeffs  # kernels pass nonzero sums
 
     @property
     def field(self) -> FieldDescriptor:
         return self.algebra.field
 
     def _like(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, coeffs)
+        return AlgebraElement(self.algebra, coeffs, False)
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements (zero counts as even), else None."""
@@ -326,16 +356,10 @@ class AlgebraElement(_Sparse):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        acc: Dict[int, Scalar] = {}
-        for i, c in self.coeffs.items():
-            for j, d in other.coeffs.items():
-                prods = alg.mul_basis(i, j)
-                if prods:
-                    cd = c * d
-                    for k, e in prods.items():
-                        s = acc.get(k)
-                        acc[k] = cd * e if s is None else s + cd * e
-        return AlgebraElement(alg, acc)
+        mul = alg.field.ops.mul
+        return AlgebraElement(alg, _collect(alg.field, (
+            (k, mul(mul(c.value, d.value), e.value)) for i, c in self.coeffs.items()
+            for j, d in other.coeffs.items() for k, e in alg.mul_basis(i, j).items())), False)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -365,9 +389,9 @@ class TensorElement(_Sparse):
 
     __slots__ = ("legs", "coeffs")
 
-    def __init__(self, legs: Sequence[BaseAlgebra], coeffs: Mapping[Key, Scalar]):
+    def __init__(self, legs: Sequence[BaseAlgebra], coeffs: Mapping[Key, Scalar], clean=True):
         self.legs = tuple(legs)
-        self.coeffs = _clean(coeffs)
+        self.coeffs = _clean(coeffs) if clean else coeffs  # kernels pass nonzero sums
 
     @property
     def rank(self) -> int:
@@ -384,17 +408,16 @@ class TensorElement(_Sparse):
         return TensorElement.of(*(leg.unit() for leg in legs))
 
     @staticmethod
+    def from_terms(legs: Sequence[BaseAlgebra], terms) -> "TensorElement":
+        """The sum of (key, Scalar) terms, in which a key may repeat."""
+        return TensorElement(legs, _collect(legs[0].field, ((k, s.value) for k, s in terms)), False)
+
+    @staticmethod
     def of(*factors: AlgebraElement) -> "TensorElement":
         """The plain tensor product a1 (x) a2 (x) ... of elements."""
-        legs = tuple(f.algebra for f in factors)
-        acc: Dict[Key, Scalar] = {(): factors[0].algebra.field.one()}
-        for f in factors:
-            nxt: Dict[Key, Scalar] = {}
-            for key, c in acc.items():
-                for i, d in f.coeffs.items():
-                    nxt[key + (i,)] = c * d
-            acc = nxt
-        return TensorElement(legs, acc)
+        field = factors[0].algebra.field
+        return TensorElement(tuple(f.algebra for f in factors), _collect(field, _expand(
+            field.ops.mul, field.ops.one, [f.coeffs for f in factors])), False)
 
     def key_parity(self, key: Key) -> int:
         return sum(self.legs[t].parity[key[t]] for t in range(len(key))) % 2
@@ -412,7 +435,7 @@ class TensorElement(_Sparse):
                 raise BasisMismatchError("tensor legs over different algebras")
 
     def _like(self, coeffs) -> "TensorElement":
-        return TensorElement(self.legs, coeffs)
+        return TensorElement(self.legs, coeffs, False)
 
     # -- graded product ------------------------------------------------------
 
@@ -425,28 +448,24 @@ class TensorElement(_Sparse):
         r = self.rank
         legs = self.legs
         parities = [leg.parity for leg in legs]
-        acc: Dict[Key, Scalar] = {}
-        for kx, cx in self.coeffs.items():
-            # suffix[i] = parity(K_{i+1}) + ... + parity(K_{r-1})
-            suffix = [0] * (r + 1)
-            for t in range(r - 1, -1, -1):
-                suffix[t] = suffix[t + 1] + parities[t][kx[t]]
-            for ky, cy in other.coeffs.items():
-                # look the leg products up first: most pairs of matrix units vanish
-                prods = [legs[t].mul_basis(kx[t], ky[t]) for t in range(r)]
-                if not all(prods):
-                    continue
-                coeff = cx * cy
-                if sum(parities[t][ky[t]] * suffix[t + 1] for t in range(r)) % 2:
-                    coeff = -coeff
-                partial: Dict[Key, Scalar] = {(): coeff}
-                for p in prods:
-                    partial = {key + (k,): c * e for key, c in partial.items()
-                               for k, e in p.items()}
-                for key, c in partial.items():
-                    s = acc.get(key)
-                    acc[key] = c if s is None else s + c
-        return TensorElement(legs, acc)
+        mul, neg = legs[0].field.ops.mul, legs[0].field.ops.neg
+
+        def terms():
+            for kx, cx in self.coeffs.items():
+                # suffix[i] = parity(K_{i+1}) + ... + parity(K_{r-1})
+                suffix = [0] * (r + 1)
+                for t in range(r - 1, -1, -1):
+                    suffix[t] = suffix[t + 1] + parities[t][kx[t]]
+                for ky, cy in other.coeffs.items():
+                    # look the leg products up first: most pairs of matrix units vanish
+                    prods = [legs[t].mul_basis(kx[t], ky[t]) for t in range(r)]
+                    if not all(prods):
+                        continue
+                    coeff = mul(cx.value, cy.value)
+                    if sum(parities[t][ky[t]] * suffix[t + 1] for t in range(r)) % 2:
+                        coeff = neg(coeff)
+                    yield from _expand(mul, coeff, prods)
+        return TensorElement(legs, _collect(legs[0].field, terms()), False)
 
     # -- permutations ---------------------------------------------------------
 
@@ -467,11 +486,8 @@ class TensorElement(_Sparse):
                     if perm[a] > perm[b]:
                         exp += parities[perm[a]][key[perm[a]]] * \
                                parities[perm[b]][key[perm[b]]]
-            newkey = tuple(key[p] for p in perm)
-            val = -c if exp % 2 else c
-            s = acc.get(newkey)
-            acc[newkey] = val if s is None else s + val
-        return TensorElement(legs, acc)
+            acc[tuple(key[p] for p in perm)] = -c if exp % 2 else c  # keys stay distinct
+        return TensorElement(legs, acc, False)
 
     def swap(self) -> "TensorElement":
         """The graded twist on a rank-2 tensor."""
@@ -489,15 +505,10 @@ class TensorElement(_Sparse):
         a, b = self.legs[i], self.legs[j]
         if a is not b and a != b:
             raise BasisMismatchError("merged legs must share one algebra")
-        legs = self.legs[:i] + self.legs[i + 1:]
-        acc: Dict[Key, Scalar] = {}
-        for key, c in self.coeffs.items():
-            for k, e in a.mul_basis(key[i], key[j]).items():
-                newkey = key[:i] + (k,) + key[j + 1:]
-                ce = c * e
-                s = acc.get(newkey)
-                acc[newkey] = ce if s is None else s + ce
-        return TensorElement(legs, acc)
+        mul = a.field.ops.mul
+        return TensorElement(self.legs[:i] + self.legs[i + 1:], _collect(a.field, (
+            (key[:i] + (k,) + key[j + 1:], mul(c.value, e.value)) for key, c in self.coeffs.items()
+            for k, e in a.mul_basis(key[i], key[j]).items())), False)
 
     def merge_all(self) -> AlgebraElement:
         """Collapse all legs with the product map, left to right."""
@@ -523,15 +534,11 @@ class TensorElement(_Sparse):
             if m.source is not src and m.source != src:
                 raise BasisMismatchError("map source does not match the leg algebra")
             legs = out.legs[:leg] + m.target_legs + out.legs[leg + 1:]
-            acc: Dict[Key, Scalar] = {}
-            for key, c in out.coeffs.items():
-                img = m.images[key[leg]]
-                for ikey, d in img.coeffs.items():
-                    newkey = key[:leg] + ikey + key[leg + 1:]
-                    cd = c * d
-                    s = acc.get(newkey)
-                    acc[newkey] = cd if s is None else s + cd
-            out = TensorElement(legs, acc)
+            mul, images = src.field.ops.mul, m.images
+            out = TensorElement(legs, _collect(src.field, (
+                (key[:leg] + ikey + key[leg + 1:], mul(c.value, d.value))
+                for key, c in out.coeffs.items()
+                for ikey, d in images[key[leg]].coeffs.items())), False)
         return out
 
     # -- embedding ----------------------------------------------------------------
@@ -549,30 +556,19 @@ class TensorElement(_Sparse):
             if legs[s] is not self.legs[t] and legs[s] != self.legs[t]:
                 raise BasisMismatchError("slot algebra does not match tensor leg")
         slot_of = {s: t for t, s in enumerate(slots)}
-        acc: Dict[Key, Scalar] = {}
-        for key, c in self.coeffs.items():
-            partial: Dict[Key, Scalar] = {(): c}
-            for pos in range(len(legs)):
-                nxt: Dict[Key, Scalar] = {}
-                if pos in slot_of:
-                    for pkey, pc in partial.items():
-                        nxt[pkey + (key[slot_of[pos]],)] = pc
-                else:
-                    for pkey, pc in partial.items():
-                        for i, u in legs[pos].unit_coeffs.items():
-                            nxt[pkey + (i,)] = pc * u
-                partial = nxt
-            for k, v in partial.items():
-                s = acc.get(k)
-                acc[k] = v if s is None else s + v
-        return TensorElement(legs, acc)
+        field = legs[0].field
+        mul, one = field.ops.mul, field.one()
+        terms = (term for key, c in self.coeffs.items() for term in _expand(mul, c.value, [
+            {key[slot_of[pos]]: one} if pos in slot_of else leg.unit_coeffs
+            for pos, leg in enumerate(legs)]))
+        return TensorElement(legs, _collect(field, terms), False)
 
     # -- conversions -----------------------------------------------------------------
 
     def as_element(self) -> AlgebraElement:
         if self.rank != 1:
             raise RankMismatchError("only rank-1 tensors convert to elements")
-        return AlgebraElement(self.legs[0], {k[0]: c for k, c in self.coeffs.items()})
+        return AlgebraElement(self.legs[0], {k[0]: c for k, c in self.coeffs.items()}, False)
 
     # -- equality ----------------------------------------------------------------------
 
@@ -631,14 +627,10 @@ class LinearMap:
         """Linear extension; rank-1 images collapse to an element, rank-0 to a scalar."""
         if x.algebra is not self.source and x.algebra != self.source:
             raise BasisMismatchError("element does not belong to the map's source")
-        legs = self.target_legs
-        acc: Dict[Key, Scalar] = {}
-        for i, c in x.coeffs.items():
-            for key, d in self.images[i].coeffs.items():
-                cd = c * d
-                s = acc.get(key)
-                acc[key] = cd if s is None else s + cd
-        out = TensorElement(legs, acc)
+        field, images, mul = self.source.field, self.images, self.source.field.ops.mul
+        out = TensorElement(self.target_legs, _collect(field, (
+            (key, mul(c.value, d.value))
+            for i, c in x.coeffs.items() for key, d in images[i].coeffs.items())), False)
         if self.target_rank == 1:
             return out.as_element()
         if self.target_rank == 0:

@@ -32,32 +32,39 @@ def rows_of(columns: Sequence[Mapping[Hashable, Scalar]]) -> List[Row]:
 def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], List[int]]:
     """Reduced row echelon form; pivots are taken in the columns below
     ``cols`` and entries at or beyond it are carried along.  Returns the
-    nonzero reduced rows in pivot order and their pivot columns."""
-    pending = [r for r in ({k: v for k, v in row.items() if not v.is_zero()}
+    nonzero reduced rows in pivot order and their pivot columns.  The
+    elimination runs on payloads; a pivot equal to one is not inverted."""
+    field = next((v.field for row in rows for v in row.values()), None)
+    if field is None:
+        return [], []
+    ops = field.ops
+    add, mul, neg, is_zero = ops.add, ops.mul, ops.neg, ops.is_zero
+    pending = [r for r in ({k: v.value for k, v in row.items() if not is_zero(v.value)}
                            for row in rows) if r]
-    reduced: List[Row] = []
+    reduced: List[dict] = []  # rows of payloads until the end
     pivots: List[int] = []
     for c in range(cols):
         candidates = [r for r in pending if c in r]
         if not candidates:
             continue
         chosen = min(candidates, key=len)
-        inv = chosen[c].inv()
-        pivot = {k: v * inv for k, v in chosen.items()}
+        inv = ops.inv(chosen[c])
+        pivot = chosen if inv == ops.one else {k: mul(v, inv) for k, v in chosen.items()}
         for row in reduced + candidates:
             f = row.get(c)
             if f is None or row is chosen:
                 continue
+            f = neg(f)
             for k, v in pivot.items():
-                x = row[k] - f * v if k in row else -(f * v)
-                if x.is_zero():
+                x = add(row[k], mul(f, v)) if k in row else mul(f, v)
+                if is_zero(x):
                     del row[k]
                 else:
                     row[k] = x
         pending = [r for r in pending if r and c not in r]  # drops chosen
         reduced.append(pivot)
         pivots.append(c)
-    return reduced, pivots
+    return [{k: Scalar(field, v) for k, v in row.items()} for row in reduced], pivots
 
 
 def nullspace(rows: Sequence[Mapping[int, Scalar]], cols: int,

@@ -213,6 +213,14 @@ class QuasiHopfStructure:
     def with_data(self, **kw) -> "QuasiHopfStructure":
         return replace(self, **kw)
 
+    def with_r(self, r: TensorElement, r_inv: TensorElement) -> "QuasiHopfStructure":
+        """A copy with R; made from a structure without R, it inherits its memo."""
+        copy = self.with_data(r=r, r_inv=r_inv)
+        if self.r is None:
+            r_free_reports(self)  # computed once, for every copy
+            copy._derived.update(self._derived)  # none of its values reads R
+        return copy
+
     def __eq__(self, other):
         if not isinstance(other, QuasiHopfStructure):
             return NotImplemented
@@ -456,11 +464,17 @@ def require_verified(H: QuasiHopfStructure, what: str,
     return H
 
 
+@memoized
+def r_free_reports(H: QuasiHopfStructure) -> Tuple[AxiomReport, AxiomReport]:
+    """The quasi-bialgebra and antipode reports, which do not read R."""
+    return verify_quasi_bialgebra(H), verify_antipode_axioms(H)
+
+
 def verify_structure(H: QuasiHopfStructure) -> AxiomReport:
     """Run every verifier that applies; never short-circuits on failure."""
     report = AxiomReport(f"{H.name or 'structure'}:all")
-    report.extend(verify_quasi_bialgebra(H))
-    report.extend(verify_antipode_axioms(H))
+    for part in r_free_reports(H):
+        report.extend(part)
     if H.r is not None:
         report.extend(verify_quasitriangular(H))
         report.extend(verify_quasi_ybe(H))

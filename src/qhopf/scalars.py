@@ -30,6 +30,11 @@ every identity check downstream reduces to "is this payload empty/zero".
 A constant hashes as its rational value in every field, so a scalar
 agrees with ``int`` and ``Fraction`` under both ``==`` and ``hash``.
 
+Each descriptor builds one table of payload operations on first use,
+``FieldDescriptor.ops`` (add, mul, neg, is_zero, one, inv): ``Scalar``'s
+arithmetic looks them up, and the kernels of graded.py and linalg.py call
+them on payloads directly.  ``mul`` never multiplies by a factor equal to one.
+
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
 '5/6'
@@ -41,6 +46,8 @@ agrees with ``int`` and ``Fraction`` under both ``==`` and ``hash``.
 from __future__ import annotations
 
 import functools
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -87,9 +94,10 @@ def _pmul(a: Poly, b: Poly) -> Poly:
         c = b[0]
         return a if c == 1 else tuple(c * x for x in a)
     out = [_QQ0] * (len(a) + len(b) - 1)
+    nonzero = [(j, d) for j, d in enumerate(b) if d]  # zeros skipped in both factors
     for i, c in enumerate(a):
         if c:
-            for j, d in enumerate(b):
+            for j, d in nonzero:
                 out[i + j] += c * d
     return _ptrim(out)
 
@@ -311,6 +319,9 @@ MAX_ORDER = 360  # largest cyclotomic order n; bounds the work a field can cost
 RATIONAL_FUNCTIONS = "rational-functions"
 
 
+PayloadOps = namedtuple("PayloadOps", "add mul neg is_zero one inv")
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     """Selects one of the supported exact coefficient fields."""
@@ -348,6 +359,26 @@ class FieldDescriptor:
     def rational_functions(cls, indeterminate: str = "q") -> "FieldDescriptor":
         return cls(RATIONAL_FUNCTIONS, indeterminate=indeterminate)
 
+    @functools.cached_property
+    def ops(self) -> PayloadOps:
+        """The field's payload operations, built once per descriptor.  ``mul``
+        passes a factor equal to ``one`` through, and ``inv`` returns it."""
+        if self.kind == RATIONALS:
+            one, add, mul, inv = _QQ1, operator.add, operator.mul, _QQ1.__truediv__
+            neg, is_zero = operator.neg, operator.not_
+        else:  # both payloads are (numerators, denominator), zero has no numerators
+            neg, is_zero = lambda v: (tuple(-c for c in v[0]), v[1]), lambda v: not v[0]
+            if self.kind == CYCLOTOMIC:
+                n, one, add = self.order, ((1,), 1), _cadd
+                mul, inv = lambda a, b: _cmul(a, b, n), lambda a: _cinv(a, n)
+            else:  # an inverse is (den, num), coprime already, over num's leading coefficient
+                one, add, mul = (_PONE, _PONE), _radd, _rmul
+                inv = lambda v: tuple(tuple(c / v[0][-1] for c in p) for p in v[::-1])
+
+        unit = 1 if self.kind == RATIONALS else one  # Fraction == int is its fast path
+        return PayloadOps(add, lambda a, b: b if a == unit else a if b == unit else mul(a, b),
+                          neg, is_zero, one, lambda a: a if a == unit else inv(a))
+
     @property
     def modulus(self) -> Poly:
         assert self.kind == CYCLOTOMIC
@@ -367,7 +398,7 @@ class FieldDescriptor:
         return self.from_int(0)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return Scalar(self, self.ops.one)
 
     def from_int(self, n: int) -> "Scalar":
         return self.from_rational(QQ(n))
@@ -420,11 +451,9 @@ class Scalar:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.kind == RATIONALS:
-            return self.value == 0
-        return not self.value[0]
+        return self.field.ops.is_zero(self.value)
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic: lookups in the field's payload table ---------------------
 
     def _coerce(self, other) -> "Scalar":
         if other.__class__ is Scalar and other.field is self.field:
@@ -442,30 +471,16 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        if f.kind == RATIONALS:
-            return Scalar(f, self.value + other.value)
-        if f.kind == CYCLOTOMIC:
-            return Scalar(f, _cadd(self.value, other.value))
-        return Scalar(f, _radd(self.value, other.value))
+        return Scalar(self.field, self.field.ops.add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        if f.kind == RATIONALS:
-            return Scalar(f, -self.value)
-        if f.kind == CYCLOTOMIC:
-            nums, den = self.value
-            return Scalar(f, (tuple(-c for c in nums), den))
-        n, d = self.value
-        return Scalar(f, (tuple(-c for c in n), d))
+        return Scalar(self.field, self.field.ops.neg(self.value))
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -474,12 +489,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        if f.kind == RATIONALS:
-            return Scalar(f, self.value * other.value)
-        if f.kind == CYCLOTOMIC:
-            return Scalar(f, _cmul(self.value, other.value, f.order))
-        return Scalar(f, _rmul(self.value, other.value))
+        return Scalar(self.field, self.field.ops.mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -487,19 +497,11 @@ class Scalar:
         """Multiplicative inverse; raises :class:`NotInvertibleError` at zero."""
         if self.is_zero():
             raise NotInvertibleError("not invertible: zero scalar")
-        f = self.field
-        if f.kind == RATIONALS:
-            return Scalar(f, 1 / self.value)
-        if f.kind == CYCLOTOMIC:
-            return Scalar(f, _cinv(self.value, f.order))
-        n, d = self.value  # coprime already: rescale by n's leading coefficient
-        return Scalar(f, (tuple(c / n[-1] for c in d), tuple(c / n[-1] for c in n)))
+        return Scalar(self.field, self.field.ops.inv(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
+        return other if other is NotImplemented else self * other.inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other

@@ -226,12 +226,9 @@ def _parse_field(d: dict) -> FieldDescriptor:
 
 
 def _parse_tensor(rows, A: GradedAlgebra, rank: int) -> TensorElement:
-    coeffs = {}
-    for *labs, text in rows:
-        key = tuple(A.index_of(lab) for lab in labs)
-        s = parse_scalar(text, A.field)
-        coeffs[key] = coeffs.get(key, A.field.zero()) + s
-    return TensorElement((A,) * rank, coeffs)
+    return TensorElement.from_terms((A,) * rank, (
+        (tuple(A.index_of(lab) for lab in labs), parse_scalar(text, A.field))
+        for *labs, text in rows))
 
 
 def _parse_element(d: Dict[str, str], A: GradedAlgebra) -> AlgebraElement:

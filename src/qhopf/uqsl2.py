@@ -188,18 +188,16 @@ def _r_candidate(A: GradedAlgebra, red: _WordReducer,
                  g: int, d: int, c: int) -> TensorElement:
     q = red.q
     third = C3.from_rational(QQ(1, 3))
-    coeffs: Dict[Tuple[int, int], Scalar] = {}
     qfact = [C3.one(), C3.one(), -C3.one()]  # [0]!, [1]!, [2]! at q = z
+    terms = []
     for n in range(3):
         base = ((q - q.inv()) ** n) * qfact[n].inv() * q ** (g * (n * (n - 1) // 2))
         for i in range(3):
             for j in range(3):
-                coeff = third * base * q ** (d * n * (i - j) + c * i * j)
-                left = A.index_of(_monomial_label(n, 0, i))
-                right = A.index_of(_monomial_label(0, n, j))
-                key = (left, right)
-                coeffs[key] = coeffs.get(key, C3.zero()) + coeff
-    return TensorElement((A, A), coeffs)
+                terms.append(((A.index_of(_monomial_label(n, 0, i)),
+                               A.index_of(_monomial_label(0, n, j))),
+                              third * base * q ** (d * n * (i - j) + c * i * j)))
+    return TensorElement.from_terms((A, A), terms)
 
 
 def build_small_uqsl2() -> CatalogEntry:

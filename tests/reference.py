@@ -16,3 +16,93 @@ def _mat_mul(a, b, field):
                 if not b[t][j].is_zero():
                     out[i][j] = out[i][j] + c * b[t][j]
     return out
+
+
+# -- term-by-term Scalar arithmetic for the sparse kernels ----------------------------
+#
+# Each function below sums one Scalar product per term into a dict and drops
+# the zero sums at the end, so the payload kernels of graded.py and linalg.py
+# can be checked against plain field arithmetic.
+
+
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def _add(acc, key, c):
+    acc[key] = acc[key] + c if key in acc else c
+
+
+def graded_product(x, y):
+    """Coefficients of the tensor product x y.  The sign of a term with keys
+    K (left) and L (right) is (-1)^(sum over i < j of [L_i][K_j])."""
+    legs, out = x.legs, {}
+    for kx, cx in x.coeffs.items():
+        for ky, cy in y.coeffs.items():
+            sign = sum(legs[i].parity[ky[i]] * legs[j].parity[kx[j]]
+                       for i in range(len(legs)) for j in range(i + 1, len(legs)))
+            terms = {(): cx * cy * (-1) ** sign}
+            for t, leg in enumerate(legs):
+                terms = {key + (k,): c * e for key, c in terms.items()
+                         for k, e in leg.mul_basis(kx[t], ky[t]).items()}
+            for key, c in terms.items():
+                _add(out, key, c)
+    return _nonzero(out)
+
+
+def element_product(x, y):
+    """Coefficients of the algebra product x y."""
+    out = {}
+    for i, c in x.coeffs.items():
+        for j, d in y.coeffs.items():
+            for k, e in x.algebra.mul_basis(i, j).items():
+                _add(out, k, c * d * e)
+    return _nonzero(out)
+
+
+def merged(t, i):
+    """Coefficients of t with legs i and i + 1 multiplied together."""
+    out = {}
+    for key, c in t.coeffs.items():
+        for k, e in t.legs[i].mul_basis(key[i], key[i + 1]).items():
+            _add(out, key[:i] + (k,) + key[i + 2:], c * e)
+    return _nonzero(out)
+
+
+def mapped(t, leg, m):
+    """Coefficients of t with the linear map m applied to one leg."""
+    out = {}
+    for key, c in t.coeffs.items():
+        for ikey, d in m.images[key[leg]].coeffs.items():
+            _add(out, key[:leg] + ikey + key[leg + 1:], c * d)
+    return _nonzero(out)
+
+
+def linear_image(m, x):
+    """Coefficients of m(x) = sum of x_i m(e_i), keyed like the image tensors."""
+    out = {}
+    for i, c in x.coeffs.items():
+        for key, d in m.images[i].coeffs.items():
+            _add(out, key, c * d)
+    return _nonzero(out)
+
+
+def dense_rref(rows, cols, field):
+    """Gauss-Jordan on dense rows of width cols, pivoting on the first nonzero
+    entry; returns the nonzero reduced rows and their pivot columns."""
+    m = [[row.get(j, field.zero()) for j in range(cols)] for row in rows]
+    pivots, r = [], 0
+    for c in range(cols):
+        p = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = m[r][c].inv()
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots

@@ -103,3 +103,19 @@ def test_a_built_entry_is_verified_once(name, rejected_at_verification, monkeypa
     assert entry.structure.r == load_builtin(name).structure.r
     assert [H for H in verified if H is entry.structure] == [entry.structure]
     assert len(verified) == 1 + rejected_at_verification
+
+
+def test_the_r_free_reports_run_once_per_search(monkeypatch):
+    """sweedler-h4 verifies two candidates, but its quasi-bialgebra and
+    antipode reports do not read R: they run once, on the entry without R."""
+    calls = []
+    for name in ("verify_quasi_bialgebra", "verify_antipode_axioms",
+                 "verify_quasitriangular"):
+        original = getattr(quasihopf, name)
+        monkeypatch.setattr(quasihopf, name, lambda H, f=original, n=name:
+                            calls.append((n, H.r is None)) or f(H))
+    entry = catalog._load.__wrapped__("sweedler-h4")
+    assert calls == [("verify_quasi_bialgebra", True), ("verify_antipode_axioms", True),
+                     ("verify_quasitriangular", False), ("verify_quasitriangular", False)]
+    assert quasihopf.verify_structure(entry.structure).passed
+    assert calls[4:] == [("verify_quasitriangular", False)]  # its memo holds the rest
