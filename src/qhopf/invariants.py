@@ -12,7 +12,9 @@ End(V (+) W) legs, where the graded tensor product supplies every sign.
 A condition "for all a" is imposed for the generators a only: commuting
 with a is closed under products, and so is invariance under the actions
 once ``quasihopf._closed`` holds.  The reduced system has the same kernel,
-hence the same echelon basis.
+hence the same echelon basis.  For linear forms one row system per action,
+memoised per structure, gives both the form spaces (its kernel) and the
+membership tests (a form annihilates every row).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError, StructureValidationError
 from .graded import AlgebraElement, LinearMap, TensorElement, centralizes, require
-from .linalg import nullspace, rows_of
+from .linalg import Row, nullspace, rows_of
 from .quasihopf import QuasiHopfStructure, _closed, condition_rows, memoized
 from .representations import Matrix, Representation, direct_sum
 from .scalars import Scalar
@@ -158,32 +160,40 @@ def center(H: QuasiHopfStructure) -> GradedSubspace:
 # linear forms
 
 
-def _form_nullspace(H: QuasiHopfStructure, action) -> List[LinearForm]:
+@memoized
+def _form_rows(H: QuasiHopfStructure, action) -> List[Row]:
+    """Rows xi(action(a, e_j)) - eps(a) xi(e_j) for the quantified a and every
+    j: a form is fixed by the action iff it annihilates all of them."""
     A = H.algebra
     rows = []
     for i in _domain(H, _closed(H)):
         eps_a = H.eps(A.basis_element(i))
         for j in range(A.dim):
-            row = dict(action(A.basis_element(i), A.basis_element(j)).coeffs)
+            row = dict(action(H, A.basis_element(i), A.basis_element(j)).coeffs)
             row[j] = row.get(j, A.field.zero()) - eps_a
             rows.append(row)
-    return [LinearForm(H, tuple(vec)) for vec in nullspace(rows, A.dim, A.field)]
+    return rows
+
+
+def _fixed_forms(H: QuasiHopfStructure, action) -> List[LinearForm]:
+    A = H.algebra
+    return [LinearForm(H, tuple(vec))
+            for vec in nullspace(_form_rows(H, action), A.dim, A.field)]
+
+
+def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearForm) -> bool:
+    zero = H.algebra.field.zero()
+    return all(sum((c * xi.values[k] for k, c in row.items()), zero).is_zero()
+               for row in _form_rows(H, action))
 
 
 def invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearForm]:
     """Forms with xi(Ad a . b) = eps(a) xi(b) for all a, b."""
-    return _form_nullspace(H, lambda a, b: adjoint_action(H, a, b))
+    return _fixed_forms(H, adjoint_action)
 
 
 def pseudo_invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearForm]:
-    return _form_nullspace(H, lambda a, b: anti_adjoint_action(H, a, b))
-
-
-def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearForm) -> bool:
-    A = H.algebra
-    return all(xi(action(H, A.basis_element(i), A.basis_element(j)))
-               == H.eps(A.basis_element(i)) * xi.values[j]
-               for i in _domain(H, _closed(H)) for j in range(A.dim))
+    return _fixed_forms(H, anti_adjoint_action)
 
 
 def is_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:

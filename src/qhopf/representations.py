@@ -67,6 +67,10 @@ class Representation:
 
     def _validate(self):
         A, d = self.algebra, self.dim
+        if not d or any(p not in (0, 1) for p in self.carrier_parity):
+            raise StructureValidationError(
+                f"representation {self.name or 'V'}: the carrier parities must be "
+                "a nonempty list of 0 and 1")
         if len(self.matrices) != A.dim:
             raise StructureValidationError("one matrix per basis element required")
         for idx, m in enumerate(self.matrices):

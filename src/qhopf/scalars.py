@@ -379,6 +379,15 @@ class FieldDescriptor:
         return PayloadOps(add, lambda a, b: b if a == unit else a if b == unit else mul(a, b),
                           neg, is_zero, one, lambda a: a if a == unit else inv(a))
 
+    @functools.cached_property
+    def _generator(self):
+        """The payload of ``generator()``, built once per descriptor."""
+        if self.kind == CYCLOTOMIC:
+            return _creduce([0, 1], 1, self.order)
+        if self.kind == RATIONAL_FUNCTIONS:
+            return (_QQ0, _QQ1), (_QQ1,)
+        raise ValueError("the rationals have no generator")
+
     @property
     def modulus(self) -> Poly:
         assert self.kind == CYCLOTOMIC
@@ -413,11 +422,7 @@ class FieldDescriptor:
 
     def generator(self) -> "Scalar":
         """The root of unity ``z`` or the indeterminate, as a scalar."""
-        if self.kind == CYCLOTOMIC:
-            return Scalar(self, _creduce([0, 1], 1, self.order))
-        if self.kind == RATIONAL_FUNCTIONS:
-            return Scalar(self, ((_QQ0, _QQ1), (_QQ1,)))
-        raise ValueError("the rationals have no generator")
+        return Scalar(self, self._generator)
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(text, self)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotInvertibleError, PostconditionError, StructureValidationError
-from .graded import AlgebraElement, TensorElement
+from .graded import AlgebraElement, LinearMap, TensorElement
 from .linalg import rows_of, solve_affine
 from .quasihopf import (
     AxiomReport,
@@ -107,37 +107,18 @@ def twisted_c2(H: QuasiHopfStructure, F: Twistor,
     return H.contract(F.f_inv, (0,), right=(c2,))
 
 
-def twisted_alpha(H: QuasiHopfStructure, F: Twistor) -> AlgebraElement:
-    """sum S(fbar_i) alpha fbar^i over the inverse twistor."""
-    return twisted_c2(H, F, H.alpha)
-
-
-def twisted_beta(H: QuasiHopfStructure, F: Twistor) -> AlgebraElement:
-    """sum f_i beta S(f^i) over the twistor."""
-    return twisted_c1(H, F, H.beta)
-
-
 def twist_structure(H: QuasiHopfStructure, F: Twistor,
                     verify: bool = True) -> QuasiHopfStructure:
     """The twisted quasi-Hopf structure; re-verified eagerly unless opted out."""
-    A = H.algebra
-    from .graded import LinearMap  # local to keep module imports flat
-
+    A, legs3 = H.algebra, H.legs(3)
     images = [F.f * H.delta(A.basis_element(i)) * F.f_inv for i in range(A.dim)]
     coproduct_f = LinearMap(A, (A, A), images, name="coproduct_F")
 
-    legs3 = H.legs(3)
-    f_left = F.f.embed((0, 1), legs3)
-    cop_f = F.f.apply_maps([(0, H.coproduct)])
-    cop_finv = F.f_inv.apply_maps([(1, H.coproduct)])
-    finv_right = F.f_inv.embed((1, 2), legs3)
-    phi_f = f_left * cop_f * H.phi * cop_finv * finv_right
-
-    finv_left = F.f_inv.embed((0, 1), legs3)
-    cop_finv_l = F.f_inv.apply_maps([(0, H.coproduct)])
-    cop_f_r = F.f.apply_maps([(1, H.coproduct)])
-    f_right = F.f.embed((1, 2), legs3)
-    phi_f_inv = f_right * cop_f_r * H.phi_inv * cop_finv_l * finv_left
+    def gauge(x: TensorElement, k: int) -> TensorElement:
+        """F on legs (k, k+1), (coproduct on leg k)F, x, then the inverses
+        on the mirrored legs: k = 0 gives phi_F, k = 1 with phi^{-1} its inverse."""
+        return F.f.embed((k, k + 1), legs3) * F.f.apply_maps([(k, H.coproduct)]) * x \
+            * F.f_inv.apply_maps([(1 - k, H.coproduct)]) * F.f_inv.embed((1 - k, 2 - k), legs3)
 
     r_f = r_f_inv = None
     if H.r is not None:
@@ -146,8 +127,8 @@ def twist_structure(H: QuasiHopfStructure, F: Twistor,
 
     twisted = QuasiHopfStructure(
         algebra=A, coproduct=coproduct_f, counit=H.counit, antipode=H.antipode,
-        phi=phi_f, phi_inv=phi_f_inv,
-        alpha=twisted_alpha(H, F), beta=twisted_beta(H, F),
+        phi=gauge(H.phi, 0), phi_inv=gauge(H.phi_inv, 1),
+        alpha=twisted_c2(H, F, H.alpha), beta=twisted_c1(H, F, H.beta),
         r=r_f, r_inv=r_f_inv, antipode_inv=H.antipode_inv,
         name=f"{H.name or 'structure'}^{F.name}")
     return require_verified(twisted, "twisted structure", PostconditionError) \
@@ -159,7 +140,7 @@ def check_twisted_canonical_identities(H: QuasiHopfStructure,
     """The canonical elements are recovered from their twisted versions:
     beta = sum fbar_i beta_F S(fbar^i) and alpha = sum S(f_i) alpha_F f^i."""
     report = AxiomReport(f"{H.name or 'structure'}:twisted-canonical")
-    alpha_f, beta_f = twisted_alpha(H, F), twisted_beta(H, F)
+    alpha_f, beta_f = twisted_c2(H, F, H.alpha), twisted_c1(H, F, H.beta)
 
     _run(report, "twist-beta-recovery", _tensor_eq(
         lambda: H.contract(F.f_inv, (1,), right=(beta_f,)), lambda: H.beta))

@@ -26,6 +26,7 @@ verification is the entry's.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -40,7 +41,7 @@ from .graded import (
 )
 from .quasihopf import QuasiHopfStructure
 from .representations import trivial_representation
-from .scalars import FieldDescriptor, QQ, Scalar
+from .scalars import FieldDescriptor, QQ, Scalar, _power
 from .twisting import identity_twistor
 
 C3 = FieldDescriptor.cyclotomic(3)
@@ -138,15 +139,7 @@ def _element(A: GradedAlgebra, table: Dict[Tuple[int, int, int], Scalar]) -> Alg
                               for t, c in table.items()})
 
 
-def _tensor_power(t: TensorElement, n: int, unit: TensorElement) -> TensorElement:
-    out = unit
-    for _ in range(n):
-        out = out * t
-    return out
-
-
-def _build_maps(A: GradedAlgebra, red: _WordReducer):
-    q = red.q
+def _build_maps(A: GradedAlgebra):
     E = _element(A, {(1, 0, 0): C3.one()})
     F = _element(A, {(0, 1, 0): C3.one()})
     K = _element(A, {(0, 0, 1): C3.one()})
@@ -164,20 +157,14 @@ def _build_maps(A: GradedAlgebra, red: _WordReducer):
     sF = -(K * F)
     sK = Kinv
     for a, b, c in itertools.product(range(3), repeat=3):
-        img = _tensor_power(dK, c, _tensor_power(
-            dF, b, _tensor_power(dE, a, unit2)))
-        cop_images.append(img)
+        cop_images.append(_power(dK, c, operator.mul, _power(
+            dF, b, operator.mul, _power(dE, a, operator.mul, unit2))))
         eps = C3.one() if (a == 0 and b == 0) else C3.zero()
         eps_images.append(TensorElement((), {(): eps}))
         # antihomomorphism on the ordered word: S(K)^c S(F)^b S(E)^a
-        s_el = one
-        for _ in range(c):
-            s_el = s_el * sK
-        for _ in range(b):
-            s_el = s_el * sF
-        for _ in range(a):
-            s_el = s_el * sE
-        s_images.append(TensorElement.of(s_el))
+        s_images.append(TensorElement.of(
+            _power(sE, a, operator.mul, _power(
+                sF, b, operator.mul, _power(sK, c, operator.mul, one)))))
     coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
     counit = LinearMap(A, (), eps_images, name="counit")
     antipode = LinearMap(A, (A,), s_images, name="antipode")
@@ -202,7 +189,7 @@ def _r_candidate(A: GradedAlgebra, red: _WordReducer,
 
 def build_small_uqsl2() -> CatalogEntry:
     A, red = _build_algebra()
-    coproduct, counit, antipode = _build_maps(A, red)
+    coproduct, counit, antipode = _build_maps(A)
     unit3 = TensorElement.unit((A, A, A))
     H0 = QuasiHopfStructure(
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,

@@ -1,5 +1,6 @@
 import pytest
 
+from qhopf.catalog import BUILTIN_NAMES, load_builtin
 from qhopf.casimir import (
     build_C1,
     build_C2,
@@ -372,3 +373,54 @@ def test_twisted_invariants_transport(e3):
         c2f = twisted_c2(H, F, c2)
         assert is_pseudo_invariant_element(HF, c2f)
         assert build_C2(HF, c2f) == build_C2(H, c2)
+
+
+# -- one derivation per power ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_rtr_power_is_the_repeated_product(name):
+    H = load_builtin(name).structure
+    if H.r is None:
+        pytest.skip("no R-matrix")
+    unit2 = H.unit_tensor(2)
+    for sign, base in ((1, H.r.swap() * H.r), (-1, H.r_inv * H.r_inv.swap())):
+        expected = unit2
+        for k in range(4):  # m = sign * k runs over -3..3
+            assert rtr_power(H, sign * k) == expected, sign * k
+            expected = expected * base
+    assert rtr_power(H, 1) * rtr_power(H, -1) == unit2
+
+
+def test_twist_invariance_derives_omega_once_per_structure_and_power(e3, monkeypatch):
+    import qhopf.casimir as casimir
+    calls = []
+    real = casimir.rtr_power
+    monkeypatch.setattr(casimir, "rtr_power",
+                        lambda H, m: calls.append((id(H), m)) or real(H, m))
+    H = e3.structure.with_data()
+    assert len(e3.representations) == 2
+    report = verify_twist_invariance(H, e3.twistors["Ft"], powers=(-1, 0, 1, 2),
+                                     reps=e3.representations)
+    assert report.passed
+    assert len(calls) == len(set(calls)) == 8
+    assert {id(H), id(report.structure)} == {h for h, _ in calls}
+
+
+def test_a_transported_element_that_fails_invariance_is_recorded(e3, monkeypatch):
+    """build_C1/build_C2 check the transported element once; their
+    NotInvariantError becomes a failed check with the fixed witness text."""
+    import qhopf.casimir as casimir
+    H = e3.structure.with_data()
+    g = el(H, "g")  # even, neither invariant nor pseudo-invariant
+    monkeypatch.setattr(casimir, "twisted_c1", lambda H, F, c: g)
+    monkeypatch.setattr(casimir, "twisted_c2", lambda H, F, c: g)
+    report = verify_twist_invariance(H, e3.twistors["Ft"], powers=(),
+                                     reps=e3.representations)
+    failed = {c.name: c.witness for c in report.failures()}
+    assert failed == {
+        **{f"C1[inv:{t}]": "transported invariant fails invariance"
+           for t in range(len(invariant_subspace(H).even))},
+        **{f"C2[pinv:{t}]": "transported pseudo-invariant fails its invariance"
+           for t in range(len(pseudo_invariant_subspace(H).even))}}
+    assert all(c.agreement is False for c in report.failures())

@@ -112,3 +112,28 @@ def test_cyclotomic_order_above_the_cap_exits_2_at_once(tmp_path, capsys):
     with pytest.raises(StructureValidationError):
         FieldDescriptor.cyclotomic(MAX_ORDER + 1)
     assert main(["verify", corrupt(tmp_path, "z2-group", field(105)), "--json"]) == 0
+
+
+def _empty_carrier(doc):
+    doc["representations"]["regular"] = {"parity": [], "matrices": {"1": [], "th": []}}
+
+
+def _parity_two(doc):
+    doc["representations"]["regular"]["parity"] = [2, 1]
+
+
+@pytest.mark.parametrize("mutate", [_empty_carrier, _parity_two],
+                         ids=["empty-carrier", "parity-two"])
+@pytest.mark.parametrize("command", [
+    ["casimir", "--kind", "cm", "--rep", "regular", "--json"],
+    ["twist", "--twistor", "theta-pair", "--verify-invariance", "--json"],
+], ids=["casimir-cm", "twist-verify-invariance"])
+def test_malformed_carrier_exits_2_naming_the_representation(tmp_path, mutate, command):
+    bad = corrupt(tmp_path, "grassmann-theta", mutate)
+    env = dict(os.environ, PYTHONPATH=str(Path(qhopf.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "qhopf.cli", command[0], bad, *command[1:]],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "regular" in err[0]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qhopf.catalog import BUILTIN_NAMES, load_builtin
 from qhopf.errors import NotInvariantError, OddElementError
 from qhopf.invariants import (
     LinearForm,
@@ -270,3 +271,64 @@ def test_hom_module_is_built_once_per_pair(e3, monkeypatch):
     parts = [module_action(H, reg, reg, el(H, lab), f, 0) for lab in ("x", "gx")]
     assert combo == [[p + 3 * q for p, q in zip(r1, r2)]
                      for r1, r2 in zip(*parts)]
+
+
+# -- one row system per action serves the form spaces and the membership tests --
+
+
+def _pointwise_oracle(H, action):
+    """xi -> [xi(action(e_i, e_j)) == eps(e_i) xi_j over the whole basis]."""
+    A = H.algebra
+    table = [(H.eps(A.basis_element(i)), j, action(H, A.basis_element(i), A.basis_element(j)))
+             for i in range(A.dim) for j in range(A.dim)]
+    return lambda xi: all(xi(image) == eps * xi.values[j] for eps, j, image in table)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_form_membership_agrees_with_the_pointwise_oracle(name):
+    H = load_builtin(name).structure
+    A = H.algebra
+    for solve, member, action in (
+            (invariant_linear_forms, is_invariant_form, adjoint_action),
+            (pseudo_invariant_linear_forms, is_pseudo_invariant_form, anti_adjoint_action)):
+        fixes = _pointwise_oracle(H, action)
+        forms = solve(H)  # memoises the rows the membership tests read
+        assert forms
+        changed_fails = False
+        for xi in forms:
+            assert member(H, xi) and fixes(xi)
+            for k in range(A.dim):
+                values = list(xi.values)
+                values[k] = values[k] + 1
+                changed = LinearForm(H, tuple(values))
+                assert member(H, changed) == fixes(changed)
+                changed_fails = changed_fails or not member(H, changed)
+        # xi + delta_k stays fixed for every k only if every form is fixed
+        assert changed_fails == (len(forms) < A.dim)
+
+
+def test_form_rows_are_built_once_per_action(e3, monkeypatch):
+    import qhopf.invariants as invariants
+    from qhopf.casimir import trace_forms
+    calls = {"ad": 0, "anti": 0}
+
+    def counting(key, real):
+        def action(H, a, b):
+            calls[key] += 1
+            return real(H, a, b)
+        return action
+
+    monkeypatch.setattr(invariants, "adjoint_action", counting("ad", adjoint_action))
+    monkeypatch.setattr(invariants, "anti_adjoint_action",
+                        counting("anti", anti_adjoint_action))
+    H = e3.structure.with_data()
+    A = H.algebra
+    for _ in range(2):
+        for xi in invariant_linear_forms(H):
+            assert is_invariant_form(H, xi)
+        for xi in pseudo_invariant_linear_forms(H):
+            assert is_pseudo_invariant_form(H, xi)
+        for rep in e3.representations.values():
+            trace_forms(H, rep)
+    one_system = len(A.generators()) * A.dim  # the actions are actions here
+    assert calls == {"ad": one_system, "anti": one_system}
