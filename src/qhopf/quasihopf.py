@@ -10,8 +10,8 @@ An identity quantified over the algebra holds on a subspace.  Once the
 facts of ``_closed`` (plus phi phi^{-1} = 1 for quasi-coassociativity and
 even alpha, beta for the antipode axioms) have passed, that subspace is a
 subalgebra, so it is checked on the generators of A only.  Otherwise, and
-to find the witness of a failure, the whole basis is used.  The exchange
-identities of ``casimir`` stay on the basis: no closure argument is known.
+to find the witness of a failure, the whole basis is used.  The closure
+argument for the exchange identities is in ``casimir._exchange_identities``.
 """
 
 from __future__ import annotations
@@ -159,14 +159,9 @@ class QuasiHopfStructure:
     def unit_tensor(self, rank: int) -> TensorElement:
         return TensorElement.unit(self.legs(rank))
 
-    def r13(self) -> TensorElement:
-        return self.r.embed((0, 2), self.legs(3))
-
-    def r12(self) -> TensorElement:
-        return self.r.embed((0, 1), self.legs(3))
-
-    def r23(self) -> TensorElement:
-        return self.r.embed((1, 2), self.legs(3))
+    def r_at(self, legs: str) -> TensorElement:
+        """R on two of three legs by subscript string: r_at("13") is R_13."""
+        return self.r.embed(tuple(int(c) - 1 for c in legs), self.legs(3))
 
     def require_r(self):
         if self.r is None:
@@ -432,14 +427,21 @@ def verify_quasitriangular(H: QuasiHopfStructure) -> AxiomReport:
         - H.r * H.delta(A.basis_element(i)), 1, _closed(H)))
 
     _run(report, "hexagon-left", _tensor_eq(
-        lambda: H.r.apply_maps([(0, H.coproduct)]),
-        lambda: reindex(H.phi_inv, "231") * H.r13() * reindex(H.phi, "132")
-        * H.r23() * H.phi_inv))
+        lambda: H.r.apply_maps([(0, H.coproduct)]), lambda: _hexagon_word(H, 0)))
     _run(report, "hexagon-right", _tensor_eq(
-        lambda: H.r.apply_maps([(1, H.coproduct)]),
-        lambda: reindex(H.phi, "312") * H.r13() * reindex(H.phi_inv, "213")
-        * H.r12() * H.phi))
+        lambda: H.r.apply_maps([(1, H.coproduct)]), lambda: _hexagon_word(H, 1) * H.phi))
     return report
+
+
+@memoized
+def _hexagon_word(H: QuasiHopfStructure, side: int) -> TensorElement:
+    """W_L = phi^-1_231 R_13 phi_132 R_23 phi^-1 (side 0) or W_R = phi_312 R_13
+    phi^-1_213 R_12 (side 1): the hexagon sides are W_L and W_R phi, the QYBE
+    sides R_12 W_L and phi^-1_321 R_23 W_R (the legs are associative algebras)."""
+    p, q, r = H.phi, H.phi_inv, H.r_at
+    if side == 0:
+        return reindex(q, "231") * r("13") * reindex(p, "132") * r("23") * q
+    return reindex(p, "312") * r("13") * reindex(q, "213") * r("12")
 
 
 def verify_quasi_ybe(H: QuasiHopfStructure) -> AxiomReport:
@@ -448,10 +450,8 @@ def verify_quasi_ybe(H: QuasiHopfStructure) -> AxiomReport:
     report = AxiomReport(f"{H.name or 'structure'}:quasi-ybe")
 
     _run(report, "quasi-yang-baxter", _tensor_eq(
-        lambda: H.r12() * reindex(H.phi_inv, "231") * H.r13()
-        * reindex(H.phi, "132") * H.r23() * H.phi_inv,
-        lambda: reindex(H.phi_inv, "321") * H.r23() * reindex(H.phi, "312")
-        * H.r13() * reindex(H.phi_inv, "213") * H.r12()))
+        lambda: H.r_at("12") * _hexagon_word(H, 0),
+        lambda: reindex(H.phi_inv, "321") * H.r_at("23") * _hexagon_word(H, 1)))
     return report
 
 

@@ -9,8 +9,9 @@ exactly, so the files double as golden data for the test suite.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .catalog import CatalogEntry
 from .errors import StructureValidationError
@@ -225,20 +226,25 @@ def _parse_field(d: dict) -> FieldDescriptor:
     raise StructureValidationError(f"unknown field kind {kind!r}")
 
 
-def _parse_tensor(rows, A: GradedAlgebra, rank: int) -> TensorElement:
+def _scalar_parser(field: FieldDescriptor) -> Callable[[str], Scalar]:
+    """parse_scalar over one field, once per distinct string for the life of
+    the returned function (one load); a failed parse raises each time."""
+    return functools.lru_cache(maxsize=None)(lambda text: parse_scalar(text, field))
+
+
+def _parse_tensor(rows, A: GradedAlgebra, rank: int, parse) -> TensorElement:
     return TensorElement.from_terms((A,) * rank, (
-        (tuple(A.index_of(lab) for lab in labs), parse_scalar(text, A.field))
-        for *labs, text in rows))
+        (tuple(A.index_of(lab) for lab in labs), parse(text)) for *labs, text in rows))
 
 
-def _parse_element(d: Dict[str, str], A: GradedAlgebra) -> AlgebraElement:
-    return AlgebraElement(A, {A.index_of(lab): parse_scalar(text, A.field)
-                              for lab, text in d.items()})
+def _parse_element(d: Dict[str, str], A: GradedAlgebra, parse) -> AlgebraElement:
+    return AlgebraElement(A, {A.index_of(lab): parse(text) for lab, text in d.items()})
 
 
 def entry_from_dict(doc: dict) -> CatalogEntry:
     _check_shape(doc)
     field = _parse_field(doc["field"])
+    parse = _scalar_parser(field)
     basis_doc = doc["basis"]
     labels = tuple(basis_doc["labels"])
     basis = GradedBasis(labels, tuple(basis_doc["parity"]),
@@ -247,47 +253,40 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
     entries = {}
     for i, j, k, text in doc["mul"]:
         key = (labels.index(i), labels.index(j), labels.index(k))
-        entries[key] = parse_scalar(text, field)
+        entries[key] = parse(text)
     A = GradedAlgebra(basis, StructureConstants(entries), field,
                       name=doc.get("name", ""))
 
     cop_doc = doc["coproduct"]
-    cop_images = [_parse_tensor(cop_doc.get(lab, []), A, 2) for lab in labels]
+    cop_images = [_parse_tensor(cop_doc.get(lab, []), A, 2, parse) for lab in labels]
     coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
 
     eps_doc = doc["counit"]
-    eps_images = []
-    for lab in labels:
-        s = parse_scalar(eps_doc.get(lab, "0"), field)
-        eps_images.append(TensorElement((), {(): s}))
+    eps_images = [TensorElement((), {(): parse(eps_doc.get(lab, "0"))}) for lab in labels]
     counit = LinearMap(A, (), eps_images, name="counit")
 
     anti_doc = doc["antipode"]
-    anti_images = [TensorElement.of(_parse_element(anti_doc.get(lab, {}), A))
+    anti_images = [TensorElement.of(_parse_element(anti_doc.get(lab, {}), A, parse))
                    for lab in labels]
     antipode = LinearMap(A, (A,), anti_images, name="antipode")
 
-    r_rows = doc.get("r")
-    r_inv_rows = doc.get("r_inv")
     structure = QuasiHopfStructure(
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=_parse_tensor(doc["phi"], A, 3),
-        phi_inv=_parse_tensor(doc["phi_inv"], A, 3),
-        alpha=_parse_element(doc["alpha"], A),
-        beta=_parse_element(doc["beta"], A),
-        r=None if r_rows is None else _parse_tensor(r_rows, A, 2),
-        r_inv=None if r_inv_rows is None else _parse_tensor(r_inv_rows, A, 2),
+        phi=_parse_tensor(doc["phi"], A, 3, parse),
+        phi_inv=_parse_tensor(doc["phi_inv"], A, 3, parse),
+        alpha=_parse_element(doc["alpha"], A, parse),
+        beta=_parse_element(doc["beta"], A, parse),
+        r=None if doc.get("r") is None else _parse_tensor(doc["r"], A, 2, parse),
+        r_inv=None if doc.get("r_inv") is None else _parse_tensor(doc["r_inv"], A, 2, parse),
         name=doc.get("name", ""))
 
-    twistors = {}
-    for name, tw in doc.get("twistors", {}).items():
-        twistors[name] = Twistor(_parse_tensor(tw["f"], A, 2),
-                                 _parse_tensor(tw["f_inv"], A, 2),
-                                 name=name)
+    twistors = {name: Twistor(_parse_tensor(tw["f"], A, 2, parse),
+                              _parse_tensor(tw["f_inv"], A, 2, parse), name=name)
+                for name, tw in doc.get("twistors", {}).items()}
     representations = {}
     for name, rp in doc.get("representations", {}).items():
         mats_doc = rp["matrices"]
-        matrices = [[[parse_scalar(c, field) for c in row] for row in mats_doc[lab]]
+        matrices = [[[parse(c) for c in row] for row in mats_doc[lab]]
                     for lab in labels]
         representations[name] = Representation(A, tuple(rp["parity"]), matrices,
                                                name=name)

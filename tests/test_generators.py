@@ -32,6 +32,8 @@ from qhopf.invariants import (
 )
 from qhopf.linalg import nullspace, rref
 from qhopf.quasihopf import (
+    _closed,
+    reindex,
     verify_antipode_axioms,
     verify_quasi_bialgebra,
     verify_quasi_ybe,
@@ -125,7 +127,18 @@ def test_builtin_reports_agree_and_use_generators(name, full):
     for axiom in ("coproduct-homomorphism", "quasi-coassociativity", "antipode-alpha",
                   "counit-antipode", "antipode-antihomomorphism"):
         assert over[axiom] == "generators"
-    assert over["exchange-phi-beta"] == "basis"
+    assert over["exchange-phi-beta"] == "generators"
+
+
+EXCHANGE = ("exchange-phi-beta", "exchange-phi-alpha", "exchange-phiinv-alpha",
+            "exchange-phiinv-beta")
+
+
+def test_uqsl2_exchange_identities_use_the_generators(uqsl2):
+    report = identity_suite(uqsl2.structure.with_data())
+    for axiom in EXCHANGE:
+        check = report.find(axiom)
+        assert check.passed and (check.over, check.size) == ("generators", 3)
 
 
 def _with_coproduct(H, label, extra):
@@ -147,6 +160,8 @@ def _mutants():
     unit_key = next(iter(cocycle.unit_tensor(3).coeffs))
     phi[unit_key] = phi[unit_key] + cocycle.algebra.field.from_rational(Fraction(1, 3))
     grassmann = load_builtin("grassmann-theta").structure
+    twisted = load_builtin("sweedler-twisted").structure
+    T = twisted.algebra
     G = grassmann.algebra
     th = G.basis_element(G.index_of("th"))
     return {
@@ -162,11 +177,13 @@ def _mutants():
         # Delta(1) = 1(x)1 + th(x)th: multiplicative on th (x) basis and
         # quasi-coassociative at th, but neither holds at 1
         "coproduct-unit": _with_coproduct(grassmann, "1", TensorElement.of(th, th)),
+        # beta + g: the closure facts hold, the beta exchange identities fail
+        "beta": twisted.with_data(beta=twisted.beta + T.basis_element(T.index_of("g"))),
     }
 
 
 @pytest.mark.parametrize("kind", ["coproduct", "alpha", "r", "phi", "phi-inv",
-                                  "coproduct-unit"])
+                                  "coproduct-unit", "beta"])
 def test_mutated_reports_agree(kind, full):
     reports, over = _assert_same_reports(_mutants()[kind], full)
     assert not all(r["passed"] for r in reports)
@@ -178,6 +195,75 @@ def test_mutated_reports_agree(kind, full):
         assert over["antipode-alpha"] == "generators"
     if kind == "coproduct-unit":
         assert over["coproduct-homomorphism"] == "basis"
+    if kind == "beta":
+        assert _closed(_mutants()[kind])
+        checks = {c["id"]: c for r in reports for c in r["checks"]}
+        failed = [a for a in EXCHANGE if not checks[a]["passed"]]
+        assert failed and all(over[a] == "basis" for a in failed)
+        assert all(over[a] == "generators" for a in EXCHANGE if a not in failed)
+
+
+# -- hexagon words -------------------------------------------------------------------
+
+
+def _six_factor_sides(H):
+    """The hexagon and quasi-Yang-Baxter differences as the left-associated
+    six-factor products, each word written out in full."""
+    p, q = H.phi, H.phi_inv
+    r12, r13, r23 = (H.r.embed(legs, H.legs(3)) for legs in ((0, 1), (0, 2), (1, 2)))
+    return {
+        "hexagon-left": H.r.apply_maps([(0, H.coproduct)])
+        - reindex(q, "231") * r13 * reindex(p, "132") * r23 * q,
+        "hexagon-right": H.r.apply_maps([(1, H.coproduct)])
+        - reindex(p, "312") * r13 * reindex(q, "213") * r12 * p,
+        "quasi-yang-baxter":
+        r12 * reindex(q, "231") * r13 * reindex(p, "132") * r23 * q
+        - reindex(q, "321") * r23 * reindex(p, "312") * r13 * reindex(q, "213") * r12,
+    }
+
+
+def _assert_matches_six_factor_sides(H, qybe_first):
+    """Check a structure's hexagon and QYBE reports against the written-out
+    products; ``qybe_first`` runs QYBE on an empty memo."""
+    H = H.with_data()
+    order = [verify_quasitriangular, verify_quasi_ybe]
+    checks = {c.axiom: c for verify in (order[::-1] if qybe_first else order)
+              for c in verify(H).checks}
+    for axiom, diff in _six_factor_sides(H).items():
+        assert checks[axiom].passed == diff.is_zero()
+        assert str(checks[axiom].witness) == str(None if diff.is_zero() else diff)
+
+
+def _r_plus_g_g():
+    """sweedler-twisted with R + 1/3 g (x) g: both hexagons and QYBE fail."""
+    H = load_builtin("sweedler-twisted").structure
+    g = H.algebra.basis_element(H.algebra.index_of("g"))
+    return H.with_data(r=H.r + TensorElement.of(g, g).scale(
+        H.algebra.field.from_rational(Fraction(1, 3))))
+
+
+@pytest.mark.parametrize("name", sorted(set(EXPECTED) - {"z2-cocycle"})
+                         + ["r-mutant", "r-plus-g-g"])
+@pytest.mark.parametrize("qybe_first", [False, True])
+def test_hexagon_words_match_the_six_factor_products(name, qybe_first, uqsl2):
+    if name == "r-mutant":
+        H = _mutants()["r"]
+    elif name == "r-plus-g-g":
+        H = _r_plus_g_g()
+    else:
+        H = _entry(name, uqsl2).structure
+    _assert_matches_six_factor_sides(H, qybe_first)
+
+
+def test_a_copy_with_new_r_does_not_read_the_parent_words():
+    parent = load_builtin("sweedler-h4").structure.with_data()
+    assert verify_quasitriangular(parent).passed
+    assert {("_hexagon_word", 0), ("_hexagon_word", 1)} <= set(parent._derived)
+    child = parent.with_data(r=_mutants()["r"].r)
+    assert not child._derived
+    check = verify_quasitriangular(child).find("hexagon-left")
+    assert not check.passed
+    assert check.witness == _six_factor_sides(child)["hexagon-left"]
 
 
 def test_failure_on_generators_reports_the_basis_witness():
