@@ -52,6 +52,7 @@ from .quasihopf import (
     QuasiHopfStructure,
     _all_zero,
     _closed,
+    _closed_canonical,
     _phi_sandwich,
     _phi_sandwich_inv,
     _run,
@@ -199,12 +200,13 @@ def _exchange_identities(H: QuasiHopfStructure, report: AxiomReport) -> None:
     two rank-3 sides, and the contraction Psi applied to both (antipode
     legs, right factors, split).
 
-    Once the facts of ``_closed`` hold, it is enough to check the
-    generators.  Write Psi for a row's contraction, P = Psi(phi) (or of
-    phi^{-1}) and a', a'', a''' for the legs of the iterated coproduct on
-    the Delta-side.  As Delta and S are even and unital, Delta is
-    multiplicative and S antimultiplicative, a |-> Psi(Delta-side(a) T) is
-    a left or right action of A on rank-2 tensors T = p (x) q:
+    Once the facts of ``_closed_canonical`` hold, it is enough to check
+    the generators.  Write Psi for a row's contraction, P = Psi(phi) (or
+    of phi^{-1}) and a', a'', a''' for the legs of the iterated coproduct
+    on the Delta-side.  As Delta and S are even and unital, Delta is
+    multiplicative and S antimultiplicative, and alpha and beta are even,
+    a |-> Psi(Delta-side(a) T) is a left or right action of A on rank-2
+    tensors T = p (x) q:
 
         exchange-phi-beta      a'p (x) a''q S(a''')    left,  P (a (x) 1)
         exchange-phi-alpha     S(a')p a'' (x) q a'''   right, (1 (x) a) P
@@ -216,7 +218,14 @@ def _exchange_identities(H: QuasiHopfStructure, report: AxiomReport) -> None:
     "a acting on P equals P multiplied by a": if it holds for a and b, it
     holds for ab (act by one, move the product past the other action, act
     again), and it holds for 1 and for sums.  The a satisfying a row form
-    a subalgebra, so ``quantify`` runs over the generators."""
+    a subalgebra, so ``quantify`` runs over the generators.
+
+    The parity of alpha and beta matters: Psi puts them between legs, and
+    the graded tensor product signs each piece by what they pass, e.g.
+    (-1)^{|beta||a'''|} in exchange-phi-beta.  For an odd alpha or beta, or
+    one of mixed parity, the pieces follow actions with different signs,
+    the solutions need not form a subalgebra, and the whole basis is
+    checked."""
     A = H.algebra
     one = A.unit()
     rows = (
@@ -237,7 +246,7 @@ def _exchange_identities(H: QuasiHopfStructure, report: AxiomReport) -> None:
         def diff(i, lhs=lhs, rhs=rhs, s=s, right=right, split=split):
             a = A.basis_element(i)
             return H.contract(lhs(a) - rhs(a), s, right=right, split=split)
-        _run(report, name, lambda: quantify(A, diff, 1, _closed(H)))
+        _run(report, name, lambda: quantify(A, diff, 1, _closed_canonical(H)))
 
 
 def identity_suite(H: QuasiHopfStructure,

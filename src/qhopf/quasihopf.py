@@ -7,11 +7,12 @@ mathematical axioms are checked by the ``verify_*`` functions, which return
 reports with exact witnesses, never raising on a failed identity.
 
 An identity quantified over the algebra holds on a subspace.  Once the
-facts of ``_closed`` (plus phi phi^{-1} = 1 for quasi-coassociativity and
-even alpha, beta for the antipode axioms) have passed, that subspace is a
-subalgebra, so it is checked on the generators of A only.  Otherwise, and
-to find the witness of a failure, the whole basis is used.  The closure
-argument for the exchange identities is in ``casimir._exchange_identities``.
+facts of ``_closed`` (plus phi phi^{-1} = 1 for quasi-coassociativity, and
+even alpha, beta for the antipode axioms and the exchange identities) have
+passed, that subspace is a subalgebra, so it is checked on the generators
+of A only.  Otherwise, and to find the witness of a failure, the whole
+basis is used.  The closure argument for the exchange identities is in
+``casimir._exchange_identities``.
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ def _phi_invertible(H: QuasiHopfStructure) -> tuple:
 
 
 def _closed_canonical(H: QuasiHopfStructure) -> bool:
-    return _closed(H) and H.alpha.is_even() and H.beta.is_even()
+    """``_closed`` with alpha and beta even (a missing one counts as 1)."""
+    return _closed(H) and all(c is None or c.is_even() for c in (H.alpha, H.beta))
 
 
 def _tensor_eq(lhs_fn, rhs_fn):

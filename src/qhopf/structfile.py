@@ -229,16 +229,18 @@ def _parse_field(d: dict) -> FieldDescriptor:
 def _scalar_parser(field: FieldDescriptor) -> Callable[[str], Scalar]:
     """parse_scalar over one field, once per distinct string for the life of
     the returned function (one load); a failed parse raises each time."""
-    return functools.lru_cache(maxsize=None)(lambda text: parse_scalar(text, field))
+    return functools.cache(lambda text: parse_scalar(text, field))
 
 
 def _parse_tensor(rows, A: GradedAlgebra, rank: int, parse) -> TensorElement:
     return TensorElement.from_terms((A,) * rank, (
-        (tuple(A.index_of(lab) for lab in labs), parse(text)) for *labs, text in rows))
+        (tuple(A.index_of(lab) for lab in labs), parse(text))
+        for *labs, text in rows))
 
 
 def _parse_element(d: Dict[str, str], A: GradedAlgebra, parse) -> AlgebraElement:
-    return AlgebraElement(A, {A.index_of(lab): parse(text) for lab, text in d.items()})
+    return AlgebraElement(A, {A.index_of(lab): parse(text)
+                              for lab, text in d.items()})
 
 
 def entry_from_dict(doc: dict) -> CatalogEntry:
@@ -262,7 +264,10 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
     coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
 
     eps_doc = doc["counit"]
-    eps_images = [TensorElement((), {(): parse(eps_doc.get(lab, "0"))}) for lab in labels]
+    eps_images = []
+    for lab in labels:
+        s = parse(eps_doc.get(lab, "0"))
+        eps_images.append(TensorElement((), {(): s}))
     counit = LinearMap(A, (), eps_images, name="counit")
 
     anti_doc = doc["antipode"]
@@ -270,19 +275,23 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
                    for lab in labels]
     antipode = LinearMap(A, (A,), anti_images, name="antipode")
 
+    r_rows = doc.get("r")
+    r_inv_rows = doc.get("r_inv")
     structure = QuasiHopfStructure(
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
         phi=_parse_tensor(doc["phi"], A, 3, parse),
         phi_inv=_parse_tensor(doc["phi_inv"], A, 3, parse),
         alpha=_parse_element(doc["alpha"], A, parse),
         beta=_parse_element(doc["beta"], A, parse),
-        r=None if doc.get("r") is None else _parse_tensor(doc["r"], A, 2, parse),
-        r_inv=None if doc.get("r_inv") is None else _parse_tensor(doc["r_inv"], A, 2, parse),
+        r=None if r_rows is None else _parse_tensor(r_rows, A, 2, parse),
+        r_inv=None if r_inv_rows is None else _parse_tensor(r_inv_rows, A, 2, parse),
         name=doc.get("name", ""))
 
-    twistors = {name: Twistor(_parse_tensor(tw["f"], A, 2, parse),
-                              _parse_tensor(tw["f_inv"], A, 2, parse), name=name)
-                for name, tw in doc.get("twistors", {}).items()}
+    twistors = {}
+    for name, tw in doc.get("twistors", {}).items():
+        twistors[name] = Twistor(_parse_tensor(tw["f"], A, 2, parse),
+                                 _parse_tensor(tw["f_inv"], A, 2, parse),
+                                 name=name)
     representations = {}
     for name, rp in doc.get("representations", {}).items():
         mats_doc = rp["matrices"]

@@ -179,11 +179,13 @@ def _mutants():
         "coproduct-unit": _with_coproduct(grassmann, "1", TensorElement.of(th, th)),
         # beta + g: the closure facts hold, the beta exchange identities fail
         "beta": twisted.with_data(beta=twisted.beta + T.basis_element(T.index_of("g"))),
+        # beta + th: the closure facts hold, but beta has both parities
+        "beta-odd": grassmann.with_data(beta=grassmann.beta + th),
     }
 
 
 @pytest.mark.parametrize("kind", ["coproduct", "alpha", "r", "phi", "phi-inv",
-                                  "coproduct-unit", "beta"])
+                                  "coproduct-unit", "beta", "beta-odd"])
 def test_mutated_reports_agree(kind, full):
     reports, over = _assert_same_reports(_mutants()[kind], full)
     assert not all(r["passed"] for r in reports)
@@ -201,6 +203,9 @@ def test_mutated_reports_agree(kind, full):
         failed = [a for a in EXCHANGE if not checks[a]["passed"]]
         assert failed and all(over[a] == "basis" for a in failed)
         assert all(over[a] == "generators" for a in EXCHANGE if a not in failed)
+    if kind == "beta-odd":  # the gate needs even alpha and beta
+        assert _closed(_mutants()[kind])
+        assert all(over[a] == "basis" for a in EXCHANGE)
 
 
 # -- hexagon words -------------------------------------------------------------------
