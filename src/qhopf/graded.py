@@ -30,7 +30,7 @@ from .errors import (
     RankMismatchError,
     StructureValidationError,
 )
-from .linalg import rref
+from .linalg import eliminate
 from .report import AxiomCheck
 from .scalars import FieldDescriptor, Scalar
 
@@ -117,21 +117,37 @@ class BaseAlgebra:
     def generators(self) -> Tuple[int, ...]:
         """Basis indices of a generating set G, computed once: walking the
         basis in order, e_i joins G unless it lies in the span of the
-        right-nested words g1 (g2 (... (gk 1))) over G.  Needs only the
+        right-nested words g1 (g2 (... (gk 1))) over G.  The span is kept as
+        echelon payload rows (``linalg.eliminate``); a word with a nonzero
+        remainder joins them and is extended on the left by each generator,
+        and a new generator extends every word found so far.  Needs only the
         multiplication table and the unit law, not associativity."""
         if self._generators is None:
-            gens, span = [], [dict(self.unit_coeffs)]
+            ops, gens, found, rows = self.field.ops, [], [], []  # rows: (pivot, row)
+
+            def remainder(coeffs):
+                row = {k: v.value for k, v in coeffs.items()}
+                for c, pivot in rows:
+                    if c in row:
+                        eliminate(row, pivot, c, ops)
+                return row
+
+            def close(words):
+                while words:
+                    w = words.pop()
+                    row = remainder(w.coeffs)
+                    if row:
+                        c = min(row)
+                        inv = ops.inv(row[c])
+                        rows.append((c, {k: ops.mul(v, inv) for k, v in row.items()}))
+                        found.append(w)
+                        words += [self.basis_element(g) * w for g in gens]
+
+            close([self.unit()])
             for i in range(self.dim):
-                if len(span) < self.dim and \
-                        len(rref(span + [{i: self.field.one()}], self.dim)[0]) > len(span):
+                if len(rows) < self.dim and remainder({i: self.field.one()}):
                     gens.append(i)
-                    span, words = [], [self.unit()]
-                    while words:
-                        w = words.pop()
-                        grown = rref(span + [w.coeffs], self.dim)[0]
-                        if len(grown) > len(span):
-                            span = grown
-                            words += [self.basis_element(g) * w for g in gens]
+                    close([self.basis_element(i) * w for w in found])
             self._generators = tuple(gens)
         return self._generators
 

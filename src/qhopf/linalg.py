@@ -29,6 +29,18 @@ def rows_of(columns: Sequence[Mapping[Hashable, Scalar]]) -> List[Row]:
     return list(rows.values())
 
 
+def eliminate(row: dict, pivot: dict, c: int, ops) -> None:
+    """The elimination step: row -= row[c] * pivot in place, with pivot[c] one."""
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    f = ops.neg(row[c])
+    for k, v in pivot.items():
+        x = add(row[k], mul(f, v)) if k in row else mul(f, v)
+        if is_zero(x):
+            del row[k]
+        else:
+            row[k] = x
+
+
 def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], List[int]]:
     """Reduced row echelon form; pivots are taken in the columns below
     ``cols`` and entries at or beyond it are carried along.  Returns the
@@ -38,7 +50,7 @@ def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], Li
     if field is None:
         return [], []
     ops = field.ops
-    add, mul, neg, is_zero = ops.add, ops.mul, ops.neg, ops.is_zero
+    mul, is_zero = ops.mul, ops.is_zero
     pending = [r for r in ({k: v.value for k, v in row.items() if not is_zero(v.value)}
                            for row in rows) if r]
     reduced: List[dict] = []  # rows of payloads until the end
@@ -51,16 +63,8 @@ def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], Li
         inv = ops.inv(chosen[c])
         pivot = chosen if inv == ops.one else {k: mul(v, inv) for k, v in chosen.items()}
         for row in reduced + candidates:
-            f = row.get(c)
-            if f is None or row is chosen:
-                continue
-            f = neg(f)
-            for k, v in pivot.items():
-                x = add(row[k], mul(f, v)) if k in row else mul(f, v)
-                if is_zero(x):
-                    del row[k]
-                else:
-                    row[k] = x
+            if c in row and row is not chosen:
+                eliminate(row, pivot, c, ops)
         pending = [r for r in pending if r and c not in r]  # drops chosen
         reduced.append(pivot)
         pivots.append(c)

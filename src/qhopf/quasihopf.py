@@ -13,6 +13,10 @@ passed, that subspace is a subalgebra, so it is checked on the generators
 of A only.  Otherwise, and to find the witness of a failure, the whole
 basis is used.  The closure argument for the exchange identities is in
 ``casimir._exchange_identities``.
+
+An inverse (of phi, R or a twistor) is checked on one side, x y = 1: the
+legs are validated associative, unital and finite-dimensional, so x y = 1
+gives L_x L_y = id, L_y is injective, hence bijective, and y x = 1.
 """
 
 from __future__ import annotations
@@ -267,8 +271,7 @@ def _closed(H: QuasiHopfStructure) -> bool:
 @memoized
 def _phi_invertible(H: QuasiHopfStructure) -> tuple:
     unit3 = H.unit_tensor(3)
-    return _all_zero(lambda: H.phi * H.phi_inv - unit3,
-                     lambda: H.phi_inv * H.phi - unit3)()
+    return _all_zero(lambda: H.phi * H.phi_inv - unit3)()
 
 
 def _closed_canonical(H: QuasiHopfStructure) -> bool:
@@ -411,9 +414,7 @@ def verify_quasitriangular(H: QuasiHopfStructure) -> AxiomReport:
     A = H.algebra
     unit2 = H.unit_tensor(2)
 
-    _run(report, "r-invertible", _all_zero(
-        lambda: H.r * H.r_inv - unit2,
-        lambda: H.r_inv * H.r - unit2))
+    _run(report, "r-invertible", _all_zero(lambda: H.r * H.r_inv - unit2))
 
     def r_even():
         ok = H.r.is_even() and H.r_inv.is_even()

@@ -34,6 +34,9 @@ Each descriptor builds one table of payload operations on first use,
 ``FieldDescriptor.ops`` (add, mul, neg, is_zero, one, inv): ``Scalar``'s
 arithmetic looks them up, and the kernels of graded.py and linalg.py call
 them on payloads directly.  ``mul`` never multiplies by a factor equal to one.
+The cyclotomic mul, add and inv are memoised by operand payloads and order
+(``MEMO_CAP`` entries each), as a workload's operands repeat; rational and Q(q)
+payloads hash through the Python-level ``Fraction.__hash__``, so they are not.
 
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
@@ -200,6 +203,7 @@ def _radd(x, y):
 # cyclotomic kernel over integer numerators
 
 _CZERO = ((), 1)
+MEMO_CAP = 4096  # entries in each of the memos of _cmul, _cadd and _cinv
 _ORDERS = {}  # order n -> (Phi_n, phi(n), rows); rows[k - phi(n)] is z^k mod Phi_n
 
 
@@ -246,6 +250,7 @@ def _creduce(conv: list, den, n: int):
     return _cyclo(conv, den)
 
 
+@functools.lru_cache(MEMO_CAP)
 def _cmul(a, b, n: int):
     (x, dx), (y, dy) = a, b
     if not x or not y:
@@ -263,7 +268,8 @@ def _cmul(a, b, n: int):
     return _creduce(conv, dx * dy, n)
 
 
-def _cadd(a, b):
+@functools.lru_cache(MEMO_CAP)
+def _cadd(a, b):  # keyed without the order: a sum is not reduced mod Phi_n
     (x, dx), (y, dy) = a, b
     if not x:
         return b
@@ -289,6 +295,7 @@ def _cyclo_to_qq(a) -> Poly:
     return tuple(QQ(c, den) for c in nums)
 
 
+@functools.lru_cache(MEMO_CAP)
 def _cinv(a, n: int):
     """a^-1 = prod_k sigma_k(a) / N(a) over the Galois conjugates sigma_k: z -> z^k
     (k coprime to n, k != 1), read off a table of z^j mod Phi_n; N(a) is rational."""

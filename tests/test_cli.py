@@ -250,6 +250,16 @@ def test_twist_unknown_twistor(capsys):
     assert main(["twist", path("z2-group"), "--twistor", "nope"]) == 2
 
 
+def test_twistor_with_a_wrong_inverse_exits_2(tmp_path, capsys):
+    def mutate(doc):  # f f_inv != 1, which is the one product checked
+        doc["twistors"]["pminus"]["f_inv"][0][2] = "1"
+    assert main(["twist", corrupt(tmp_path, "z2-cocycle", mutate), "--twistor", "pminus",
+                 "--verify-invariance", "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: twistor pminus: supplied inverse is wrong"]
+
+
 # -- center ------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qhopf.scalars as scalars
 from qhopf.scalars import QQ, FieldDescriptor
 
 ORDERS = (1, 2, 3, 4, 5, 8, 12)
@@ -87,6 +88,34 @@ def test_payload_is_canonical(n, xs, ys):
     if not y.is_zero():
         q = (x * y) / y
         assert q == x and q.value == x.value and str(q) == str(x)
+    # the memoised payload operations agree with the functions they wrap
+    a, b = x.value, y.value
+    assert scalars._cmul(a, b, n) == scalars._cmul.__wrapped__(a, b, n)
+    assert scalars._cadd(a, b) == scalars._cadd.__wrapped__(a, b)
+    if not x.is_zero():
+        assert scalars._cinv(a, n) == scalars._cinv.__wrapped__(a, n)
+
+
+def test_the_product_memo_keys_on_the_order():
+    """z has the same payload in cyclotomic(3) and cyclotomic(4), but z z is
+    -1 - z in one and -1 in the other."""
+    C3, C4 = FieldDescriptor.cyclotomic(3), FieldDescriptor.cyclotomic(4)
+    z3, z4 = C3.generator(), C4.generator()
+    assert z3.value == z4.value
+    for _ in range(2):  # the second round is answered from the memo
+        assert str(z3 * z3) == "-z - 1" and str(z4 * z4) == "-1"
+        assert str(z3.inv()) == "-z - 1" and str(z4.inv()) == "-z"
+
+
+def test_the_memos_stay_within_their_cap():
+    C5 = FieldDescriptor.cyclotomic(5)
+    z = C5.generator().value
+    for k in range(scalars.MEMO_CAP + 100):  # more distinct operands than the cap
+        a = ((k, 1), 1)
+        scalars._cmul(a, z, 5), scalars._cadd(a, z), scalars._cinv(a, 5)
+    for memo in (scalars._cmul, scalars._cadd, scalars._cinv):
+        info = memo.cache_info()
+        assert info.maxsize == scalars.MEMO_CAP and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("n", ORDERS)

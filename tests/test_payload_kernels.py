@@ -1,7 +1,8 @@
 """The payload kernels of graded.py and linalg.py against term-by-term Scalar
-arithmetic (tests/reference.py) over the rationals, cyclotomic(3) and Q(q),
-on Grassmann, Sweedler and End(V) legs; the field's payload table; the
-table-level associativity check; and sparse powers of q."""
+arithmetic (tests/reference.py) over the rationals, cyclotomic(3), (5) and
+(12) and Q(q), on Grassmann, Sweedler and End(V) legs; the field's payload
+table and the share of memoised cyclotomic products; the table-level
+associativity check; and sparse powers of q."""
 
 import itertools
 import json
@@ -24,6 +25,7 @@ from reference import (dense_rref, element_product, graded_product, linear_image
 
 DATA = Path(qhopf.__file__).parent / "data"
 FIELDS = (FieldDescriptor.rationals(), FieldDescriptor.cyclotomic(3),
+          FieldDescriptor.cyclotomic(5), FieldDescriptor.cyclotomic(12),
           FieldDescriptor.rational_functions("q"))
 GRASSMANN = {("1", "1"): {"1": 1}, ("1", "th"): {"th": 1}, ("th", "1"): {"th": 1},
              ("th", "th"): {}}
@@ -50,11 +52,14 @@ def algebras(field):
 def scalar(field):
     """Small nonzero-or-zero scalars, often exactly 1 or -1."""
     ints = st.integers(-3, 3).map(field.from_int)
+    rationals = st.fractions(-3, 3, max_denominator=4).map(
+        lambda c: field.from_rational(QQ(c.numerator, c.denominator)))
     if field.kind == "rationals":
-        general = st.fractions(-3, 3, max_denominator=4).map(
-            lambda c: field.from_rational(QQ(c.numerator, c.denominator)))
-    elif field.kind == "cyclotomic":
-        general = st.tuples(ints, ints).map(lambda ab: ab[0] + ab[1] * field.generator())
+        general = rationals
+    elif field.kind == "cyclotomic":  # c_0 + c_1 z + ... + c_k z^k, k < phi(n)
+        z, phi = field.generator(), len(field.modulus) - 1
+        general = st.lists(rationals, min_size=1, max_size=phi).map(
+            lambda cs: sum((c * z ** k for k, c in enumerate(cs)), field.zero()))
     else:  # (a + b q) / (c q + 1)
         q = field.generator()
         general = st.tuples(ints, ints, ints).map(lambda t: (t[0] + t[1] * q) / (t[2] * q + 1))
@@ -201,6 +206,14 @@ def test_basis_products_of_uqsl2_multiply_no_payloads(monkeypatch):
     assert calls == []
     assert (TensorElement.of(K, E) * TensorElement.of(E, K)).coeffs
     assert calls == []
+
+
+def test_verify_of_uqsl2_answers_most_products_from_the_memo(capsys):
+    scalars._cmul.cache_clear()
+    assert main(["verify", str(DATA / "small-uqsl2.qh"), "--checks", "all", "--json"]) == 0
+    capsys.readouterr()
+    info = scalars._cmul.cache_info()
+    assert info.hits >= 0.9 * (info.hits + info.misses)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 1000])

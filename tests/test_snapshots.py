@@ -30,6 +30,8 @@ CASES.update({
     "verify-sweedler-twisted-beta-g": (
         ["verify", "sweedler-twisted-beta-g.qh", "--checks", "identities",
          "--json"], 1),
+    # one R^-1 coefficient changed: r-invertible fails with the witness R R^-1 - 1
+    "verify-small-uqsl2-r-inv": (["verify", "small-uqsl2-r-inv.qh", "--json"], 1),
     "twist-sweedler-twisted-untwist": (
         ["twist", "sweedler-twisted.qh", "--twistor", "untwist",
          "--verify-invariance", "--json"], 0),
@@ -59,6 +61,9 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("snapshots")
     for name in RATIONAL + ("small-uqsl2",):
         shutil.copy(DATA / f"{name}.qh", root / f"{name}.qh")
+    doc = json.loads((DATA / "small-uqsl2.qh").read_text())
+    next(r for r in doc["r_inv"] if r[:2] == ["K", "K"])[2] = "1/3*z"
+    (root / "small-uqsl2-r-inv.qh").write_text(json.dumps(doc))
     doc = json.loads((DATA / "sweedler-twisted.qh").read_text())
     doc["beta"] = {"1": "1", "g": "1"}
     doc["r"] = doc["r_inv"] = None
