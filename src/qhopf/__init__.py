@@ -14,7 +14,6 @@ from .graded import (
     GradedAlgebra,
     GradedBasis,
     LinearMap,
-    StructureConstants,
     TensorElement,
 )
 from .quasihopf import (
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "BUILTIN_NAMES", "CatalogEntry", "FieldDescriptor",
     "GradedAlgebra", "GradedBasis", "LinearMap", "QuasiHopfStructure",
-    "Representation", "Scalar", "StructureConstants", "TensorElement",
+    "Representation", "Scalar", "TensorElement",
     "Twistor", "adjoint_action", "anti_adjoint_action", "build_C1",
     "build_C2", "casimir_Cm", "center", "identity_suite",
     "invariant_subspace", "is_central", "load_builtin", "parse_scalar",

@@ -11,14 +11,16 @@ In the quasi-triangular case the u-operator
     u = sum S(Y beta S(Z)) S(e^i) alpha e_i X  (-1)^{[e_i] + [X]}
 
 implements the square of the antipode by conjugation, and supertrace
-forms against a representation produce whole families of central elements
-from powers of R^T R; omega = (R^T R)^m, theta and thetabar are derived
-once per structure and power, whatever the representation.  Every
+forms against a representation (rank-0 ``LinearMap``s, like the counit)
+produce whole families of central elements from powers of R^T R;
+omega = (R^T R)^m, theta and thetabar are derived once per structure and
+power, whatever the representation.  Every
 constructor checks its postconditions (centrality, conjugation, recovery,
 agreement of paired formulas) and raises on violation; where two printed
 formulas exist for one object both are computed and compared.  The
-twist-invariance verifier recomputes all of these inside a twisted
-structure and asserts exact equality with the untwisted values.
+twist-invariance verifier recomputes all of these inside the twisted
+structure, which ``twist_structure`` has verified, and asserts exact
+equality with the untwisted values.
 Represented constructions run on End(V) tensor legs, so every sum here is
 a contraction whose Koszul signs come from the graded tensor product;
 list matrices are only the format of a representation.
@@ -37,9 +39,16 @@ from .errors import (
     OddElementError,
     PostconditionError,
 )
-from .graded import AlgebraElement, TensorElement, centralizes, quantify, require
+from .graded import (
+    AlgebraElement,
+    LinearMap,
+    TensorElement,
+    centralizes,
+    linear_form,
+    quantify,
+    require,
+)
 from .invariants import (
-    LinearForm,
     invariant_subspace,
     is_central,
     is_invariant_element,
@@ -63,13 +72,7 @@ from .quasihopf import (
 from .report import AxiomReport
 from .representations import Representation, apply_rep_on_leg
 from .scalars import _power
-from .twisting import (
-    Twistor,
-    check_twisted_canonical_identities,
-    twist_structure,
-    twisted_c1,
-    twisted_c2,
-)
+from .twisting import Twistor, twist_structure, twisted_c1, twisted_c2
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +252,9 @@ def _exchange_identities(H: QuasiHopfStructure, report: AxiomReport) -> None:
         _run(report, name, lambda: quantify(A, diff, 1, _closed_canonical(H)))
 
 
-def identity_suite(H: QuasiHopfStructure,
-                   F: Optional[Twistor] = None) -> AxiomReport:
-    """Exchange identities for every element, the u-operator identities
-    when an R-matrix is present, and the twisted-canonical recoveries when a
-    twistor is supplied.  All equalities are exact."""
+def identity_suite(H: QuasiHopfStructure) -> AxiomReport:
+    """Exchange identities for every element and the u-operator identities
+    when an R-matrix is present.  All equalities are exact."""
     report = AxiomReport(f"{H.name or 'structure'}:identities")
     A = H.algebra
     _exchange_identities(H, report)
@@ -282,9 +283,6 @@ def identity_suite(H: QuasiHopfStructure,
         _run(report, "s-squared-u", _all_zero(lambda: H.s(H.s(u)) - u))
         _run(report, "u-conjugation", lambda: quantify(
             A, functools.partial(_u_conjugation, H, u), 1, _closed(H)))
-
-    if F is not None:
-        report.extend(check_twisted_canonical_identities(H, F))
     return report
 
 
@@ -293,13 +291,14 @@ def identity_suite(H: QuasiHopfStructure,
 
 
 def central_from_theta(H: QuasiHopfStructure, theta: TensorElement,
-                       xi: LinearForm, mirror: bool = False) -> AlgebraElement:
+                       xi: LinearMap, mirror: bool = False) -> AlgebraElement:
     """Central element from a rank-3 tensor commuting with the iterated
-    coproduct and an even invariant form:  C = sum a_i xi(b_i beta S(c_i)).
-    The mirror variant pairs a pseudo-invariant form on the other side:
+    coproduct and an even invariant form xi (a rank-0 map, applied to a
+    tensor leg):  C = sum a_i xi(b_i beta S(c_i)).  The mirror variant
+    pairs a pseudo-invariant form on the other side:
     Cbar = sum xi(S(a_i) alpha b_i) c_i."""
     A = H.algebra
-    if not xi.is_even():
+    if not xi.parity_preserving:
         raise NotInvariantError("form not invariant/even: odd values present")
     require(centralizes(A, theta, H.delta_left if mirror else H.delta_right, _closed(H)),
             NotInvariantError, "theta does not centralize the iterated coproduct at {}")
@@ -309,10 +308,10 @@ def central_from_theta(H: QuasiHopfStructure, theta: TensorElement,
         raise NotInvariantError("form not pseudo-invariant")
     if not mirror:  # a (x) b beta S(c), then xi on the second leg
         pairs = H.contract(theta, (2,), right=(None, H.beta), split=1)
-        out = pairs.apply_maps([(1, xi.as_map())]).as_element()
+        out = pairs.apply_maps([(1, xi)]).as_element()
     else:  # S(a) alpha b (x) c, then xi on the first leg
         pairs = H.contract(theta, (0,), right=(H.alpha,), split=2)
-        out = pairs.apply_maps([(0, xi.as_map())]).as_element()
+        out = pairs.apply_maps([(0, xi)]).as_element()
     central, witness = is_central(H, out)
     if not central:
         raise PostconditionError(
@@ -322,9 +321,10 @@ def central_from_theta(H: QuasiHopfStructure, theta: TensorElement,
 
 @memoized
 def trace_forms(H: QuasiHopfStructure, rep: Representation
-                ) -> Tuple[LinearForm, LinearForm]:
+                ) -> Tuple[LinearMap, LinearMap]:
     """The supertrace forms  xi(a) = Str(u S^{-1}(alpha) a)  and
-    xibar(a) = Str(u^{-1} S(beta) a); invariant resp. pseudo-invariant."""
+    xibar(a) = Str(u^{-1} S(beta) a), rank-0 maps like the counit;
+    invariant resp. pseudo-invariant."""
     H.require_r()
     if H.antipode_inv is None:
         raise AntipodeNotInvertibleError("trace forms need an invertible antipode")
@@ -332,12 +332,10 @@ def trace_forms(H: QuasiHopfStructure, rep: Representation
     u, uinv = u_operator(H), u_inverse(H)
     pre = u * H.s_inv(H.alpha)
     pre_bar = uinv * H.s(H.beta)
-    xi = LinearForm(H, tuple(
-        rep.supertrace_of(pre * A.basis_element(i)) for i in range(A.dim)),
-        name=f"trace:{rep.name}")
-    xibar = LinearForm(H, tuple(
-        rep.supertrace_of(pre_bar * A.basis_element(i)) for i in range(A.dim)),
-        name=f"trace-bar:{rep.name}")
+    xi = linear_form(A, [rep.supertrace_of(pre * A.basis_element(i))
+                         for i in range(A.dim)], name=f"trace:{rep.name}")
+    xibar = linear_form(A, [rep.supertrace_of(pre_bar * A.basis_element(i))
+                            for i in range(A.dim)], name=f"trace-bar:{rep.name}")
     if not is_invariant_form(H, xi):
         raise PostconditionError("the supertrace form is not invariant")
     if not is_pseudo_invariant_form(H, xibar):
@@ -426,14 +424,13 @@ def casimir_from_omega_rep(H: QuasiHopfStructure, rep: Representation,
 class CasimirCheck:
     name: str
     element: AlgebraElement
-    central: bool = True
     agreement: bool = True
     twist_invariant: Optional[bool] = None
     witness: Any = None
 
     @property
     def passed(self) -> bool:
-        return self.central and self.agreement and self.twist_invariant is not False
+        return self.agreement and self.twist_invariant is not False
 
 
 @dataclass
@@ -460,7 +457,7 @@ class CasimirReport:
             "checks": [{
                 "name": c.name,
                 "element": c.element.to_dict(),
-                "central": c.central,
+                "central": True,  # every construction checks centrality
                 "agreement": c.agreement,
                 "twist_invariant": c.twist_invariant,
                 **({"witness": str(c.witness)} if c.witness is not None else {}),
@@ -481,7 +478,7 @@ def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
     * C_m and Cbar_m for the configured powers and representations.
 
     Any inequality is recorded with the exact difference element."""
-    HF = twist_structure(H, F, verify=True)
+    HF = twist_structure(H, F)
     report = CasimirReport(subject=H.name or "structure", twistor=F.name,
                            structure=HF)
 

@@ -32,8 +32,8 @@ from .graded import (
     GradedAlgebra,
     GradedBasis,
     LinearMap,
-    StructureConstants,
     TensorElement,
+    linear_form,
 )
 from .quasihopf import (
     QuasiHopfStructure,
@@ -81,7 +81,7 @@ def make_algebra(labels: Sequence[str], parity: Sequence[int], unit: str,
         for k, c in out.items():
             s = c if isinstance(c, Scalar) else field.from_int(c)
             entries[(labels.index(a), labels.index(b), labels.index(k))] = s
-    return GradedAlgebra(basis, StructureConstants(entries), field, name=name)
+    return GradedAlgebra(basis, entries, field, name=name)
 
 
 def make_coproduct(A: GradedAlgebra,
@@ -91,12 +91,9 @@ def make_coproduct(A: GradedAlgebra,
 
 
 def make_counit(A: GradedAlgebra, table: Dict[str, Union[int, Scalar]]) -> LinearMap:
-    images = []
-    for lab in A.labels:
-        c = table[lab]
-        s = c if isinstance(c, Scalar) else A.field.from_int(c)
-        images.append(TensorElement((), {(): s}))
-    return LinearMap(A, (), images, name="counit")
+    values = [table[lab] for lab in A.labels]
+    return linear_form(A, [c if isinstance(c, Scalar) else A.field.from_int(c)
+                           for c in values], name="counit")
 
 
 def make_antipode(A: GradedAlgebra,
@@ -305,7 +302,7 @@ def grassmann_r_candidate(H: QuasiHopfStructure, c) -> TensorElement:
 def _build_sweedler_twisted() -> CatalogEntry:
     base = load_builtin("sweedler-h4")
     ft = base.twistors["Ft"]
-    H = twist_structure(base.structure, ft, verify=True)
+    H = twist_structure(base.structure, ft)
     H = H.with_data(name="sweedler-twisted")
     untwist = validate_twistor(ft.f_inv, H, ft.f, name="untwist")
     twistors = {"identity": identity_twistor(H), "untwist": untwist}

@@ -34,6 +34,7 @@ from .errors import PostconditionError, QhopfError
 from .invariants import center as center_of
 from .invariants import invariant_subspace, is_central, pseudo_invariant_subspace
 from .quasihopf import (
+    require_verified,
     verify_antipode_axioms,
     verify_quasi_bialgebra,
     verify_quasi_ybe,
@@ -103,7 +104,7 @@ def _pick_rep(entry: CatalogEntry, name: Optional[str]):
 
 def cmd_casimir(args) -> int:
     entry = load_entry(args.file)
-    H = entry.structure
+    H = require_verified(entry.structure, args.file, PostconditionError)
     out: Dict[str, object] = {"file": args.file, "kind": args.kind}
     if args.kind == "u":
         u = u_operator(H)
@@ -171,7 +172,7 @@ def cmd_twist(args) -> int:
         if not report.passed:
             status = 1
     else:
-        twisted = twist_structure(H, F, verify=True)
+        twisted = twist_structure(H, F)
     twisted = twisted.with_data(name=f"{entry.name}-{args.twistor}")
     new_entry = CatalogEntry(
         twisted.name, twisted, {"identity": identity_twistor(twisted)},

@@ -31,7 +31,6 @@ from .errors import (
     StructureValidationError,
 )
 from .linalg import eliminate
-from .report import AxiomCheck
 from .scalars import FieldDescriptor, Scalar
 
 Key = Tuple[int, ...]
@@ -50,6 +49,13 @@ def _collect(field: FieldDescriptor, terms) -> dict:
         acc[key] = v if s is None else add(s, v)
     is_zero = field.ops.is_zero
     return {k: Scalar(field, v) for k, v in acc.items() if not is_zero(v)}
+
+
+def _factor(c: Scalar) -> str:
+    """c as printed before "*": a sum of terms in parentheses, so that the
+    printed element reads back (a Q(q) quotient prints as (...)/(...))."""
+    s = str(c)
+    return f"({s})" if not s.startswith("(") and (" + " in s or " - " in s) else s
 
 
 def _expand(mul: Callable, coeff, factors: Sequence[Mapping[int, Scalar]]) -> list:
@@ -84,21 +90,6 @@ class GradedBasis:
             raise StructureValidationError("unit index out of range")
         if self.parity[self.unit_index] != 0:
             raise StructureValidationError("the unit must be even")
-
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Sparse multiplication table: entries[(i, j, k)] is the coefficient of
-    basis k in the product (basis i)(basis j)."""
-
-    entries: Mapping[Tuple[int, int, int], Scalar]
-
-    def table(self) -> Dict[Tuple[int, int], Dict[int, Scalar]]:
-        out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for (i, j, k), c in self.entries.items():
-            if not c.is_zero():
-                out.setdefault((i, j), {})[k] = c
-        return out
 
 
 class BaseAlgebra:
@@ -181,19 +172,25 @@ class BaseAlgebra:
 
 class GradedAlgebra(BaseAlgebra):
     """A validated unital associative Z2-graded algebra given by structure
-    constants.  Validation runs at construction: parity compatibility, the
-    two-sided unit law, and (g x) y = g (x y) for generators g and basis x,
-    y.  That suffices: the a with (a x) y = a (x y) for all x, y contain 1
-    and are closed under products, as ((ab) x) y = a (b (xy)) = (ab)(xy)."""
+    constants: entries[(i, j, k)] is the coefficient of basis k in the
+    product (basis i)(basis j).  Validation runs at construction: parity
+    compatibility, the two-sided unit law, and (g x) y = g (x y) for
+    generators g and basis x, y.  That suffices: the a with
+    (a x) y = a (x y) for all x, y contain 1 and are closed under products,
+    as ((ab) x) y = a (b (xy)) = (ab)(xy)."""
 
-    def __init__(self, basis: GradedBasis, constants: StructureConstants,
+    def __init__(self, basis: GradedBasis,
+                 entries: Mapping[Tuple[int, int, int], Scalar],
                  field: FieldDescriptor, name: str = ""):
         self.basis = basis
         self.field = field
         self.labels = basis.labels
         self.parity = basis.parity
         self.name = name
-        self._mul = constants.table()
+        self._mul: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        for (i, j, k), c in entries.items():
+            if not c.is_zero():
+                self._mul.setdefault((i, j), {})[k] = c
         self.unit_coeffs = {basis.unit_index: field.one()}
         self._validate()
 
@@ -392,7 +389,7 @@ class AlgebraElement(_Sparse):
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{c}*{self.algebra.labels[i]}"
+        return " + ".join(f"{_factor(c)}*{self.algebra.labels[i]}"
                           for i, c in sorted(self.coeffs.items()))
 
 
@@ -606,7 +603,7 @@ class TensorElement(_Sparse):
         terms = []
         for key, c in sorted(self.coeffs.items()):
             label = "(x)".join(self.legs[t].labels[key[t]] for t in range(self.rank))
-            terms.append(f"{c}*[{label}]")
+            terms.append(f"{_factor(c)}*[{label}]")
         return " + ".join(terms)
 
 
@@ -666,10 +663,9 @@ class LinearMap:
         return f"LinearMap({self.name or '?'}: 1 -> {self.target_rank})"
 
 
-def identity_map(algebra: BaseAlgebra, name: str = "id") -> LinearMap:
-    return LinearMap(algebra, (algebra,),
-                     [TensorElement((algebra,), {(i,): algebra.field.one()})
-                      for i in range(algebra.dim)], name=name)
+def linear_form(source: BaseAlgebra, values: Sequence[Scalar], name: str = "") -> LinearMap:
+    """The rank-0 map taking the value values[i] on basis element i."""
+    return LinearMap(source, (), [TensorElement((), {(): v}) for v in values], name=name)
 
 
 def quantify(algebra: BaseAlgebra, diff: Callable, arity: int = 1,
@@ -726,10 +722,3 @@ def multiplicativity(algebra: BaseAlgebra, f: Callable, sound: bool,
         return f(e(i) * e(j)) - (-rhs if algebra.parity[i] * algebra.parity[j] else rhs)
     return quantify(algebra, diff, 2, sound)
 
-
-def check_antihomomorphism(s_map: LinearMap, name: str = "antipode-antihomomorphism") -> AxiomCheck:
-    """Check the graded rule S(ab) = (-1)^{[a][b]} S(b) S(a) on basis pairs,
-    a over the generators when S(1) = 1."""
-    alg = s_map.source
-    return AxiomCheck(name, *multiplicativity(
-        alg, s_map, s_map(alg.unit()) == alg.unit(), anti=True))

@@ -12,9 +12,10 @@ End(V (+) W) legs, where the graded tensor product supplies every sign.
 A condition "for all a" is imposed for the generators a only: commuting
 with a is closed under products, and so is invariance under the actions
 once ``quasihopf._closed`` holds.  The reduced system has the same kernel,
-hence the same echelon basis.  For linear forms one row system per action,
-memoised per structure, gives both the form spaces (its kernel) and the
-membership tests (a form annihilates every row).
+hence the same echelon basis.  A linear form is a rank-0 ``LinearMap``,
+like the counit.  One row system per action, memoised per structure,
+gives both the form spaces (its kernel) and the membership tests (a form
+annihilates every row).
 """
 
 from __future__ import annotations
@@ -24,39 +25,10 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError, StructureValidationError
-from .graded import AlgebraElement, LinearMap, TensorElement, centralizes, require
+from .graded import AlgebraElement, LinearMap, TensorElement, centralizes, linear_form, require
 from .linalg import Row, nullspace, rows_of
 from .quasihopf import QuasiHopfStructure, _closed, condition_rows, memoized
 from .representations import Matrix, Representation, direct_sum
-from .scalars import Scalar
-
-
-@dataclass
-class LinearForm:
-    """A linear form given by its values on the basis."""
-
-    structure: QuasiHopfStructure
-    values: Tuple[Scalar, ...]
-    name: str = ""
-
-    def __call__(self, x: AlgebraElement) -> Scalar:
-        acc = self.structure.algebra.field.zero()
-        for i, c in x.coeffs.items():
-            acc = acc + c * self.values[i]
-        return acc
-
-    def is_even(self) -> bool:
-        par = self.structure.algebra.parity
-        return all(self.values[i].is_zero() for i in range(len(self.values))
-                   if par[i] == 1)
-
-    def as_map(self) -> LinearMap:
-        """The form as a map to scalars, for use on a tensor leg (even forms)."""
-        A = self.structure.algebra
-        return LinearMap(A, (), [TensorElement((), {(): v}) for v in self.values])
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.values == other.values
 
 
 @dataclass
@@ -175,32 +147,33 @@ def _form_rows(H: QuasiHopfStructure, action) -> List[Row]:
     return rows
 
 
-def _fixed_forms(H: QuasiHopfStructure, action) -> List[LinearForm]:
+def _fixed_forms(H: QuasiHopfStructure, action) -> List[LinearMap]:
     A = H.algebra
-    return [LinearForm(H, tuple(vec))
+    return [linear_form(A, vec)
             for vec in nullspace(_form_rows(H, action), A.dim, A.field)]
 
 
-def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearForm) -> bool:
+def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearMap) -> bool:
     zero = H.algebra.field.zero()
-    return all(sum((c * xi.values[k] for k, c in row.items()), zero).is_zero()
+    values = [image.coeffs.get((), zero) for image in xi.images]
+    return all(sum((c * values[k] for k, c in row.items()), zero).is_zero()
                for row in _form_rows(H, action))
 
 
-def invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearForm]:
+def invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearMap]:
     """Forms with xi(Ad a . b) = eps(a) xi(b) for all a, b."""
     return _fixed_forms(H, adjoint_action)
 
 
-def pseudo_invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearForm]:
+def pseudo_invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearMap]:
     return _fixed_forms(H, anti_adjoint_action)
 
 
-def is_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
+def is_invariant_form(H: QuasiHopfStructure, xi: LinearMap) -> bool:
     return _is_fixed_form(H, adjoint_action, xi)
 
 
-def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearForm) -> bool:
+def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearMap) -> bool:
     return _is_fixed_form(H, anti_adjoint_action, xi)
 
 

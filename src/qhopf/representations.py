@@ -24,6 +24,7 @@ from .graded import (
     LinearMap,
     MatrixSpaceAlgebra,
     TensorElement,
+    linear_form,
     multiplicativity,
     require,
 )
@@ -121,12 +122,11 @@ class Representation:
     def supertrace_map(self) -> LinearMap:
         """Str: End(V) -> k as a map on a tensor leg, Str(E[i,i]) = (-1)^{parity(v_i)}."""
         if self._supertrace_map is None:
-            one, d = self.field.one(), self.dim
-            images = [TensorElement((), {(): -one if self.carrier_parity[i] else one}
-                                    if i == j else {})
+            one, zero, d = self.field.one(), self.field.zero(), self.dim
+            values = [(-one if self.carrier_parity[i] else one) if i == j else zero
                       for i in range(d) for j in range(d)]
-            self._supertrace_map = LinearMap(self.matrix_algebra(), (), images,
-                                             name=f"str:{self.name or 'V'}")
+            self._supertrace_map = linear_form(self.matrix_algebra(), values,
+                                               name=f"str:{self.name or 'V'}")
         return self._supertrace_map
 
     def __eq__(self, other):
@@ -144,13 +144,6 @@ def apply_rep_on_leg(x: TensorElement, leg: int, rep: Representation) -> TensorE
     """Replace a symbolic tensor leg by its matrix image under the
     representation; the leg then lives over End(V) with matrix units as basis."""
     return x.apply_maps([(leg, rep.leg_map())])
-
-
-def validate_representation(matrices: Sequence[Matrix],
-                            carrier_parity: Sequence[int],
-                            algebra: BaseAlgebra, name: str = "") -> Representation:
-    """Build a representation, verifying the homomorphism and grading rules."""
-    return Representation(algebra, carrier_parity, matrices, name=name)
 
 
 def direct_sum(V: Representation, W: Representation) -> Representation:

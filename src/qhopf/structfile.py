@@ -20,8 +20,8 @@ from .graded import (
     GradedAlgebra,
     GradedBasis,
     LinearMap,
-    StructureConstants,
     TensorElement,
+    linear_form,
 )
 from .quasihopf import QuasiHopfStructure
 from .representations import Representation
@@ -256,19 +256,15 @@ def entry_from_dict(doc: dict) -> CatalogEntry:
     for i, j, k, text in doc["mul"]:
         key = (labels.index(i), labels.index(j), labels.index(k))
         entries[key] = parse(text)
-    A = GradedAlgebra(basis, StructureConstants(entries), field,
-                      name=doc.get("name", ""))
+    A = GradedAlgebra(basis, entries, field, name=doc.get("name", ""))
 
     cop_doc = doc["coproduct"]
     cop_images = [_parse_tensor(cop_doc.get(lab, []), A, 2, parse) for lab in labels]
     coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
 
     eps_doc = doc["counit"]
-    eps_images = []
-    for lab in labels:
-        s = parse(eps_doc.get(lab, "0"))
-        eps_images.append(TensorElement((), {(): s}))
-    counit = LinearMap(A, (), eps_images, name="counit")
+    counit = linear_form(A, [parse(eps_doc.get(lab, "0")) for lab in labels],
+                         name="counit")
 
     anti_doc = doc["antipode"]
     anti_images = [TensorElement.of(_parse_element(anti_doc.get(lab, {}), A, parse))

@@ -10,8 +10,7 @@ A twistor is an invertible even rank-2 tensor F with the counit property
     r_F  = F^T r F^{-1}
 
 with the antipode unchanged, and produces another quasi-Hopf structure;
-the result is re-verified eagerly by default, which doubles as an engine
-self-test.
+the result is always re-verified, which doubles as an engine self-test.
 """
 
 from __future__ import annotations
@@ -107,9 +106,9 @@ def twisted_c2(H: QuasiHopfStructure, F: Twistor,
     return H.contract(F.f_inv, (0,), right=(c2,))
 
 
-def twist_structure(H: QuasiHopfStructure, F: Twistor,
-                    verify: bool = True) -> QuasiHopfStructure:
-    """The twisted quasi-Hopf structure; re-verified eagerly unless opted out."""
+def twist_structure(H: QuasiHopfStructure, F: Twistor) -> QuasiHopfStructure:
+    """The twisted quasi-Hopf structure, once it passes verification;
+    PostconditionError names the failed axioms otherwise."""
     A, legs3 = H.algebra, H.legs(3)
     images = [F.f * H.delta(A.basis_element(i)) * F.f_inv for i in range(A.dim)]
     coproduct_f = LinearMap(A, (A, A), images, name="coproduct_F")
@@ -131,8 +130,7 @@ def twist_structure(H: QuasiHopfStructure, F: Twistor,
         alpha=twisted_c2(H, F, H.alpha), beta=twisted_c1(H, F, H.beta),
         r=r_f, r_inv=r_f_inv, antipode_inv=H.antipode_inv,
         name=f"{H.name or 'structure'}^{F.name}")
-    return require_verified(twisted, "twisted structure", PostconditionError) \
-        if verify else twisted
+    return require_verified(twisted, "twisted structure", PostconditionError)
 
 
 def check_twisted_canonical_identities(H: QuasiHopfStructure,

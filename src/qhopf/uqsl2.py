@@ -6,7 +6,8 @@ Generators E, F, K with
     E^3 = F^3 = 0,   K^3 = 1,            q = z  (primitive cube root of 1),
 
 ordered basis E^a F^b K^c, 0 <= a, b, c < 3, over the cyclotomic field of
-order 3.  The Hopf structure used here is
+order 3.  The multiplication table comes from ``_reduce``, a memoised
+rewrite of words in E, F, K into that order.  The Hopf structure used here is
 
     coproduct(E) = E (x) K + 1 (x) E,    coproduct(F) = F (x) 1 + K^{-1} (x) F,
     antipode(E) = -E K^{-1},             antipode(F) = -K F,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
+from functools import cache
 from typing import Dict, Tuple
 
 from .catalog import CatalogEntry, search_r
@@ -36,8 +37,8 @@ from .graded import (
     GradedAlgebra,
     GradedBasis,
     LinearMap,
-    StructureConstants,
     TensorElement,
+    linear_form,
 )
 from .quasihopf import QuasiHopfStructure
 from .representations import trivial_representation
@@ -45,6 +46,9 @@ from .scalars import FieldDescriptor, QQ, Scalar, _power
 from .twisting import identity_twistor
 
 C3 = FieldDescriptor.cyclotomic(3)
+Q = C3.generator()
+LAM = (Q - Q.inv()).inv()  # 1/(q - q^{-1})
+_RANK = {"E": 0, "F": 1, "K": 2}
 
 
 def _monomial_label(a: int, b: int, c: int) -> str:
@@ -57,50 +61,34 @@ def _monomial_label(a: int, b: int, c: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class _WordReducer:
-    """Rewrites words in E, F, K to normal order E^a F^b K^c with exact
-    cyclotomic coefficients."""
+def _word(a: int, b: int, c: int) -> Tuple[str, ...]:
+    return ("E",) * a + ("F",) * b + ("K",) * c
 
-    def __init__(self):
-        self.q = C3.generator()
-        self.lam = (self.q - self.q.inv()).inv()  # 1/(q - q^{-1})
-        self._cache: Dict[Tuple[str, ...], Dict[Tuple[int, int, int], Scalar]] = {}
 
-    def reduce(self, word: Tuple[str, ...]) -> Dict[Tuple[int, int, int], Scalar]:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        result = self._reduce(word)
-        self._cache[word] = result
-        return result
-
-    def _reduce(self, word: Tuple[str, ...]) -> Dict[Tuple[int, int, int], Scalar]:
-        rank = {"E": 0, "F": 1, "K": 2}
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if rank[a] <= rank[b]:
-                continue
-            head, tail = word[:i], word[i + 2:]
-            if (a, b) == ("K", "E"):
-                return _scaled(self.reduce(head + ("E", "K") + tail), self.q ** 2)
-            if (a, b) == ("K", "F"):
-                return _scaled(self.reduce(head + ("F", "K") + tail), self.q ** -2)
-            # F E = E F - lam K + lam K^2
-            out: Dict[Tuple[int, int, int], Scalar] = {}
-            _accumulate(out, self.reduce(head + ("E", "F") + tail), C3.one())
-            _accumulate(out, self.reduce(head + ("K",) + tail), -self.lam)
-            _accumulate(out, self.reduce(head + ("K", "K") + tail), self.lam)
-            return out
-        # normal ordered: truncate powers
-        a = sum(1 for ch in word if ch == "E")
-        b = sum(1 for ch in word if ch == "F")
-        c = sum(1 for ch in word if ch == "K") % 3
-        if a >= 3 or b >= 3:
-            return {}
-        return {(a, b, c): C3.one()}
-
-    def word_of(self, a: int, b: int, c: int) -> Tuple[str, ...]:
-        return ("E",) * a + ("F",) * b + ("K",) * c
+@cache
+def _reduce(word: Tuple[str, ...]) -> Dict[Tuple[int, int, int], Scalar]:
+    """The word in E, F, K rewritten in normal order E^a F^b K^c, as exact
+    cyclotomic coefficients keyed by (a, b, c)."""
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if _RANK[a] <= _RANK[b]:
+            continue
+        head, tail = word[:i], word[i + 2:]
+        if (a, b) == ("K", "E"):
+            return _scaled(_reduce(head + ("E", "K") + tail), Q ** 2)
+        if (a, b) == ("K", "F"):
+            return _scaled(_reduce(head + ("F", "K") + tail), Q ** -2)
+        # F E = E F - lam K + lam K^2
+        out: Dict[Tuple[int, int, int], Scalar] = {}
+        _accumulate(out, _reduce(head + ("E", "F") + tail), C3.one())
+        _accumulate(out, _reduce(head + ("K",) + tail), -LAM)
+        _accumulate(out, _reduce(head + ("K", "K") + tail), LAM)
+        return out
+    # normal ordered: truncate powers
+    a, b, c = (word.count(letter) for letter in "EFK")
+    if a >= 3 or b >= 3:
+        return {}
+    return {(a, b, c % 3): C3.one()}
 
 
 def _scaled(table: Dict, s: Scalar) -> Dict:
@@ -114,24 +102,21 @@ def _accumulate(acc: Dict, table: Dict, s: Scalar) -> None:
         acc[k] = val if cur is None else cur + val
 
 
-@lru_cache(maxsize=1)
-def _build_algebra() -> Tuple[GradedAlgebra, _WordReducer]:
-    red = _WordReducer()
+@cache
+def _build_algebra() -> GradedAlgebra:
     triples = list(itertools.product(range(3), repeat=3))
     labels = tuple(_monomial_label(*t) for t in triples)
     index = {t: i for i, t in enumerate(triples)}
     basis = GradedBasis(labels, (0,) * 27, index[(0, 0, 0)])
     entries = {}
     for t1 in triples:
-        w1 = red.word_of(*t1)
+        w1 = _word(*t1)
         for t2 in triples:
-            prod = red.reduce(w1 + red.word_of(*t2))
+            prod = _reduce(w1 + _word(*t2))
             for t3, coeff in prod.items():
                 if not coeff.is_zero():
                     entries[(index[t1], index[t2], index[t3])] = coeff
-    algebra = GradedAlgebra(basis, StructureConstants(entries), C3,
-                            name="uqsl2(3)")
-    return algebra, red
+    return GradedAlgebra(basis, entries, C3, name="uqsl2(3)")
 
 
 def _element(A: GradedAlgebra, table: Dict[Tuple[int, int, int], Scalar]) -> AlgebraElement:
@@ -151,7 +136,7 @@ def _build_maps(A: GradedAlgebra):
     dF = TensorElement.of(F, one) + TensorElement.of(Kinv, F)
     dK = TensorElement.of(K, K)
     cop_images = []
-    eps_images = []
+    eps_values = []
     s_images = []
     sE = -(E * Kinv)
     sF = -(K * F)
@@ -159,43 +144,40 @@ def _build_maps(A: GradedAlgebra):
     for a, b, c in itertools.product(range(3), repeat=3):
         cop_images.append(_power(dK, c, operator.mul, _power(
             dF, b, operator.mul, _power(dE, a, operator.mul, unit2))))
-        eps = C3.one() if (a == 0 and b == 0) else C3.zero()
-        eps_images.append(TensorElement((), {(): eps}))
+        eps_values.append(C3.one() if (a == 0 and b == 0) else C3.zero())
         # antihomomorphism on the ordered word: S(K)^c S(F)^b S(E)^a
         s_images.append(TensorElement.of(
             _power(sE, a, operator.mul, _power(
                 sF, b, operator.mul, _power(sK, c, operator.mul, one)))))
     coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
-    counit = LinearMap(A, (), eps_images, name="counit")
+    counit = linear_form(A, eps_values, name="counit")
     antipode = LinearMap(A, (A,), s_images, name="antipode")
     return coproduct, counit, antipode
 
 
-def _r_candidate(A: GradedAlgebra, red: _WordReducer,
-                 g: int, d: int, c: int) -> TensorElement:
-    q = red.q
+def _r_candidate(A: GradedAlgebra, g: int, d: int, c: int) -> TensorElement:
     third = C3.from_rational(QQ(1, 3))
     qfact = [C3.one(), C3.one(), -C3.one()]  # [0]!, [1]!, [2]! at q = z
     terms = []
     for n in range(3):
-        base = ((q - q.inv()) ** n) * qfact[n].inv() * q ** (g * (n * (n - 1) // 2))
+        base = ((Q - Q.inv()) ** n) * qfact[n].inv() * Q ** (g * (n * (n - 1) // 2))
         for i in range(3):
             for j in range(3):
                 terms.append(((A.index_of(_monomial_label(n, 0, i)),
                                A.index_of(_monomial_label(0, n, j))),
-                              third * base * q ** (d * n * (i - j) + c * i * j)))
+                              third * base * Q ** (d * n * (i - j) + c * i * j)))
     return TensorElement.from_terms((A, A), terms)
 
 
 def build_small_uqsl2() -> CatalogEntry:
-    A, red = _build_algebra()
+    A = _build_algebra()
     coproduct, counit, antipode = _build_maps(A)
     unit3 = TensorElement.unit((A, A, A))
     H0 = QuasiHopfStructure(
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
         phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
         name="small-uqsl2")
-    H = search_r(H0, (_r_candidate(A, red, g, d, c) for g, d, c in
+    H = search_r(H0, (_r_candidate(A, g, d, c) for g, d, c in
                       itertools.product((0, 1, 2), (1, 2, 0), (1, 2))),
                  "the exponent conventions (g, d, c)")
     twistors = {"identity": identity_twistor(H)}

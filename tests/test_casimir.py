@@ -18,8 +18,8 @@ from qhopf.casimir import (
     verify_twist_invariance,
 )
 from qhopf.errors import NoRMatrixError, NotInvariantError, OddElementError
+from qhopf.graded import linear_form
 from qhopf.invariants import (
-    LinearForm,
     invariant_subspace,
     is_central,
     is_invariant_element,
@@ -27,10 +27,16 @@ from qhopf.invariants import (
     pseudo_invariant_subspace,
 )
 from qhopf.representations import apply_rep_on_leg, supertrace
+from qhopf.twisting import check_twisted_canonical_identities
 
 
 def el(H, label):
     return H.algebra.basis_element(H.algebra.index_of(label))
+
+
+def values(H, xi):
+    """The values of a rank-0 map on the basis."""
+    return [xi(H.algebra.basis_element(i)) for i in range(H.algebra.dim)]
 
 
 # -- C1 / C2 ----------------------------------------------------------------
@@ -158,9 +164,11 @@ def test_identity_suite_all_entries(e1, e2, e3, e4, e5):
 
 
 def test_identity_suite_with_twistor(e1, e3, e5):
-    assert identity_suite(e1.structure, e1.twistors["pminus"]).passed
-    assert identity_suite(e3.structure, e3.twistors["Ft"]).passed
-    assert identity_suite(e5.structure, e5.twistors["untwist"]).passed
+    for entry, name in ((e1, "pminus"), (e3, "Ft"), (e5, "untwist")):
+        report = identity_suite(entry.structure)
+        report.extend(check_twisted_canonical_identities(
+            entry.structure, entry.twistors[name]))
+        assert report.passed
 
 
 # -- trace forms and the C_m families -------------------------------------------------
@@ -170,17 +178,15 @@ def test_trace_form_values_on_z2(e1):
     H = e1.structure
     xi, xibar = trace_forms(H, e1.representations["regular"])
     # xi(a) = Tr(pi(g a)): values (0, 2) on the basis (1, g)
-    assert [str(v) for v in xi.values] == ["0", "2"]
-    assert [str(v) for v in xibar.values] == ["0", "2"]
+    assert [str(v) for v in values(H, xi)] == ["0", "2"]
+    assert [str(v) for v in values(H, xibar)] == ["0", "2"]
 
 
 def test_trace_form_is_counit_for_trivial_rep(e1, e3):
     for entry in (e1, e3):
         H = entry.structure
         xi, _ = trace_forms(H, entry.representations["trivial"])
-        eps = tuple(H.eps(H.algebra.basis_element(i))
-                    for i in range(H.algebra.dim))
-        assert xi.values == eps
+        assert values(H, xi) == values(H, H.counit)
 
 
 def test_supertrace_values(e1, e4):
@@ -212,8 +218,7 @@ def test_supertrace_graded_cyclicity(e1, e4):
 
 def test_central_from_theta_examples(e1):
     H = e1.structure
-    eps = LinearForm(H, tuple(H.eps(H.algebra.basis_element(i))
-                              for i in range(H.algebra.dim)))
+    eps = H.counit
     C = central_from_theta(H, H.unit_tensor(3), eps)
     assert C == H.algebra.unit().scale(eps(H.beta))
 
@@ -224,6 +229,23 @@ def test_central_from_theta_examples(e1):
     xi, _ = trace_forms(H, e1.representations["regular"])
     C2 = central_from_theta(H, theta, xi)
     assert C2.is_zero()  # Tr(pi(g)) = 0
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_central_from_theta_rejects_an_odd_form(e4, mirror):
+    """A form nonzero on the odd th does not preserve parity, so it is
+    rejected before theta is contracted, even though theta = 1 (x) 1 (x) 1
+    centralises the iterated coproduct."""
+    H = e4.structure
+    A = H.algebra
+    odd = linear_form(A, [A.field.zero() if A.parity[i] == 0 else A.field.one()
+                          for i in range(A.dim)])
+    assert odd(el(H, "th")) == A.field.one()
+    with pytest.raises(NotInvariantError, match="odd values"):
+        central_from_theta(H, H.unit_tensor(3), odd, mirror=mirror)
+    # the counit, nonzero only on the even part, passes the same gate
+    assert central_from_theta(H, H.unit_tensor(3), H.counit, mirror=mirror) \
+        == A.unit().scale(H.eps(H.beta if not mirror else H.alpha))
 
 
 def test_cm_values_on_z2(e1):
@@ -364,7 +386,7 @@ def test_twisted_invariants_transport(e3):
     from qhopf.twisting import twist_structure
     H = e3.structure
     F = e3.twistors["Ft"]
-    HF = twist_structure(H, F, verify=False)
+    HF = twist_structure(H, F)
     for c1 in invariant_subspace(H).even:
         c1f = twisted_c1(H, F, c1)
         assert is_invariant_element(HF, c1f)

@@ -189,6 +189,20 @@ def test_casimir_text_output(capsys):
         "inverse: {'g': '1'}"]
 
 
+@pytest.mark.parametrize("kind", ["cm", "cmbar", "u"])
+def test_casimir_refuses_a_structure_that_fails_verification(kind, tmp_path, capsys):
+    """With phi^-1 emptied, verify fails coassociator-invertible; casimir
+    used to build from the unverified data and exit 0 (cm gave {})."""
+    bad = corrupt(tmp_path, "small-uqsl2", lambda doc: doc.update(phi_inv=[]))
+    assert main(["verify", bad, "--checks", "axioms", "--json"]) == 1
+    capsys.readouterr()
+    assert main(["casimir", bad, "--kind", kind, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {bad} failed verification: coassociator-invertible")
+
+
 def test_casimir_source_required(capsys):
     assert main(["casimir", path("z2-group"), "--kind", "c1"]) == 2
 

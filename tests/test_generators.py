@@ -361,8 +361,8 @@ def test_invariant_spaces_agree(name, full):
         maps = [invariant_maps(H, V, W) for V, W in pairs] + [
             (invariant_bilinear_forms(H, V, W),) for V, W in pairs]
         return (_space(invariant_subspace(H)), _space(pseudo_invariant_subspace(H)),
-                [f.values for f in invariant_linear_forms(H)],
-                [f.values for f in pseudo_invariant_linear_forms(H)],
+                [f.images for f in invariant_linear_forms(H)],
+                [f.images for f in pseudo_invariant_linear_forms(H)],
                 [[[[str(c) for c in row] for row in m] for m in part]
                  for pair in maps for part in pair])
 

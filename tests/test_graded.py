@@ -12,10 +12,8 @@ from qhopf.graded import (
     GradedAlgebra,
     GradedBasis,
     LinearMap,
-    StructureConstants,
     TensorElement,
-    check_antihomomorphism,
-    identity_map,
+    multiplicativity,
 )
 from qhopf.scalars import FieldDescriptor
 
@@ -30,7 +28,7 @@ def make_algebra(labels, parity, unit, products, field=Q):
         for k, c in out.items():
             s = c if not isinstance(c, (int,)) else field.from_int(c)
             entries[(labels.index(a), labels.index(b), labels.index(k))] = s
-    return GradedAlgebra(basis, StructureConstants(entries), field)
+    return GradedAlgebra(basis, entries, field)
 
 
 @pytest.fixture(scope="module")
@@ -248,11 +246,44 @@ def test_embed_unit_fill(z2):
     assert r.embed((0, 2), legs3) == TensorElement.of(g, z2.unit(), g)
 
 
+# -- printed elements and tensors -------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, text, printed", [
+    (FieldDescriptor.cyclotomic(3), "z + 1", "(z + 1)*K"),
+    (FieldDescriptor.cyclotomic(3), "1/3*z - 2/3", "(1/3*z - 2/3)*K"),
+    (Q, "2", "2*K"),
+    (Q, "-1/2", "-1/2*K"),
+    (FieldDescriptor.cyclotomic(3), "-z", "-z*K"),
+    (FieldDescriptor.rational_functions("q"), "(q + 1)/(q - 1)", "(q + 1)/(q - 1)*K"),
+    (FieldDescriptor.rational_functions("q"), "q^2 - q", "(q^2 - q)*K"),
+])
+def test_a_multi_term_coefficient_is_printed_in_parentheses(field, text, printed):
+    A = make_algebra(["1", "K"], [0, 0], "1",
+                     {("1", "1"): {"1": 1}, ("1", "K"): {"K": 1},
+                      ("K", "1"): {"K": 1}, ("K", "K"): {"1": 1}}, field)
+    c = field.parse(text)
+    K = A.basis_element(1)
+    assert repr(K.scale(c)) == printed
+    assert repr(K.scale(c) + A.unit()) == f"1*1 + {printed}"
+    assert repr(TensorElement.of(A.unit(), K).scale(c)) == printed.replace("*K", "*[1(x)K]")
+
+
 # -- antihomomorphism check ----------------------------------------------------------
 
 
+def identity(algebra):
+    return LinearMap(algebra, (algebra,),
+                     [TensorElement((algebra,), {(i,): algebra.field.one()})
+                      for i in range(algebra.dim)], name="id")
+
+
+# The graded rule S(ab) = (-1)^{[a][b]} S(b) S(a) on basis pairs; every map
+# below fixes 1, so a runs over the generators (sound=True).
+
+
 def test_antihom_identity_on_z2(z2):
-    assert check_antihomomorphism(identity_map(z2)).passed
+    assert multiplicativity(z2, identity(z2), True, anti=True)[0]
 
 
 def test_antihom_sweedler(sweedler):
@@ -261,7 +292,7 @@ def test_antihom_sweedler(sweedler):
     s = LinearMap(sweedler, (sweedler,),
                   [TensorElement.of(sweedler.element(images[lab]))
                    for lab in sweedler.labels], name="antipode")
-    assert check_antihomomorphism(s).passed
+    assert multiplicativity(sweedler, s, True, anti=True)[0]
 
 
 def test_antihom_grassmann(grassmann):
@@ -269,13 +300,13 @@ def test_antihom_grassmann(grassmann):
     s = LinearMap(grassmann, (grassmann,),
                   [TensorElement.of(grassmann.unit()),
                    TensorElement.of(-el(grassmann, "th"))], name="antipode")
-    assert check_antihomomorphism(s).passed
+    assert multiplicativity(grassmann, s, True, anti=True)[0]
 
 
 def test_antihom_failure_reported(sweedler):
-    bad = identity_map(sweedler)  # identity is not an antihomomorphism on H4
-    result = check_antihomomorphism(bad)
-    assert not result.passed and result.witness is not None
+    bad = identity(sweedler)  # identity is not an antihomomorphism on H4
+    passed, witness, *_ = multiplicativity(sweedler, bad, True, anti=True)
+    assert not passed and witness is not None
 
 
 # -- construction-time validation -----------------------------------------------------

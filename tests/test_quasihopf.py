@@ -2,7 +2,7 @@ import pytest
 
 from qhopf.catalog import grassmann_r_candidate, load_builtin
 from qhopf.errors import NoRMatrixError, StructureValidationError
-from qhopf.graded import LinearMap, StructureConstants, TensorElement
+from qhopf.graded import LinearMap, TensorElement
 from qhopf.quasihopf import (
     reindex,
     solve_canonical_elements,
@@ -218,7 +218,7 @@ def test_mutation_sensitivity_every_datum(e2):
                        for c, s in out.items()}
             entries[(i, j, k)] = -entries[(i, j, k)]
             try:
-                A2 = GradedAlgebra(A.basis, StructureConstants(entries), A.field)
+                A2 = GradedAlgebra(A.basis, entries, A.field)
             except StructureValidationError:
                 broken += 1
                 continue

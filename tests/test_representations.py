@@ -3,10 +3,10 @@ import pytest
 from qhopf.errors import StructureValidationError
 from qhopf.graded import TensorElement
 from qhopf.representations import (
+    Representation,
     apply_rep_on_leg,
     regular_representation,
     supertrace,
-    validate_representation,
 )
 
 
@@ -23,7 +23,7 @@ def test_corrupted_matrix_rejected(e3):
     matrices = [[row[:] for row in m] for m in reg.matrices]
     matrices[1][0][0] = matrices[1][0][0] + A.field.one()
     with pytest.raises(StructureValidationError):
-        validate_representation(matrices, reg.carrier_parity, A)
+        Representation(A, reg.carrier_parity, matrices)
 
 
 def test_grading_violation_rejected(e4):
@@ -33,7 +33,7 @@ def test_grading_violation_rejected(e4):
     matrices = [[[one, zero], [zero, one]],
                 [[one, zero], [zero, zero]]]
     with pytest.raises(StructureValidationError):
-        validate_representation(matrices, (0, 1), A)
+        Representation(A, (0, 1), matrices)
 
 
 def test_trivial_rep_collapses_like_counit(e2):

@@ -39,8 +39,8 @@ def test_search_keeps_the_documented_candidates(e3, e4):
     H4 = e4.structure
     assert H4.r == grassmann_r_candidate(H4, 1) == tensor_from(
         H4.algebra, [("1", "1", 1), ("th", "th", 1)])
-    A, red = _build_algebra()
-    assert load_builtin("small-uqsl2").structure.r == _r_candidate(A, red, 1, 2, 1)
+    A = _build_algebra()
+    assert load_builtin("small-uqsl2").structure.r == _r_candidate(A, 1, 2, 1)
     assert UQSL2_ORDER.index((1, 2, 1)) == 8
 
 
@@ -79,9 +79,9 @@ def test_no_passing_candidate_raises_naming_the_entry(e3, e4):
         search_r(bare(e4.structure), [bare(e4.structure).unit_tensor(2).scale(0)],
                  "the zero tensor")
     H = bare(load_builtin("small-uqsl2").structure)
-    A, red = _build_algebra()
+    A = _build_algebra()
     with pytest.raises(StructureValidationError, match="small-uqsl2"):
-        search_r(H, (_r_candidate(A, red, *gdc) for gdc in UQSL2_ORDER[:8]),
+        search_r(H, (_r_candidate(A, *gdc) for gdc in UQSL2_ORDER[:8]),
                  "the conventions before (1, 2, 1)")
 
 

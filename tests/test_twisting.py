@@ -1,7 +1,7 @@
 import pytest
 
 from qhopf.catalog import load_builtin, tensor_from
-from qhopf.errors import NotInvertibleError, StructureValidationError
+from qhopf.errors import NotInvertibleError, PostconditionError, StructureValidationError
 from qhopf.graded import TensorElement
 from qhopf.quasihopf import verify_structure
 from qhopf.twisting import (
@@ -43,7 +43,7 @@ def test_non_invertible_rejected(e3):
 def test_identity_twist_is_identity(e1, e3, e4):
     for entry in (e1, e3, e4):
         H = entry.structure
-        twisted = twist_structure(H, identity_twistor(H), verify=False)
+        twisted = twist_structure(H, identity_twistor(H))
         assert twisted == H
 
 
@@ -72,12 +72,23 @@ def test_twist_preserves_all_axioms(entry_name):
     R-matrix carried along when present."""
     entry = load_builtin(entry_name)
     for F in entry.twistors.values():
-        twisted = twist_structure(entry.structure, F, verify=False)
+        twisted = twist_structure(entry.structure, F)
         assert verify_structure(twisted).passed
 
 
+def test_twisting_a_structure_that_fails_verification_raises(e3):
+    """Verification of the twisted structure is unconditional: with phi^-1
+    emptied, the twist of sweedler-h4 by Ft names the failed axioms."""
+    H = e3.structure.with_data(phi_inv=e3.structure.phi_inv.scale(0))
+    assert not verify_structure(H).passed
+    with pytest.raises(PostconditionError,
+                       match="twisted structure failed verification: "
+                             ".*coassociator-invertible"):
+        twist_structure(H, e3.twistors["Ft"])
+
+
 def test_untwist_recovers_sweedler(e3, e5):
-    back = twist_structure(e5.structure, e5.twistors["untwist"], verify=False)
+    back = twist_structure(e5.structure, e5.twistors["untwist"])
     assert back == e3.structure
 
 
@@ -98,12 +109,12 @@ def test_two_step_twist_composition_on_coproduct(e1, e3):
     for entry, fname in ((e1, "pminus"), (e3, "Ft")):
         H = entry.structure
         F = entry.twistors[fname]
-        once = twist_structure(H, F, verify=False)
+        once = twist_structure(H, F)
         G = validate_twistor(F.f, once, F.f_inv, name="G")  # reuse F on H_F
-        twice = twist_structure(once, G, verify=False)
+        twice = twist_structure(once, G)
         composite = validate_twistor(G.f * F.f, H, F.f_inv * G.f_inv,
                                      name="GF")
-        direct = twist_structure(H, composite, verify=False)
+        direct = twist_structure(H, composite)
         for i in range(H.algebra.dim):
             assert twice.delta(H.basis_element(i)) == direct.delta(H.basis_element(i))
 
@@ -113,7 +124,7 @@ def test_grassmann_even_twistor(e4):
     super pair; the twisted structure must verify including Koszul signs."""
     H = e4.structure
     F = e4.twistors["theta-pair"]
-    twisted = twist_structure(H, F, verify=False)
+    twisted = twist_structure(H, F)
     assert verify_structure(twisted).passed
 
 
