@@ -186,9 +186,7 @@ def u_inverse(H: QuasiHopfStructure) -> AlgebraElement:
                       right=(_alpha_rinv(H), H.beta))
     if H.s(H.s(uinv)) != uinv:
         raise PostconditionError("u inverse is not fixed by the antipode squared")
-    u = u_operator(H)
-    one = H.algebra.unit()
-    if u * uinv != one or uinv * u != one:
+    if u_operator(H) * uinv != H.algebra.unit():
         raise PostconditionError("u inverse does not invert u")
     return uinv
 

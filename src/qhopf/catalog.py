@@ -39,6 +39,7 @@ from .quasihopf import (
     QuasiHopfStructure,
     require_verified,
     solve_canonical_elements,
+    verify_quasitriangular,
     verify_structure,
 )
 from .representations import Representation, regular_representation, trivial_representation
@@ -118,18 +119,17 @@ def search_r(H: QuasiHopfStructure, candidates: Iterable[TensorElement],
              what: str) -> QuasiHopfStructure:
     """H with the first candidate R that intertwines the coproduct with its
     flip on the generators (the one R axiom that needs no inverse), has an
-    inverse and passes ``verify_structure``, which is the entry's verification.
-    The R-free reports run once, on H without R; each candidate inherits them."""
+    inverse, passes the memoised ``verify_quasitriangular`` and then
+    ``verify_structure``, the entry's verification, which only the winner reaches."""
     A = H.algebra
     gens = [A.basis_element(i) for i in A.generators()]
-    bare = H.with_data(r=None, r_inv=None)
     for r in candidates:
         if any(H.delta_t(a) * r != r * H.delta(a) for a in gens):
             continue
         r_inv = invert_tensor(r)
         if r_inv is not None:
-            candidate = bare.with_r(r, r_inv)
-            if verify_structure(candidate).passed:
+            candidate = H.with_data(r=r, r_inv=r_inv)
+            if verify_quasitriangular(candidate).passed and verify_structure(candidate).passed:
                 return candidate
     raise StructureValidationError(
         f"catalog entry {H.name}: no R-matrix in {what} passed verification")

@@ -40,6 +40,7 @@ from .quasihopf import (
     verify_quasi_ybe,
     verify_quasitriangular,
 )
+from .scalars import MAX_EXPONENT
 from .structfile import load_entry, render_entry, save_entry
 from .twisting import identity_twistor, twist_structure, validate_twistor
 
@@ -103,6 +104,8 @@ def _pick_rep(entry: CatalogEntry, name: Optional[str]):
 
 
 def cmd_casimir(args) -> int:
+    if abs(args.power) > MAX_EXPONENT:  # each doubling of m costs one product of R^T R
+        raise QhopfError(f"--power: |m| must be at most {MAX_EXPONENT}")
     entry = load_entry(args.file)
     H = require_verified(entry.structure, args.file, PostconditionError)
     out: Dict[str, object] = {"file": args.file, "kind": args.kind}

@@ -14,7 +14,7 @@ of A only.  Otherwise, and to find the witness of a failure, the whole
 basis is used.  The closure argument for the exchange identities is in
 ``casimir._exchange_identities``.
 
-An inverse (of phi, R or a twistor) is checked on one side, x y = 1: the
+An inverse (of phi, R, u or a twistor) is checked on one side, x y = 1: the
 legs are validated associative, unital and finite-dimensional, so x y = 1
 gives L_x L_y = id, L_y is injective, hence bijective, and y x = 1.
 """
@@ -213,14 +213,6 @@ class QuasiHopfStructure:
     def with_data(self, **kw) -> "QuasiHopfStructure":
         return replace(self, **kw)
 
-    def with_r(self, r: TensorElement, r_inv: TensorElement) -> "QuasiHopfStructure":
-        """A copy with R; made from a structure without R, it inherits its memo."""
-        copy = self.with_data(r=r, r_inv=r_inv)
-        if self.r is None:
-            r_free_reports(self)  # computed once, for every copy
-            copy._derived.update(self._derived)  # none of its values reads R
-        return copy
-
     def __eq__(self, other):
         if not isinstance(other, QuasiHopfStructure):
             return NotImplemented
@@ -406,9 +398,10 @@ def verify_antipode_axioms(H: QuasiHopfStructure) -> AxiomReport:
     return report
 
 
+@memoized
 def verify_quasitriangular(H: QuasiHopfStructure) -> AxiomReport:
-    """R-matrix axioms: invertibility, evenness, counits, the intertwining
-    of the coproduct with its flip, and both coassociator-decorated hexagons."""
+    """R-matrix axioms (invertibility, evenness, counits, intertwining, both
+    hexagons), memoised per structure: callers must not modify the report."""
     H.require_r()
     report = AxiomReport(f"{H.name or 'structure'}:quasitriangular")
     A = H.algebra
@@ -467,17 +460,11 @@ def require_verified(H: QuasiHopfStructure, what: str,
     return H
 
 
-@memoized
-def r_free_reports(H: QuasiHopfStructure) -> Tuple[AxiomReport, AxiomReport]:
-    """The quasi-bialgebra and antipode reports, which do not read R."""
-    return verify_quasi_bialgebra(H), verify_antipode_axioms(H)
-
-
 def verify_structure(H: QuasiHopfStructure) -> AxiomReport:
     """Run every verifier that applies; never short-circuits on failure."""
     report = AxiomReport(f"{H.name or 'structure'}:all")
-    for part in r_free_reports(H):
-        report.extend(part)
+    report.extend(verify_quasi_bialgebra(H))
+    report.extend(verify_antipode_axioms(H))
     if H.r is not None:
         report.extend(verify_quasitriangular(H))
         report.extend(verify_quasi_ybe(H))

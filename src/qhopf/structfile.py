@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .catalog import CatalogEntry
 from .errors import StructureValidationError
@@ -59,7 +59,7 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     labels = A.labels
     mul_rows = [[labels[i], labels[j], labels[k], str(c)]
                 for (i, j) in sorted(A._mul) for k, c in sorted(A._mul[(i, j)].items())]
-    doc = {
+    return {
         "name": entry.name,
         "notes": entry.notes,
         "field": _field_dict(A.field),
@@ -89,7 +89,6 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
                                 for i in range(A.dim)}}
             for name, rep in sorted(entry.representations.items())},
     }
-    return doc
 
 
 def render_entry(entry: CatalogEntry) -> str:
@@ -102,7 +101,7 @@ def save_entry(entry: CatalogEntry, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# reading
 
 
 _MISSING = object()
@@ -116,113 +115,30 @@ def _typed(value, kind, path: str):
 
 
 def _key(doc: dict, key: str, kind, path: str = "", default=_MISSING):
-    """doc[key], checked to be of type kind; None passes when it is the default."""
+    """doc[key], checked to be of type kind; a missing key gives the default,
+    if there is one, and None passes when it is the default."""
     where = f"{path}.{key}" if path else key
-    if key not in doc:
-        if default is _MISSING:
-            raise StructureValidationError(f"{where}: missing")
-        return default
-    value = doc[key]
+    value = doc.get(key, default)
+    if value is _MISSING:
+        raise StructureValidationError(f"{where}: missing")
     if value is None and default is None:
         return None
     return _typed(value, kind, where)
 
 
-def _label_items(table, path: str, labels):
-    """An object keyed by basis labels, as (label, value, path) triples."""
-    _typed(table, dict, path)
-    for lab in table:
-        if lab not in labels:
-            raise StructureValidationError(f"{path}: unknown label {lab!r}")
-    return [(lab, value, f"{path}.{lab}") for lab, value in table.items()]
+def _items(values: list, kind, path: str) -> tuple:
+    """The items of a list, each checked to be of type kind."""
+    return tuple(_typed(v, kind, f"{path}[{i}]") for i, v in enumerate(values))
 
 
-def _check_rows(rows, path: str, rank: int, labels) -> None:
-    """A list of [label * rank, scalar string] rows."""
-    _typed(rows, list, path)
-    for i, row in enumerate(rows):
-        where = f"{path}[{i}]"
-        _typed(row, list, where)
-        if len(row) != rank + 1:
-            raise StructureValidationError(f"{where}: expected {rank + 1} items")
-        for j, lab in enumerate(row[:rank]):
-            if not (isinstance(lab, str) and lab in labels):
-                raise StructureValidationError(f"{where}[{j}]: unknown label {lab!r}")
-        _typed(row[rank], str, f"{where}[{rank}]")
-
-
-def _check_shape(doc) -> None:
-    """Check the JSON shape of a structure document before it is parsed.
-
-    Every key, type, row length and basis label the parser reads is checked
-    here, so a malformed file fails with one :class:`StructureValidationError`
-    that names the JSON path, e.g. ``mul[0]: expected 4 items``.  The
-    mathematics (associativity, gradings, invertibility) is checked later,
-    by the constructors.
-    """
-    _typed(doc, dict, "structure file")
-    _key(doc, "name", str, default="")
-    _key(doc, "notes", str, default="")
-    field = _key(doc, "field", dict)
-    kind = _key(field, "kind", str, "field")
-    if kind == "cyclotomic":
-        _key(field, "order", int, "field")
-    elif kind == "rational-functions":
-        _key(field, "indeterminate", str, "field")
-    basis = _key(doc, "basis", dict)
-    labels = _key(basis, "labels", list, "basis")
-    for i, lab in enumerate(labels):
-        _typed(lab, str, f"basis.labels[{i}]")
-    for i, p in enumerate(_key(basis, "parity", list, "basis")):
-        _typed(p, int, f"basis.parity[{i}]")
-    if _key(basis, "unit", str, "basis") not in labels:
-        raise StructureValidationError(f"basis.unit: unknown label {basis['unit']!r}")
-    labels = set(labels)
-    for key, rank in (("mul", 3), ("phi", 3), ("phi_inv", 3)):
-        _check_rows(_key(doc, key, list), key, rank, labels)
-    for key in ("r", "r_inv"):
-        rows = _key(doc, key, list, default=None)
-        if rows is not None:
-            _check_rows(rows, key, 2, labels)
-    for _, rows, where in _label_items(_key(doc, "coproduct", dict), "coproduct", labels):
-        _check_rows(rows, where, 2, labels)
-    for key in ("counit", "alpha", "beta"):
-        for _, text, where in _label_items(_key(doc, key, dict), key, labels):
-            _typed(text, str, where)
-    for _, image, where in _label_items(_key(doc, "antipode", dict), "antipode", labels):
-        for _, text, at in _label_items(image, where, labels):
-            _typed(text, str, at)
-    for name, tw in _key(doc, "twistors", dict, default={}).items():
-        where = f"twistors.{name}"
-        _typed(tw, dict, where)
-        for key in ("f", "f_inv"):
-            _check_rows(_key(tw, key, list, where), f"{where}.{key}", 2, labels)
-    for name, rep in _key(doc, "representations", dict, default={}).items():
-        where = f"representations.{name}"
-        _typed(rep, dict, where)
-        for i, p in enumerate(_key(rep, "parity", list, where)):
-            _typed(p, int, f"{where}.parity[{i}]")
-        mats = _label_items(_key(rep, "matrices", dict, where), f"{where}.matrices", labels)
-        missing = labels.difference(lab for lab, _, _ in mats)
-        if missing:
-            raise StructureValidationError(
-                f"{where}.matrices: missing {sorted(missing)[0]!r}")
-        for _, rows, at in mats:
-            _typed(rows, list, at)
-            for i, row in enumerate(rows):
-                _typed(row, list, f"{at}[{i}]")
-                for j, text in enumerate(row):
-                    _typed(text, str, f"{at}[{i}][{j}]")
-
-
-def _parse_field(d: dict) -> FieldDescriptor:
-    kind = d["kind"]
+def _read_field(d: dict) -> FieldDescriptor:
+    kind = _key(d, "kind", str, "field")
     if kind == "rationals":
         return FieldDescriptor.rationals()
     if kind == "cyclotomic":
-        return FieldDescriptor.cyclotomic(d["order"])
+        return FieldDescriptor.cyclotomic(_key(d, "order", int, "field"))
     if kind == "rational-functions":
-        return FieldDescriptor.rational_functions(d["indeterminate"])
+        return FieldDescriptor.rational_functions(_key(d, "indeterminate", str, "field"))
     raise StructureValidationError(f"unknown field kind {kind!r}")
 
 
@@ -232,81 +148,133 @@ def _scalar_parser(field: FieldDescriptor) -> Callable[[str], Scalar]:
     return functools.cache(lambda text: parse_scalar(text, field))
 
 
-def _parse_tensor(rows, A: GradedAlgebra, rank: int, parse) -> TensorElement:
-    return TensorElement.from_terms((A,) * rank, (
-        (tuple(A.index_of(lab) for lab in labs), parse(text))
-        for *labs, text in rows))
+class _Reader:
+    """Checked accessors for the values of one document that hold basis
+    labels or scalars.  Each takes a value and its JSON path, checks the
+    value and returns it with labels as basis indices and scalars parsed,
+    or raises StructureValidationError naming the path."""
+
+    def __init__(self, labels: Sequence[str], field: FieldDescriptor):
+        self.labels = labels
+        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.parse = _scalar_parser(field)
+        self.zero = field.zero()
+
+    def label(self, lab, path: str) -> int:
+        if not isinstance(lab, str) or lab not in self.index:
+            raise StructureValidationError(f"{path}: unknown label {lab!r}")
+        return self.index[lab]
+
+    def scalar(self, text, path: str) -> Scalar:
+        return self.parse(_typed(text, str, path))
+
+    def terms(self, rows, path: str, rank: int) -> List[Tuple[tuple, Scalar]]:
+        """A list of [label * rank, scalar string] rows, as (key, Scalar) terms."""
+        terms = []
+        for i, row in enumerate(_typed(rows, list, path)):
+            where = f"{path}[{i}]"
+            if len(_typed(row, list, where)) != rank + 1:
+                raise StructureValidationError(f"{where}: expected {rank + 1} items")
+            key = tuple(self.label(lab, f"{where}[{j}]") for j, lab in enumerate(row[:rank]))
+            terms.append((key, self.scalar(row[rank], f"{where}[{rank}]")))
+        return terms
+
+    def by_label(self, table, path: str, read: Callable, default=_MISSING) -> list:
+        """An object keyed by basis labels, as read(value, path) per basis
+        element; a label the object lacks gives default, or fails without one."""
+        _typed(table, dict, path)
+        values = {self.label(lab, path): read(value, f"{path}.{lab}")
+                  for lab, value in table.items()}
+        missing = sorted(set(self.labels).difference(table))
+        if missing and default is _MISSING:
+            raise StructureValidationError(f"{path}: missing {missing[0]!r}")
+        return [values.get(i, default) for i in range(len(self.labels))]
+
+    def element(self, table, path: str) -> Dict[int, Scalar]:
+        return dict(enumerate(self.by_label(table, path, self.scalar, self.zero)))
+
+    def matrix(self, rows, path: str) -> List[List[Scalar]]:
+        return [[self.scalar(text, f"{path}[{i}][{j}]")
+                 for j, text in enumerate(_typed(row, list, f"{path}[{i}]"))]
+                for i, row in enumerate(_typed(rows, list, path))]
 
 
-def _parse_element(d: Dict[str, str], A: GradedAlgebra, parse) -> AlgebraElement:
-    return AlgebraElement(A, {A.index_of(lab): parse(text)
-                              for lab, text in d.items()})
+def _named(doc: dict, key: str):
+    """The objects of doc[key] (none when absent), as (name, object, path)."""
+    return [(name, _typed(value, dict, f"{key}.{name}"), f"{key}.{name}")
+            for name, value in _key(doc, key, dict, default={}).items()]
 
 
-def entry_from_dict(doc: dict) -> CatalogEntry:
-    _check_shape(doc)
-    field = _parse_field(doc["field"])
-    parse = _scalar_parser(field)
-    basis_doc = doc["basis"]
-    labels = tuple(basis_doc["labels"])
-    basis = GradedBasis(labels, tuple(basis_doc["parity"]),
-                        labels.index(basis_doc["unit"]))
+def entry_from_dict(doc) -> CatalogEntry:
+    """Read a structure document in one checked pass, then build its entry.
 
-    entries = {}
-    for i, j, k, text in doc["mul"]:
-        key = (labels.index(i), labels.index(j), labels.index(k))
-        entries[key] = parse(text)
-    A = GradedAlgebra(basis, entries, field, name=doc.get("name", ""))
+    Every value is checked where it is read, in the order field, basis, mul,
+    coproduct, counit, antipode, phi, phi_inv, alpha, beta, r, r_inv,
+    twistors, representations; the first fault raises one
+    StructureValidationError naming its JSON path, e.g. ``mul[0]: expected
+    4 items``.  The constructors, which check the mathematics (associativity,
+    unit laws, gradings, invertibility), run once the whole document is read."""
+    _typed(doc, dict, "structure file")
+    name = _key(doc, "name", str, default="")
+    notes = _key(doc, "notes", str, default="")
+    field = _read_field(_key(doc, "field", dict))
+    basis = _key(doc, "basis", dict)
+    labels = _items(_key(basis, "labels", list, "basis"), str, "basis.labels")
+    parity = _items(_key(basis, "parity", list, "basis"), int, "basis.parity")
+    read = _Reader(labels, field)
+    unit = read.label(_key(basis, "unit", str, "basis"), "basis.unit")
+    mul = dict(read.terms(_key(doc, "mul", list), "mul", 3))
+    cop = read.by_label(_key(doc, "coproduct", dict), "coproduct",
+                        lambda rows, at: read.terms(rows, at, 2), [])
+    counit = read.by_label(_key(doc, "counit", dict), "counit", read.scalar, read.zero)
+    anti = read.by_label(_key(doc, "antipode", dict), "antipode", read.element, {})
+    phi = read.terms(_key(doc, "phi", list), "phi", 3)
+    phi_inv = read.terms(_key(doc, "phi_inv", list), "phi_inv", 3)
+    alpha = read.element(_key(doc, "alpha", dict), "alpha")
+    beta = read.element(_key(doc, "beta", dict), "beta")
+    r = _key(doc, "r", list, default=None)
+    r = None if r is None else read.terms(r, "r", 2)
+    r_inv = _key(doc, "r_inv", list, default=None)
+    r_inv = None if r_inv is None else read.terms(r_inv, "r_inv", 2)
+    twistors = {tw_name: [read.terms(_key(tw, key, list, where), f"{where}.{key}", 2)
+                          for key in ("f", "f_inv")]
+                for tw_name, tw, where in _named(doc, "twistors")}
+    reps = {rep_name: (_items(_key(rep, "parity", list, where), int, f"{where}.parity"),
+                       read.by_label(_key(rep, "matrices", dict, where),
+                                     f"{where}.matrices", read.matrix))
+            for rep_name, rep, where in _named(doc, "representations")}
 
-    cop_doc = doc["coproduct"]
-    cop_images = [_parse_tensor(cop_doc.get(lab, []), A, 2, parse) for lab in labels]
-    coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
+    A = GradedAlgebra(GradedBasis(labels, parity, unit), mul, field, name=name)
 
-    eps_doc = doc["counit"]
-    counit = linear_form(A, [parse(eps_doc.get(lab, "0")) for lab in labels],
-                         name="counit")
+    def tensor(terms, rank=2) -> Optional[TensorElement]:
+        return None if terms is None else TensorElement.from_terms((A,) * rank, terms)
 
-    anti_doc = doc["antipode"]
-    anti_images = [TensorElement.of(_parse_element(anti_doc.get(lab, {}), A, parse))
-                   for lab in labels]
-    antipode = LinearMap(A, (A,), anti_images, name="antipode")
-
-    r_rows = doc.get("r")
-    r_inv_rows = doc.get("r_inv")
     structure = QuasiHopfStructure(
-        algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=_parse_tensor(doc["phi"], A, 3, parse),
-        phi_inv=_parse_tensor(doc["phi_inv"], A, 3, parse),
-        alpha=_parse_element(doc["alpha"], A, parse),
-        beta=_parse_element(doc["beta"], A, parse),
-        r=None if r_rows is None else _parse_tensor(r_rows, A, 2, parse),
-        r_inv=None if r_inv_rows is None else _parse_tensor(r_inv_rows, A, 2, parse),
-        name=doc.get("name", ""))
-
-    twistors = {}
-    for name, tw in doc.get("twistors", {}).items():
-        twistors[name] = Twistor(_parse_tensor(tw["f"], A, 2, parse),
-                                 _parse_tensor(tw["f_inv"], A, 2, parse),
-                                 name=name)
-    representations = {}
-    for name, rp in doc.get("representations", {}).items():
-        mats_doc = rp["matrices"]
-        matrices = [[[parse(c) for c in row] for row in mats_doc[lab]]
-                    for lab in labels]
-        representations[name] = Representation(A, tuple(rp["parity"]), matrices,
-                                               name=name)
-    return CatalogEntry(doc.get("name", ""), structure, twistors,
-                        representations, notes=doc.get("notes", ""))
+        algebra=A,
+        coproduct=LinearMap(A, (A, A), [tensor(t) for t in cop], name="coproduct"),
+        counit=linear_form(A, counit, name="counit"),
+        antipode=LinearMap(A, (A,), [TensorElement.of(AlgebraElement(A, x)) for x in anti],
+                           name="antipode"),
+        phi=tensor(phi, 3), phi_inv=tensor(phi_inv, 3),
+        alpha=AlgebraElement(A, alpha), beta=AlgebraElement(A, beta),
+        r=tensor(r), r_inv=tensor(r_inv), name=name)
+    return CatalogEntry(
+        name, structure,
+        {tw_name: Twistor(tensor(f), tensor(f_inv), name=tw_name)
+         for tw_name, (f, f_inv) in twistors.items()},
+        {rep_name: Representation(A, rep_parity, matrices, name=rep_name)
+         for rep_name, (rep_parity, matrices) in reps.items()},
+        notes=notes)
 
 
-def parse_entry(text: str) -> CatalogEntry:
+def parse_entry(text: Union[str, bytes]) -> CatalogEntry:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also bad UTF-8, long ints, deep nesting
         raise StructureValidationError(f"not valid JSON: {err}") from None
     return entry_from_dict(doc)
 
 
 def load_entry(path: str) -> CatalogEntry:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_entry(fh.read())

@@ -5,6 +5,7 @@ import pytest
 
 import qhopf
 from qhopf.cli import main
+from qhopf.scalars import MAX_EXPONENT
 from qhopf.structfile import load_entry
 
 DATA = Path(qhopf.__file__).parent / "data"
@@ -201,6 +202,18 @@ def test_casimir_refuses_a_structure_that_fails_verification(kind, tmp_path, cap
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {bad} failed verification: coassociator-invertible")
+
+
+@pytest.mark.parametrize("power", [1001, -1001, 10 ** 4000])
+def test_casimir_power_beyond_the_cap_exits_2_before_loading(power, capsys):
+    """rtr_power squares R^T R about log2 |m| times, so the flag is capped
+    at scalars.MAX_EXPONENT; the missing file shows nothing was loaded."""
+    assert main(["casimir", "no-such-file.qh", "--kind", "cm",
+                 "--power", str(power)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: --power: |m| must be at most {MAX_EXPONENT}"
+    assert main(["casimir", "no-such-file.qh", "--kind", "cm", "--power", "-1000"]) == 2
+    assert "no-such-file.qh" in capsys.readouterr().err
 
 
 def test_casimir_source_required(capsys):

@@ -1,6 +1,8 @@
 """Scalar hashing, parser depth, field errors, malformed structure files, and
 identity reports that survive a failing u-operator."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,11 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qhopf
 from qhopf.cli import main
 from qhopf.errors import ScalarSyntaxError, StructureValidationError
-from qhopf.scalars import MAX_NESTING, MAX_ORDER, FieldDescriptor, parse_scalar
+from qhopf.scalars import MAX_EXPONENT, MAX_NESTING, MAX_ORDER, FieldDescriptor, parse_scalar
 
 DATA = Path(qhopf.__file__).parent / "data"
 Q = FieldDescriptor.rationals()
@@ -88,8 +91,23 @@ def _drop_g_matrix(doc):
     (_drop_g_matrix, "representations.regular.matrices: missing 'g'"),
     (lambda doc: doc["mul"][2].__setitem__(1, "h"), "mul[2][1]: unknown label 'h'"),
     (lambda doc: doc["alpha"].__setitem__("1", 1), "alpha.1: expected a string"),
+    (lambda doc: doc.update(field={"kind": "cyclotomic", "order": "3"}),
+     "field.order: expected an integer"),
+    (lambda doc: doc["basis"]["parity"].__setitem__(1, "0"),
+     "basis.parity[1]: expected an integer"),
+    (lambda doc: doc["basis"].update(unit="h"), "basis.unit: unknown label 'h'"),
+    (lambda doc: doc["coproduct"].update(h=[]), "coproduct: unknown label 'h'"),
+    (lambda doc: doc["antipode"]["g"].update(g=1), "antipode.g.g: expected a string"),
+    (lambda doc: doc["twistors"]["pminus"].pop("f_inv"), "twistors.pminus.f_inv: missing"),
+    (lambda doc: doc["representations"]["sign"]["parity"].__setitem__(0, True),
+     "representations.sign.parity[0]: expected an integer"),
+    (lambda doc: doc["representations"]["regular"]["matrices"]["g"].__setitem__(0, "1"),
+     "representations.regular.matrices.g[0]: expected a list"),
+    (lambda doc: doc.update(notes=5), "notes: expected a string"),
 ], ids=["short-mul-row", "mul-not-a-list", "r-is-a-number", "missing-matrix",
-        "unknown-label", "scalar-not-a-string"])
+        "unknown-label", "scalar-not-a-string", "field-order", "basis-parity",
+        "basis-unit", "coproduct-label", "antipode-value", "twistor-f-inv",
+        "carrier-parity", "matrix-row", "notes"])
 def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message):
     bad = corrupt(tmp_path, "z2-group", mutate)
     env = dict(os.environ, PYTHONPATH=str(Path(qhopf.__file__).parents[1]))
@@ -98,6 +116,17 @@ def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("data", [
+    b'{"name": 1' + b"1" * 5000 + b"}", "\u00fc".encode("latin-1"), b"[" * 100000,
+], ids=["int-over-4300-digits", "not-utf-8", "nesting-too-deep"])
+def test_a_file_json_cannot_read_exits_2_with_one_error_line(tmp_path, capsys, data):
+    bad = tmp_path / "bad.qh"
+    bad.write_bytes(data)
+    assert main(["verify", str(bad)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: not valid JSON: ")
 
 
 def test_cyclotomic_order_above_the_cap_exits_2_at_once(tmp_path, capsys):
@@ -137,3 +166,77 @@ def test_malformed_carrier_exits_2_naming_the_representation(tmp_path, mutate, c
     assert "Traceback" not in run.stderr
     err = run.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "regular" in err[0]
+
+
+# -- fuzzing the reader with single faults -----------------------------------
+
+FUZZ_FILES = ("z2-group", "grassmann-theta", "sweedler-twisted")
+GOLDEN = {name: (DATA / f"{name}.qh").read_text() for name in FUZZ_FILES}
+REPLACEMENTS = [5, -1, 2.5, True, None, "", "nope", [], {}, [[]], "1/0", "((",
+                f"2^{MAX_EXPONENT + 1}", f"x^{MAX_EXPONENT + 1}"]
+
+
+def _paths(node, path=()):
+    """The JSON path of every value below node."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden document with one fault: a dropped, renamed or truncated
+    value, a wrong type, an unknown label, a scalar beyond the exponent
+    cap, a cyclotomic order beyond its cap or a bad carrier."""
+    doc = json.loads(GOLDEN[draw(st.sampled_from(FUZZ_FILES))])
+    fault = draw(st.sampled_from(["drop", "rename", "truncate", "replace", "order", "carrier"]))
+    if fault == "order":
+        doc["field"] = {"kind": "cyclotomic",
+                        "order": draw(st.sampled_from([0, -6, MAX_ORDER + 1, 10 ** 12]))}
+        return doc
+    if fault == "carrier":
+        rep = doc["representations"][draw(st.sampled_from(sorted(doc["representations"])))]
+        rep["parity"] = draw(st.sampled_from([[], [2], [0, 0, 0], [-1, 1]]))
+        return doc
+    paths = list(_paths(doc))
+    if fault == "rename":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    elif fault == "truncate":
+        paths = [p for p in paths if isinstance(_at(doc, p), (list, str)) and _at(doc, p)]
+    path = draw(st.sampled_from(paths))
+    parent = _at(doc, path[:-1])
+    key = path[-1]
+    if fault == "drop":
+        del parent[key]
+    elif fault == "rename":
+        parent["nope"] = parent.pop(key)
+    elif fault == "truncate":
+        parent[key] = parent[key][:-1]
+    else:
+        parent[key] = draw(st.sampled_from(REPLACEMENTS))
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_a_single_fault_exits_2_with_one_line_or_reports(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.qh"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), "--json"])
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and not out.getvalue()
+    else:
+        assert code in (0, 1) and not err.getvalue()
+        report = json.loads(out.getvalue())
+        assert report["passed"] is (code == 0) and report["reports"]

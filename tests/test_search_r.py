@@ -85,37 +85,51 @@ def test_no_passing_candidate_raises_naming_the_entry(e3, e4):
                  "the conventions before (1, 2, 1)")
 
 
-@pytest.mark.parametrize("name, rejected_at_verification", [
+def count_calls(monkeypatch, names, record):
+    """Wrap each named verifier in quasihopf, and in catalog where it is
+    imported, so that every call appends record(name, H) to the list returned."""
+    calls = []
+    for name in names:
+        def wrapper(H, name=name, original=getattr(quasihopf, name)):
+            calls.append(record(name, H))
+            return original(H)
+        monkeypatch.setattr(quasihopf, name, wrapper)
+        if hasattr(catalog, name):
+            monkeypatch.setattr(catalog, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name, rejected_by_r_report", [
     ("sweedler-h4", 1),  # the first sign tuple intertwines, fails the hexagons
     ("grassmann-theta", 0),
     ("small-uqsl2", 0),  # the first eight conventions fail intertwining
 ])
-def test_a_built_entry_is_verified_once(name, rejected_at_verification, monkeypatch):
-    verified = []
-    original = quasihopf.verify_structure
-
-    def counting(H):
-        verified.append(H)
-        return original(H)
-    monkeypatch.setattr(quasihopf, "verify_structure", counting)
-    monkeypatch.setattr(catalog, "verify_structure", counting)
+def test_a_built_entry_is_verified_once(name, rejected_by_r_report, monkeypatch):
+    """A candidate whose R report fails goes no further: only the entry
+    reaches verify_structure and the quasi-Yang-Baxter check."""
+    calls = count_calls(monkeypatch, ("verify_structure", "verify_quasitriangular",
+                                      "verify_quasi_ybe"), lambda n, H: (n, H))
     entry = catalog._load.__wrapped__(name)  # a fresh build, the cache untouched
     assert entry.structure.r == load_builtin(name).structure.r
-    assert [H for H in verified if H is entry.structure] == [entry.structure]
-    assert len(verified) == 1 + rejected_at_verification
+
+    def seen(verifier):
+        return [H for n, H in calls if n == verifier]
+    assert [H is entry.structure for H in seen("verify_structure")] == [True]
+    assert [H is entry.structure for H in seen("verify_quasi_ybe")] == [True]
+    tried = {id(H): H for H in seen("verify_quasitriangular")}
+    assert len(tried) == 1 + rejected_by_r_report and id(entry.structure) in tried
 
 
 def test_the_r_free_reports_run_once_per_search(monkeypatch):
-    """sweedler-h4 verifies two candidates, but its quasi-bialgebra and
-    antipode reports do not read R: they run once, on the entry without R."""
-    calls = []
-    for name in ("verify_quasi_bialgebra", "verify_antipode_axioms",
-                 "verify_quasitriangular"):
-        original = getattr(quasihopf, name)
-        monkeypatch.setattr(quasihopf, name, lambda H, f=original, n=name:
-                            calls.append((n, H.r is None)) or f(H))
+    """sweedler-h4 brings two candidates to their R report.  Only the second
+    passes it; its verify_structure runs the quasi-bialgebra and antipode
+    reports once, with R set, reads its memoised R report and runs the QYBE."""
+    calls = count_calls(monkeypatch, ("verify_quasi_bialgebra", "verify_antipode_axioms",
+                                      "verify_quasitriangular", "verify_quasi_ybe"),
+                        lambda n, H: (n, H.r is None))
     entry = catalog._load.__wrapped__("sweedler-h4")
-    assert calls == [("verify_quasi_bialgebra", True), ("verify_antipode_axioms", True),
-                     ("verify_quasitriangular", False), ("verify_quasitriangular", False)]
-    assert quasihopf.verify_structure(entry.structure).passed
-    assert calls[4:] == [("verify_quasitriangular", False)]  # its memo holds the rest
+    assert calls == [("verify_quasitriangular", False), ("verify_quasitriangular", False),
+                     ("verify_quasi_bialgebra", False), ("verify_antipode_axioms", False),
+                     ("verify_quasitriangular", False), ("verify_quasi_ybe", False)]
+    report = quasihopf.verify_quasitriangular(entry.structure)
+    assert quasihopf.verify_quasitriangular(entry.structure) is report  # memoised
