@@ -436,9 +436,6 @@ class CasimirReport:
     subject: str
     twistor: Optional[str] = None
     checks: List[CasimirCheck] = dataclass_field(default_factory=list)
-    # the verified twisted structure the checks ran in; not serialised
-    structure: Optional[QuasiHopfStructure] = dataclass_field(
-        default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -477,8 +474,7 @@ def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
 
     Any inequality is recorded with the exact difference element."""
     HF = twist_structure(H, F)
-    report = CasimirReport(subject=H.name or "structure", twistor=F.name,
-                           structure=HF)
+    report = CasimirReport(subject=H.name or "structure", twistor=F.name)
 
     def compare(name: str, base: AlgebraElement, twisted: AlgebraElement) -> None:
         same = twisted == base

@@ -165,17 +165,14 @@ def cmd_twist(args) -> int:
     F = validate_twistor(raw.f, H, raw.f_inv, name=args.twistor)
     result: Dict[str, object] = {"file": args.file, "twistor": args.twistor,
                                  "verified": True}
+    twisted = twist_structure(H, F)
     status = 0
-    if args.verify_invariance:
-        # the report carries the verified twisted structure it checked
+    if args.verify_invariance:  # reuses the memoised twisted structure
         report = verify_twist_invariance(H, F, powers=(-1, 0, 1, 2),
                                          reps=entry.representations)
-        twisted = report.structure
         result["invariance"] = report.as_dict()
         if not report.passed:
             status = 1
-    else:
-        twisted = twist_structure(H, F)
     twisted = twisted.with_data(name=f"{entry.name}-{args.twistor}")
     new_entry = CatalogEntry(
         twisted.name, twisted, {"identity": identity_twistor(twisted)},

@@ -18,6 +18,7 @@ class ScalarSyntaxError(QhopfError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

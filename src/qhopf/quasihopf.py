@@ -67,13 +67,14 @@ def memoized(fn):
     return cached
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class QuasiHopfStructure:
     """The data (A, coproduct, counit, antipode, phi, alpha, beta [, R]).
 
-    Fields are read-only, so data derived from them (S on the basis, u,
-    u^{-1}, trace forms) is memoised on the structure; ``with_data`` makes
-    a modified copy with an empty memo."""
+    Fields are read-only, so data derived from them (S^{-1}, S on the
+    basis, u, u^{-1}, trace forms, the twisted structures) is memoised on
+    the structure; ``with_data`` makes a modified copy with an empty memo.
+    Equality compares the data, not the name; a structure is unhashable."""
 
     algebra: GradedAlgebra
     coproduct: LinearMap
@@ -85,25 +86,11 @@ class QuasiHopfStructure:
     beta: Optional[AlgebraElement]
     r: Optional[TensorElement] = None
     r_inv: Optional[TensorElement] = None
-    antipode_inv: Optional[LinearMap] = None
-    name: str = ""
-    _derived: Dict[tuple, tuple] = dataclass_field(default_factory=dict, init=False)
+    name: str = dataclass_field(default="", compare=False)
+    _derived: Dict[tuple, tuple] = dataclass_field(
+        default_factory=dict, init=False, compare=False)
 
     def __post_init__(self):
-        self._shape_check()
-        if self.antipode_inv is None:
-            # eliminate [S | 1]; an invertible S leaves [1 | S^{-1}]
-            A, n = self.algebra, self.algebra.dim
-            red, pivots = rref(rows_of(
-                [{i: c for (i,), c in img.coeffs.items()} for img in self.antipode.images]
-                + [{k: A.field.one()} for k in range(n)]), n)
-            if len(pivots) == n:
-                object.__setattr__(self, "antipode_inv", LinearMap(A, (A,), [
-                    TensorElement((A,), {(r,): row[n + k] for r, row in enumerate(red)
-                                         if n + k in row}) for k in range(n)],
-                    name="antipode_inv"))
-
-    def _shape_check(self):
         a = self.algebra
         if self.coproduct.target_rank != 2 or self.coproduct.source is not a:
             raise StructureValidationError("coproduct must map the algebra to rank 2")
@@ -121,6 +108,22 @@ class QuasiHopfStructure:
             raise StructureValidationError("R and its inverse come together")
         if self.r is not None and (self.r.rank != 2 or self.r_inv.rank != 2):
             raise StructureValidationError("R must have rank 2")
+
+    @property
+    @memoized
+    def antipode_inv(self) -> Optional[LinearMap]:
+        """S^{-1}, or None when S is singular: eliminating [S | 1] leaves
+        [1 | S^{-1}] exactly when S is invertible."""
+        A, n = self.algebra, self.algebra.dim
+        red, pivots = rref(rows_of(
+            [{i: c for (i,), c in img.coeffs.items()} for img in self.antipode.images]
+            + [{k: A.field.one()} for k in range(n)]), n)
+        if len(pivots) < n:
+            return None
+        return LinearMap(A, (A,), [
+            TensorElement((A,), {(r,): row[n + k] for r, row in enumerate(red)
+                                 if n + k in row}) for k in range(n)],
+            name="antipode_inv")
 
     # -- basic maps on elements -------------------------------------------
 
@@ -212,17 +215,6 @@ class QuasiHopfStructure:
 
     def with_data(self, **kw) -> "QuasiHopfStructure":
         return replace(self, **kw)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiHopfStructure):
-            return NotImplemented
-        return (self.algebra == other.algebra
-                and self.coproduct == other.coproduct
-                and self.counit == other.counit
-                and self.antipode == other.antipode
-                and self.phi == other.phi and self.phi_inv == other.phi_inv
-                and self.alpha == other.alpha and self.beta == other.beta
-                and self.r == other.r and self.r_inv == other.r_inv)
 
     def __repr__(self):
         return f"QuasiHopfStructure({self.name or self.algebra!r})"

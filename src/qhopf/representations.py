@@ -15,7 +15,7 @@ Koszul signs come from the graded tensor calculus.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import BasisMismatchError, StructureValidationError
 from .graded import (
@@ -53,9 +53,6 @@ class Representation:
         self.carrier_parity = tuple(carrier_parity)
         self.matrices = [[row[:] for row in m] for m in matrices]
         self.name = name
-        self._matrix_algebra: Optional[MatrixSpaceAlgebra] = None
-        self._leg_map: Optional[LinearMap] = None
-        self._supertrace_map: Optional[LinearMap] = None
         self._validate()
 
     @property
@@ -67,10 +64,13 @@ class Representation:
         return self.algebra.field
 
     def _validate(self):
+        """Check the shape, grading and homomorphism property, building
+        End(V), the leg map and the supertrace map on the way."""
         A, d = self.algebra, self.dim
+        label = self.name or "V"
         if not d or any(p not in (0, 1) for p in self.carrier_parity):
             raise StructureValidationError(
-                f"representation {self.name or 'V'}: the carrier parities must be "
+                f"representation {label}: the carrier parities must be "
                 "a nonempty list of 0 and 1")
         if len(self.matrices) != A.dim:
             raise StructureValidationError("one matrix per basis element required")
@@ -78,19 +78,26 @@ class Representation:
             if len(m) != d or any(len(row) != d for row in m):
                 raise StructureValidationError(
                     f"matrix for {A.labels[idx]} is not {d}x{d}")
-        rho = self.leg_map()
+        self._end = MatrixSpaceAlgebra(self.carrier_parity, self.field, name=f"End({label})")
+        self._leg_map = rho = LinearMap(A, (self._end,), [
+            TensorElement.of(self.matrix_as_element(m)) for m in self.matrices],
+            name=f"rep:{label}")
+        one, zero = self.field.one(), self.field.zero()
+        self._supertrace_map = linear_form(self._end, [
+            (-one if self.carrier_parity[i] else one) if i == j else zero
+            for i in range(d) for j in range(d)], name=f"str:{label}")
         for idx, img in enumerate(rho.images):
             if any(img.key_parity(key) != A.parity[idx] for key in img.coeffs):
                 raise StructureValidationError(
                     f"grading violation in the matrix of {A.labels[idx]}")
-        if rho(A.unit()) != self.matrix_algebra().unit():
+        if rho(A.unit()) != self._end.unit():
             raise StructureValidationError("the unit must act as the identity")
         require(multiplicativity(A, rho, True), StructureValidationError,
                 "not a homomorphism at {}")
 
     def matrix_of(self, x: AlgebraElement) -> Matrix:
         d, z = self.dim, self.field.zero()
-        coeffs = self.leg_map()(x).coeffs
+        coeffs = self._leg_map(x).coeffs
         return [[coeffs.get(i * d + j, z) for j in range(d)] for i in range(d)]
 
     def supertrace_of(self, x: AlgebraElement) -> Scalar:
@@ -99,34 +106,19 @@ class Representation:
     # -- representation legs on tensors --------------------------------------
 
     def matrix_algebra(self) -> MatrixSpaceAlgebra:
-        if self._matrix_algebra is None:
-            self._matrix_algebra = MatrixSpaceAlgebra(
-                self.carrier_parity, self.field, name=f"End({self.name or 'V'})")
-        return self._matrix_algebra
+        return self._end
 
     def matrix_as_element(self, m: Matrix) -> AlgebraElement:
         d = self.dim
-        return AlgebraElement(self.matrix_algebra(), {
+        return AlgebraElement(self._end, {
             i * d + j: m[i][j] for i in range(d) for j in range(d)})
 
     def leg_map(self) -> LinearMap:
         """The representation as a parity-preserving map into End(V)."""
-        if self._leg_map is None:
-            end = self.matrix_algebra()
-            images = [TensorElement.of(self.matrix_as_element(m))
-                      for m in self.matrices]
-            self._leg_map = LinearMap(self.algebra, (end,), images,
-                                      name=f"rep:{self.name or 'V'}")
         return self._leg_map
 
     def supertrace_map(self) -> LinearMap:
         """Str: End(V) -> k as a map on a tensor leg, Str(E[i,i]) = (-1)^{parity(v_i)}."""
-        if self._supertrace_map is None:
-            one, zero, d = self.field.one(), self.field.zero(), self.dim
-            values = [(-one if self.carrier_parity[i] else one) if i == j else zero
-                      for i in range(d) for j in range(d)]
-            self._supertrace_map = linear_form(self.matrix_algebra(), values,
-                                               name=f"str:{self.name or 'V'}")
         return self._supertrace_map
 
     def __eq__(self, other):

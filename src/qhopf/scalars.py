@@ -204,12 +204,12 @@ def _radd(x, y):
 
 _CZERO = ((), 1)
 MEMO_CAP = 4096  # entries in each of the memos of _cmul, _cadd and _cinv
-_ORDERS = {}  # order n -> (Phi_n, phi(n), rows); rows[k - phi(n)] is z^k mod Phi_n
 
 
+@functools.cache  # one entry per order n <= MAX_ORDER
 def _order_data(n: int):
-    """Build and cache Phi_n and sparse integer rows of z^k mod Phi_n for
-    phi(n) <= k < 2 phi(n)."""
+    """(Phi_n, phi(n), rows), with sparse integer rows[k - phi(n)] of z^k
+    mod Phi_n for phi(n) <= k < 2 phi(n)."""
     modulus = cyclotomic_polynomial(n)
     phi = [int(c) for c in modulus]
     m = len(phi) - 1
@@ -221,8 +221,7 @@ def _order_data(n: int):
         row = [0] + row[:-1]
         for i in range(m):
             row[i] -= top * phi[i]
-    data = _ORDERS[n] = (modulus, m, tuple(rows))
-    return data
+    return modulus, m, tuple(rows)
 
 
 def _cyclo(nums: list, den):
@@ -240,7 +239,7 @@ def _cyclo(nums: list, den):
 
 def _creduce(conv: list, den, n: int):
     """Fold the degrees k >= phi(n) of conv (all below 2 phi(n)) and normalise."""
-    _, m, rows = _ORDERS.get(n) or _order_data(n)
+    _, m, rows = _order_data(n)
     for k in range(len(conv) - 1, m - 1, -1):
         c = conv[k]
         if c:
@@ -255,11 +254,6 @@ def _cmul(a, b, n: int):
     (x, dx), (y, dy) = a, b
     if not x or not y:
         return _CZERO
-    if len(y) == 1:
-        x, y = y, x
-    if len(x) == 1:  # a rational multiple needs no folding
-        c = x[0]
-        return _cyclo([c * d for d in y], dx * dy)
     conv = [0] * (len(x) + len(y) - 1)
     for i, c in enumerate(x):
         if c:
@@ -300,7 +294,7 @@ def _cinv(a, n: int):
     """a^-1 = prod_k sigma_k(a) / N(a) over the Galois conjugates sigma_k: z -> z^k
     (k coprime to n, k != 1), read off a table of z^j mod Phi_n; N(a) is rational."""
     nums, den = a
-    m = (_ORDERS.get(n) or _order_data(n))[1]
+    m = _order_data(n)[1]
     powers = [((1,), 1)]
     for _ in range(n - 1):
         powers.append(_cmul(powers[-1], ((0, 1), 1), n))
@@ -398,7 +392,7 @@ class FieldDescriptor:
     @property
     def modulus(self) -> Poly:
         assert self.kind == CYCLOTOMIC
-        return (_ORDERS.get(self.order) or _order_data(self.order))[0]
+        return _order_data(self.order)[0]
 
     @property
     def generator_name(self) -> Optional[str]:

@@ -14,7 +14,7 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .catalog import CatalogEntry
-from .errors import StructureValidationError
+from .errors import ScalarSyntaxError, StructureValidationError
 from .graded import (
     AlgebraElement,
     GradedAlgebra,
@@ -45,10 +45,6 @@ def _tensor_rows(t: TensorElement, labels) -> List[list]:
     return [[labels[i] for i in key] + [str(c)] for key, c in sorted(t.coeffs.items())]
 
 
-def _element_dict(x: AlgebraElement, labels) -> Dict[str, str]:
-    return {labels[i]: str(c) for i, c in sorted(x.coeffs.items())}
-
-
 def _map_table(m: LinearMap, labels) -> Dict[str, list]:
     return {labels[i]: _tensor_rows(img, labels) for i, img in enumerate(m.images)}
 
@@ -70,12 +66,11 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
         "coproduct": _map_table(H.coproduct, labels),
         "counit": {labels[i]: str(H.eps(A.basis_element(i)))
                    for i in range(A.dim)},
-        "antipode": {labels[i]: _element_dict(H.s_basis(i), labels)
-                     for i in range(A.dim)},
+        "antipode": {labels[i]: H.s_basis(i).to_dict() for i in range(A.dim)},
         "phi": _tensor_rows(H.phi, labels),
         "phi_inv": _tensor_rows(H.phi_inv, labels),
-        "alpha": _element_dict(H.alpha, labels),
-        "beta": _element_dict(H.beta, labels),
+        "alpha": H.alpha.to_dict(),
+        "beta": H.beta.to_dict(),
         "r": None if H.r is None else _tensor_rows(H.r, labels),
         "r_inv": None if H.r_inv is None else _tensor_rows(H.r_inv, labels),
         "twistors": {
@@ -152,11 +147,15 @@ class _Reader:
     """Checked accessors for the values of one document that hold basis
     labels or scalars.  Each takes a value and its JSON path, checks the
     value and returns it with labels as basis indices and scalars parsed,
-    or raises StructureValidationError naming the path."""
+    or raises StructureValidationError (ScalarSyntaxError for a scalar)
+    naming the path."""
 
     def __init__(self, labels: Sequence[str], field: FieldDescriptor):
         self.labels = labels
-        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.index: Dict[str, int] = {}
+        for i, lab in enumerate(labels):
+            if self.index.setdefault(lab, i) != i:
+                raise StructureValidationError(f"basis.labels[{i}]: repeated label {lab!r}")
         self.parse = _scalar_parser(field)
         self.zero = field.zero()
 
@@ -166,7 +165,10 @@ class _Reader:
         return self.index[lab]
 
     def scalar(self, text, path: str) -> Scalar:
-        return self.parse(_typed(text, str, path))
+        try:
+            return self.parse(_typed(text, str, path))
+        except ScalarSyntaxError as err:
+            raise ScalarSyntaxError(f"{path}: {err.message}", err.position) from None
 
     def terms(self, rows, path: str, rank: int) -> List[Tuple[tuple, Scalar]]:
         """A list of [label * rank, scalar string] rows, as (key, Scalar) terms."""
@@ -220,9 +222,16 @@ def entry_from_dict(doc) -> CatalogEntry:
     field = _read_field(_key(doc, "field", dict))
     basis = _key(doc, "basis", dict)
     labels = _items(_key(basis, "labels", list, "basis"), str, "basis.labels")
-    parity = _items(_key(basis, "parity", list, "basis"), int, "basis.parity")
     read = _Reader(labels, field)
+    parity = _items(_key(basis, "parity", list, "basis"), int, "basis.parity")
+    if len(parity) != len(labels):
+        raise StructureValidationError(f"basis.parity: expected {len(labels)} items")
+    for i, p in enumerate(parity):
+        if p not in (0, 1):
+            raise StructureValidationError(f"basis.parity[{i}]: expected 0 or 1")
     unit = read.label(_key(basis, "unit", str, "basis"), "basis.unit")
+    if parity[unit]:
+        raise StructureValidationError("basis.unit: the unit must be even")
     mul = dict(read.terms(_key(doc, "mul", list), "mul", 3))
     cop = read.by_label(_key(doc, "coproduct", dict), "coproduct",
                         lambda rows, at: read.terms(rows, at, 2), [])

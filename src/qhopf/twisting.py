@@ -26,6 +26,7 @@ from .quasihopf import (
     QuasiHopfStructure,
     _run,
     _tensor_eq,
+    memoized,
     require_verified,
 )
 
@@ -57,7 +58,7 @@ def invert_tensor(t: TensorElement) -> Optional[TensorElement]:
     return inv
 
 
-@dataclass
+@dataclass(frozen=True)  # read-only, as twist_structure memoises per twistor
 class Twistor:
     f: TensorElement
     f_inv: TensorElement
@@ -106,9 +107,11 @@ def twisted_c2(H: QuasiHopfStructure, F: Twistor,
     return H.contract(F.f_inv, (0,), right=(c2,))
 
 
+@memoized
 def twist_structure(H: QuasiHopfStructure, F: Twistor) -> QuasiHopfStructure:
-    """The twisted quasi-Hopf structure, once it passes verification;
-    PostconditionError names the failed axioms otherwise."""
+    """The twisted quasi-Hopf structure, memoised per structure and twistor
+    once it passes verification; PostconditionError names the failed axioms
+    otherwise, on every call."""
     A, legs3 = H.algebra, H.legs(3)
     images = [F.f * H.delta(A.basis_element(i)) * F.f_inv for i in range(A.dim)]
     coproduct_f = LinearMap(A, (A, A), images, name="coproduct_F")
@@ -128,7 +131,7 @@ def twist_structure(H: QuasiHopfStructure, F: Twistor) -> QuasiHopfStructure:
         algebra=A, coproduct=coproduct_f, counit=H.counit, antipode=H.antipode,
         phi=gauge(H.phi, 0), phi_inv=gauge(H.phi_inv, 1),
         alpha=twisted_c2(H, F, H.alpha), beta=twisted_c1(H, F, H.beta),
-        r=r_f, r_inv=r_f_inv, antipode_inv=H.antipode_inv,
+        r=r_f, r_inv=r_f_inv,
         name=f"{H.name or 'structure'}^{F.name}")
     return require_verified(twisted, "twisted structure", PostconditionError)
 

@@ -262,6 +262,17 @@ def test_twist_z2_reports_u_invariance(capsys):
     assert u_checks[0]["element"] == {"g": "1"}
 
 
+def test_twist_with_invariance_verifies_the_twisted_structure_once(monkeypatch, capsys):
+    names = []
+    original = qhopf.quasihopf.verify_structure
+    monkeypatch.setattr(qhopf.quasihopf, "verify_structure",
+                        lambda H: names.append(H.name) or original(H))
+    assert main(["twist", path("sweedler-h4"), "--twistor", "Ft",
+                 "--verify-invariance", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariance"]["passed"]
+    assert names == ["sweedler-h4^Ft"]
+
+
 def test_twist_text_output_with_invariance(capsys):
     assert main(["twist", path("z2-group"), "--twistor", "pminus",
                  "--verify-invariance"]) == 0

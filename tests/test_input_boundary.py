@@ -18,6 +18,7 @@ import qhopf
 from qhopf.cli import main
 from qhopf.errors import ScalarSyntaxError, StructureValidationError
 from qhopf.scalars import MAX_EXPONENT, MAX_NESTING, MAX_ORDER, FieldDescriptor, parse_scalar
+from qhopf.structfile import parse_entry
 
 DATA = Path(qhopf.__file__).parent / "data"
 Q = FieldDescriptor.rationals()
@@ -84,6 +85,10 @@ def _drop_g_matrix(doc):
     del doc["representations"]["regular"]["matrices"]["g"]
 
 
+def _bad_matrix_entry(doc):
+    doc["representations"]["regular"]["matrices"]["g"][0][1] = "*"
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda doc: doc["mul"].__setitem__(0, doc["mul"][0][:3]), "mul[0]: expected 4 items"),
     (lambda doc: doc.__setitem__("mul", "x"), "mul: expected a list"),
@@ -104,10 +109,25 @@ def _drop_g_matrix(doc):
     (lambda doc: doc["representations"]["regular"]["matrices"]["g"].__setitem__(0, "1"),
      "representations.regular.matrices.g[0]: expected a list"),
     (lambda doc: doc.update(notes=5), "notes: expected a string"),
+    (_bad_matrix_entry,
+     "representations.regular.matrices.g[0][1]: unexpected token '*' (at position 0)"),
+    (lambda doc: doc["mul"][0].__setitem__(3, "1/"),
+     "mul[0][3]: unexpected token '' (at position 2)"),
+    (lambda doc: doc["alpha"].update({"1": "2**"}),
+     "alpha.1: unexpected token '*' (at position 2)"),
+    (lambda doc: doc["basis"]["labels"].__setitem__(1, "1"),
+     "basis.labels[1]: repeated label '1'"),
+    (lambda doc: doc["basis"]["parity"].__setitem__(1, 2),
+     "basis.parity[1]: expected 0 or 1"),
+    (lambda doc: doc["basis"]["parity"].pop(), "basis.parity: expected 2 items"),
+    (lambda doc: doc["basis"]["parity"].__setitem__(0, 1),
+     "basis.unit: the unit must be even"),
 ], ids=["short-mul-row", "mul-not-a-list", "r-is-a-number", "missing-matrix",
         "unknown-label", "scalar-not-a-string", "field-order", "basis-parity",
         "basis-unit", "coproduct-label", "antipode-value", "twistor-f-inv",
-        "carrier-parity", "matrix-row", "notes"])
+        "carrier-parity", "matrix-row", "notes", "matrix-scalar", "mul-scalar",
+        "alpha-scalar", "basis-label-repeated", "basis-parity-two",
+        "basis-parity-count", "basis-unit-odd"])
 def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message):
     bad = corrupt(tmp_path, "z2-group", mutate)
     env = dict(os.environ, PYTHONPATH=str(Path(qhopf.__file__).parents[1]))
@@ -116,6 +136,15 @@ def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_a_path_prefixed_scalar_error_keeps_its_type_and_position():
+    doc = json.loads((DATA / "z2-group.qh").read_text())
+    doc["beta"]["g"] = "1 +"
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_entry(json.dumps(doc))
+    assert err.value.position == 3
+    assert err.value.message == "beta.g: unexpected token ''"
 
 
 @pytest.mark.parametrize("data", [

@@ -206,8 +206,6 @@ def test_mutation_sensitivity_every_datum(e2):
             for key in sorted(m.images[i].coeffs):
                 mutated_map = _flip_linear_map(m, i, key)
                 kwargs = {map_name: mutated_map}
-                if map_name == "antipode":
-                    kwargs["antipode_inv"] = None
                 broken += check(H.with_data(**kwargs))
     # structure-constant flips are rejected at construction time instead
     from qhopf.graded import AlgebraElement as El
@@ -250,3 +248,34 @@ def _rebind(H, A2):
         r=None if H.r is None else tensor(H.r),
         r_inv=None if H.r_inv is None else tensor(H.r_inv),
         name=H.name + ":mutated")
+
+
+def test_with_data_derives_the_inverse_of_its_own_antipode(e3):
+    """S^{-1} is derived from the antipode of the copy, never carried over:
+    on sweedler-h4, S^3 differs from S, so the old S^{-1} would not invert it."""
+    H = e3.structure
+    A = H.algebra
+    s3 = LinearMap(A, (A,), [TensorElement.of(H.s(H.s(H.s(A.basis_element(i)))))
+                             for i in range(A.dim)], name="antipode^3")
+    assert s3 != H.antipode
+    copy = H.with_data(antipode=s3)
+    for i in range(A.dim):
+        e = A.basis_element(i)
+        assert copy.antipode_inv(s3(e)) == e
+        assert s3(copy.antipode_inv(e)) == e
+    assert any(H.antipode_inv(s3(A.basis_element(i))) != A.basis_element(i)
+               for i in range(A.dim))
+
+
+def test_the_inverse_antipode_is_not_a_constructor_argument(e3):
+    H = e3.structure
+    with pytest.raises(TypeError):
+        H.with_data(antipode_inv=H.antipode_inv)
+
+
+def test_equality_compares_the_data_not_the_name(e3):
+    H = e3.structure
+    assert H.with_data(name="other") == H
+    assert H.with_data(r=H.r.scale(-1), r_inv=H.r_inv.scale(-1)) != H
+    with pytest.raises(TypeError):
+        hash(H)

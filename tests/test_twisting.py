@@ -178,3 +178,17 @@ def test_invert_tensor_round_trip(e3):
     assert t * t_inv == H.unit_tensor(2)
     assert t_inv * t == H.unit_tensor(2)
     assert invert_tensor(tensor_from(H.algebra, [("x", "x", 1)])) is None
+
+
+def test_the_twisted_structure_is_memoised_per_structure_and_twistor(e3):
+    H, F = e3.structure, e3.twistors["Ft"]
+    assert twist_structure(H, F) is twist_structure(H, F)
+    assert twist_structure(H.with_data(), F) is not twist_structure(H, F)
+
+
+def test_a_twist_that_fails_verification_raises_on_every_call(e3):
+    H = e3.structure.with_data(phi_inv=e3.structure.phi_inv.scale(0))
+    for _ in range(2):
+        with pytest.raises(PostconditionError, match="coassociator-invertible"):
+            twist_structure(H, e3.twistors["Ft"])
+    assert not any(key[0] == "twist_structure" for key in H._derived)
