@@ -41,8 +41,8 @@ from .quasihopf import (
     verify_quasitriangular,
 )
 from .scalars import MAX_EXPONENT
-from .structfile import load_entry, render_entry, save_entry
-from .twisting import identity_twistor, twist_structure, validate_twistor
+from .structfile import entry_to_dict, load_entry, render_entry, save_entry
+from .twisting import identity_twistor, twist_structure
 
 CHECK_NAMES = ("axioms", "qtri", "qybe", "identities", "all")
 
@@ -161,8 +161,7 @@ def cmd_casimir(args) -> int:
 def cmd_twist(args) -> int:
     entry = load_entry(args.file)
     H = entry.structure
-    raw = entry.twistor(args.twistor)
-    F = validate_twistor(raw.f, H, raw.f_inv, name=args.twistor)
+    F = entry.twistor(args.twistor)
     result: Dict[str, object] = {"file": args.file, "twistor": args.twistor,
                                  "verified": True}
     twisted = twist_structure(H, F)
@@ -182,7 +181,7 @@ def cmd_twist(args) -> int:
         save_entry(new_entry, args.out)
         result["out"] = args.out
     else:
-        result["structure"] = json.loads(render_entry(new_entry))
+        result["structure"] = entry_to_dict(new_entry)
     if args.json:
         print(_dump(result))
     else:

@@ -2,7 +2,8 @@
 
 Three field kinds are supported, selected by a :class:`FieldDescriptor`:
 
-* ``rationals`` -- plain fractions,
+* ``rationals`` -- the cyclotomic field of order 1 below, without a name
+  for ``z``: a fraction ``c / d`` is stored as ``((c,), d)``,
 * ``cyclotomic(n)`` -- the field obtained by adjoining a primitive n-th
   root of unity ``z``.  An element ``(c_0 + c_1 z + ... ) / d`` is stored
   as ``(numerators, d)``: a tuple of integer numerators ``c_i`` of degree
@@ -34,9 +35,9 @@ Each descriptor builds one table of payload operations on first use,
 ``FieldDescriptor.ops`` (add, mul, neg, is_zero, one, inv): ``Scalar``'s
 arithmetic looks them up, and the kernels of graded.py and linalg.py call
 them on payloads directly.  ``mul`` never multiplies by a factor equal to one.
-The cyclotomic mul, add and inv are memoised by operand payloads and order
-(``MEMO_CAP`` entries each), as a workload's operands repeat; rational and Q(q)
-payloads hash through the Python-level ``Fraction.__hash__``, so they are not.
+The cyclotomic (and rational) mul, add and inv are memoised by operand payloads
+and order (``MEMO_CAP`` entries each), as operands repeat; only Q(q) payloads
+hash through the Python-level ``Fraction.__hash__``, so they are not memoised.
 
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
@@ -49,7 +50,6 @@ payloads hash through the Python-level ``Fraction.__hash__``, so they are not.
 from __future__ import annotations
 
 import functools
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,21 +364,16 @@ class FieldDescriptor:
     def ops(self) -> PayloadOps:
         """The field's payload operations, built once per descriptor.  ``mul``
         passes a factor equal to ``one`` through, and ``inv`` returns it."""
-        if self.kind == RATIONALS:
-            one, add, mul, inv = _QQ1, operator.add, operator.mul, _QQ1.__truediv__
-            neg, is_zero = operator.neg, operator.not_
-        else:  # both payloads are (numerators, denominator), zero has no numerators
-            neg, is_zero = lambda v: (tuple(-c for c in v[0]), v[1]), lambda v: not v[0]
-            if self.kind == CYCLOTOMIC:
-                n, one, add = self.order, ((1,), 1), _cadd
-                mul, inv = lambda a, b: _cmul(a, b, n), lambda a: _cinv(a, n)
-            else:  # an inverse is (den, num), coprime already, over num's leading coefficient
-                one, add, mul = (_PONE, _PONE), _radd, _rmul
-                inv = lambda v: tuple(tuple(c / v[0][-1] for c in p) for p in v[::-1])
-
-        unit = 1 if self.kind == RATIONALS else one  # Fraction == int is its fast path
-        return PayloadOps(add, lambda a, b: b if a == unit else a if b == unit else mul(a, b),
-                          neg, is_zero, one, lambda a: a if a == unit else inv(a))
+        # every payload is (numerators, denominator), and zero has no numerators
+        neg, is_zero = lambda v: (tuple(-c for c in v[0]), v[1]), lambda v: not v[0]
+        if self.kind != RATIONAL_FUNCTIONS:  # the rationals are the cyclotomic field of order 1
+            n, one, add = self.order or 1, ((1,), 1), _cadd
+            mul, inv = lambda a, b: _cmul(a, b, n), lambda a: _cinv(a, n)
+        else:  # an inverse is (den, num), coprime already, over num's leading coefficient
+            one, add, mul = (_PONE, _PONE), _radd, _rmul
+            inv = lambda v: tuple(tuple(c / v[0][-1] for c in p) for p in v[::-1])
+        return PayloadOps(add, lambda a, b: b if a == one else a if b == one else mul(a, b),
+                          neg, is_zero, one, lambda a: a if a == one else inv(a))
 
     @functools.cached_property
     def _generator(self):
@@ -415,11 +410,9 @@ class FieldDescriptor:
 
     def from_rational(self, r) -> "Scalar":
         r = QQ(r)
-        if self.kind == RATIONALS:
-            return Scalar(self, r)
-        if self.kind == CYCLOTOMIC:
-            return Scalar(self, ((r.numerator,), r.denominator) if r else _CZERO)
-        return Scalar(self, (_ptrim((r,)), (_QQ1,)))
+        if self.kind == RATIONAL_FUNCTIONS:
+            return Scalar(self, (_ptrim((r,)), (_QQ1,)))
+        return Scalar(self, ((r.numerator,), r.denominator) if r else _CZERO)
 
     def generator(self) -> "Scalar":
         """The root of unity ``z`` or the indeterminate, as a scalar."""
@@ -534,7 +527,7 @@ class Scalar:
     def __hash__(self):
         # a constant hashes as its rational value, agreeing with == against int
         v = self.value
-        if self.field.kind == CYCLOTOMIC:
+        if self.field.kind != RATIONAL_FUNCTIONS:
             nums, den = v
             if len(nums) <= 1:
                 v = QQ(nums[0], den) if nums else _QQ0
@@ -593,9 +586,7 @@ def _render_poly(p: Poly, var: str, shift: int = 0) -> str:
 
 def render_scalar(x: Scalar) -> str:
     f = x.field
-    if f.kind == RATIONALS:
-        return _render_q(x.value)
-    if f.kind == CYCLOTOMIC:
+    if f.kind != RATIONAL_FUNCTIONS:
         nums, den = x.value
         return _render_poly(nums if den == 1 else _cyclo_to_qq(x.value), "z")
     num, den = x.value

@@ -26,7 +26,7 @@ from .graded import (
 from .quasihopf import QuasiHopfStructure
 from .representations import Representation
 from .scalars import FieldDescriptor, Scalar, parse_scalar
-from .twisting import Twistor
+from .twisting import validate_twistor
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,8 @@ def entry_from_dict(doc) -> CatalogEntry:
     coproduct, counit, antipode, phi, phi_inv, alpha, beta, r, r_inv,
     twistors, representations; the first fault raises one
     StructureValidationError naming its JSON path, e.g. ``mul[0]: expected
-    4 items``.  The constructors, which check the mathematics (associativity,
-    unit laws, gradings, invertibility), run once the whole document is read."""
+    4 items``.  The checks of the mathematics (associativity, unit laws, gradings,
+    invertibility, each twistor) run once the whole document is read."""
     _typed(doc, dict, "structure file")
     name = _key(doc, "name", str, default="")
     notes = _key(doc, "notes", str, default="")
@@ -269,7 +269,7 @@ def entry_from_dict(doc) -> CatalogEntry:
         r=tensor(r), r_inv=tensor(r_inv), name=name)
     return CatalogEntry(
         name, structure,
-        {tw_name: Twistor(tensor(f), tensor(f_inv), name=tw_name)
+        {tw_name: validate_twistor(tensor(f), structure, tensor(f_inv), name=tw_name)
          for tw_name, (f, f_inv) in twistors.items()},
         {rep_name: Representation(A, rep_parity, matrices, name=rep_name)
          for rep_name, (rep_parity, matrices) in reps.items()},

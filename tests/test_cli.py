@@ -284,6 +284,19 @@ def test_twist_text_output_with_invariance(capsys):
     assert all(line.startswith("  [ok  ] ") for line in lines[1:])
 
 
+@pytest.mark.parametrize("command", [["verify"], ["center"],
+                                     ["casimir", "--kind", "c1", "--source", "beta"],
+                                     ["twist", "--twistor", "pminus"]], ids=lambda c: c[0])
+def test_every_command_rejects_a_bad_twistor_when_reading_the_file(tmp_path, capsys, command):
+    def mutate(doc):  # f f_inv = 7 for the identity twistor, which no command names
+        doc["twistors"]["identity"]["f_inv"][0][2] = "7"
+    bad = corrupt(tmp_path, "z2-cocycle", mutate)
+    assert main([command[0], bad, *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: twistor identity: supplied inverse is wrong"]
+
+
 def test_twist_unknown_twistor(capsys):
     assert main(["twist", path("z2-group"), "--twistor", "nope"]) == 2
 

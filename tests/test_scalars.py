@@ -153,6 +153,33 @@ def test_rationals_are_a_field(x, y, w):
         assert x * x.inv() == Q.one()
 
 
+def test_a_rational_is_stored_as_an_order_1_cyclotomic_payload():
+    x = Q.parse("-3/4")
+    assert x.value == ((-3,), 4) and Q.zero().value == ((), 1)
+    assert hash(Q.from_rational(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+
+
+def _from_fraction(fr):
+    return Q.from_rational(QQ(fr.numerator, fr.denominator))
+
+
+@given(st.fractions(max_denominator=50), st.fractions(max_denominator=50),
+       st.integers(-5, 5))
+def test_rationals_agree_with_fraction(a, b, k):
+    """fractions.Fraction is an independent oracle for every operation on
+    rationals, for its text and hash, and for the canonical payload."""
+    x, y = _from_fraction(a), _from_fraction(b)
+    pairs = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a)]
+    if b:
+        pairs += [(x / y, a / b), (y.inv(), 1 / b)]
+    if a or k >= 0:
+        pairs.append((x ** k, a ** k))
+    for got, want in pairs:
+        assert got == _from_fraction(want)
+        assert str(got) == str(want) and hash(got) == hash(want)
+        assert got.value == (((want.numerator,), want.denominator) if want else ((), 1))
+
+
 small_c3 = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
     lambda ab: C3.from_int(ab[0]) + C3.generator() * ab[1])
 
