@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -418,24 +417,22 @@ def casimir_from_omega_rep(H: QuasiHopfStructure, rep: Representation,
     return out
 
 
-@dataclass
 class CasimirCheck:
-    name: str
-    element: AlgebraElement
-    agreement: bool = True
-    twist_invariant: Optional[bool] = None
-    witness: Any = None
+    def __init__(self, name: str, element: AlgebraElement, agreement: bool = True,
+                 twist_invariant: Optional[bool] = None, witness: Any = None):
+        self.name, self.element, self.agreement = name, element, agreement
+        self.twist_invariant, self.witness = twist_invariant, witness
 
     @property
     def passed(self) -> bool:
         return self.agreement and self.twist_invariant is not False
 
 
-@dataclass
 class CasimirReport:
-    subject: str
-    twistor: Optional[str] = None
-    checks: List[CasimirCheck] = dataclass_field(default_factory=list)
+    def __init__(self, subject: str, twistor: Optional[str] = None,
+                 checks: Optional[List[CasimirCheck]] = None):
+        self.subject, self.twistor = subject, twistor
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

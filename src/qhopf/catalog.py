@@ -23,7 +23,6 @@ one the verifier accepts; that verification is the entry's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -44,28 +43,10 @@ from .quasihopf import (
 )
 from .representations import Representation, regular_representation, trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
+from .structfile import CatalogEntry
 from .twisting import Twistor, identity_twistor, invert_tensor, twist_structure, validate_twistor
 
 Q = FieldDescriptor.rationals()
-
-
-@dataclass
-class CatalogEntry:
-    name: str
-    structure: QuasiHopfStructure
-    twistors: Dict[str, Twistor]
-    representations: Dict[str, Representation]
-    notes: str = ""
-
-    def twistor(self, name: str) -> Twistor:
-        if name not in self.twistors:
-            raise UnknownNameError(f"entry {self.name} has no twistor {name!r}")
-        return self.twistors[name]
-
-    def representation(self, name: str) -> Representation:
-        if name not in self.representations:
-            raise UnknownNameError(f"entry {self.name} has no representation {name!r}")
-        return self.representations[name]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .casimir import (
     u_operator,
     verify_twist_invariance,
 )
-from .catalog import CatalogEntry
 from .errors import PostconditionError, QhopfError
 from .invariants import center as center_of
 from .invariants import invariant_subspace, is_central, pseudo_invariant_subspace
@@ -41,7 +40,7 @@ from .quasihopf import (
     verify_quasitriangular,
 )
 from .scalars import MAX_EXPONENT
-from .structfile import entry_to_dict, load_entry, render_entry, save_entry
+from .structfile import CatalogEntry, entry_to_dict, load_entry, render_entry, save_entry
 from .twisting import identity_twistor, twist_structure
 
 CHECK_NAMES = ("axioms", "qtri", "qybe", "identities", "all")
@@ -54,7 +53,9 @@ def _dump(obj) -> str:
 def cmd_verify(args) -> int:
     entry = load_entry(args.file)
     H = entry.structure
-    requested = [c.strip() for c in args.checks.split(",") if c.strip()]
+    requested = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
+    if not requested:
+        raise QhopfError(f"--checks: name at least one of {', '.join(CHECK_NAMES)}")
     for c in requested:
         if c not in CHECK_NAMES:
             raise QhopfError(f"unknown check {c!r}; valid: {', '.join(CHECK_NAMES)}")

@@ -20,7 +20,6 @@ payloads with the field's payload table and wrap each nonzero sum into a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -71,25 +70,21 @@ def _expand(mul: Callable, coeff, factors: Sequence[Mapping[int, Scalar]]) -> li
 # bases and structure constants
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """Ordered basis labels with parities in {0,1}; the unit is a basis element."""
 
-    labels: Tuple[str, ...]
-    parity: Tuple[int, ...]
-    unit_index: int
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: Tuple[str, ...], parity: Tuple[int, ...], unit_index: int):
+        if len(set(labels)) != len(labels):
             raise StructureValidationError("basis labels must be distinct")
-        if len(self.labels) != len(self.parity):
+        if len(labels) != len(parity):
             raise StructureValidationError("labels and parities differ in length")
-        if any(p not in (0, 1) for p in self.parity):
+        if any(p not in (0, 1) for p in parity):
             raise StructureValidationError("parities must be 0 or 1")
-        if not 0 <= self.unit_index < len(self.labels):
+        if not 0 <= unit_index < len(labels):
             raise StructureValidationError("unit index out of range")
-        if self.parity[self.unit_index] != 0:
+        if parity[unit_index] != 0:
             raise StructureValidationError("the unit must be even")
+        self.labels, self.parity, self.unit_index = labels, parity, unit_index
 
 
 class BaseAlgebra:

@@ -21,7 +21,6 @@ annihilates every row).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError, StructureValidationError
@@ -31,12 +30,12 @@ from .quasihopf import QuasiHopfStructure, _closed, condition_rows, memoized
 from .representations import Matrix, Representation, direct_sum
 
 
-@dataclass
 class GradedSubspace:
     """Homogeneous spanning elements, split by parity."""
 
-    even: List[AlgebraElement] = dataclass_field(default_factory=list)
-    odd: List[AlgebraElement] = dataclass_field(default_factory=list)
+    def __init__(self, even: Optional[List[AlgebraElement]] = None,
+                 odd: Optional[List[AlgebraElement]] = None):
+        self.even, self.odd = [] if even is None else even, [] if odd is None else odd
 
     def vectors(self) -> List[AlgebraElement]:
         return list(self.even) + list(self.odd)

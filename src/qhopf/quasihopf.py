@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     NoRMatrixError,
@@ -67,7 +66,6 @@ def memoized(fn):
     return cached
 
 
-@dataclass(frozen=True, repr=False)
 class QuasiHopfStructure:
     """The data (A, coproduct, counit, antipode, phi, alpha, beta [, R]).
 
@@ -76,21 +74,18 @@ class QuasiHopfStructure:
     the structure; ``with_data`` makes a modified copy with an empty memo.
     Equality compares the data, not the name; a structure is unhashable."""
 
-    algebra: GradedAlgebra
-    coproduct: LinearMap
-    counit: LinearMap
-    antipode: LinearMap
-    phi: TensorElement
-    phi_inv: TensorElement
-    alpha: Optional[AlgebraElement]
-    beta: Optional[AlgebraElement]
-    r: Optional[TensorElement] = None
-    r_inv: Optional[TensorElement] = None
-    name: str = dataclass_field(default="", compare=False)
-    _derived: Dict[tuple, tuple] = dataclass_field(
-        default_factory=dict, init=False, compare=False)
+    _DATA = ("algebra", "coproduct", "counit", "antipode", "phi", "phi_inv",
+             "alpha", "beta", "r", "r_inv")
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, algebra: GradedAlgebra, coproduct: LinearMap, counit: LinearMap,
+                 antipode: LinearMap, phi: TensorElement, phi_inv: TensorElement,
+                 alpha: Optional[AlgebraElement], beta: Optional[AlgebraElement],
+                 r: Optional[TensorElement] = None, r_inv: Optional[TensorElement] = None,
+                 name: str = ""):
+        vars(self).update(zip(self._DATA, (algebra, coproduct, counit, antipode, phi,
+                                           phi_inv, alpha, beta, r, r_inv)),
+                          name=name, _derived={})
         a = self.algebra
         if self.coproduct.target_rank != 2 or self.coproduct.source is not a:
             raise StructureValidationError("coproduct must map the algebra to rank 2")
@@ -213,8 +208,22 @@ class QuasiHopfStructure:
 
     # -- copies ------------------------------------------------------------------
 
+    def _data(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._DATA)
+
     def with_data(self, **kw) -> "QuasiHopfStructure":
-        return replace(self, **kw)
+        return QuasiHopfStructure(**dict(zip(self._DATA, self._data()), name=self.name) | kw)
+
+    def __eq__(self, other):
+        if other.__class__ is not QuasiHopfStructure:
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         return f"QuasiHopfStructure({self.name or self.algebra!r})"

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 
-@dataclass
 class AxiomCheck:
     """Outcome of a single identity check.
 
@@ -16,13 +14,11 @@ class AxiomCheck:
     "generators" or "basis", and ``size`` the number of elements in it.
     """
 
-    axiom: str
-    passed: bool
-    witness: Any = None
-    element: Optional[str] = None
-    over: Optional[str] = None
-    size: int = 0
-    seconds: float = 0.0
+    def __init__(self, axiom: str, passed: bool, witness: Any = None,
+                 element: Optional[str] = None, over: Optional[str] = None,
+                 size: int = 0, seconds: float = 0.0):
+        self.axiom, self.passed, self.witness, self.element = axiom, passed, witness, element
+        self.over, self.size, self.seconds = over, size, seconds
 
     def as_dict(self) -> dict:
         # timing and loop domain are excluded: serialized reports must be
@@ -35,10 +31,9 @@ class AxiomCheck:
         return d
 
 
-@dataclass
 class AxiomReport:
-    subject: str
-    checks: List[AxiomCheck] = field(default_factory=list)
+    def __init__(self, subject: str, checks: Optional[List[AxiomCheck]] = None):
+        self.subject, self.checks = subject, [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

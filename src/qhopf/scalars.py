@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
@@ -323,30 +322,38 @@ RATIONAL_FUNCTIONS = "rational-functions"
 PayloadOps = namedtuple("PayloadOps", "add mul neg is_zero one inv")
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
-    """Selects one of the supported exact coefficient fields."""
+    """Selects one of the supported exact coefficient fields.  Descriptors
+    are equal, and hash alike, when kind, order and indeterminate agree."""
 
-    kind: str
-    order: Optional[int] = None          # cyclotomic order n >= 1
-    indeterminate: Optional[str] = None  # rational-function variable name
-
-    def __post_init__(self):
-        if self.kind == RATIONALS:
+    def __init__(self, kind: str, order: Optional[int] = None,  # cyclotomic order n >= 1
+                 indeterminate: Optional[str] = None):  # rational-function variable name
+        if kind == RATIONALS:
             pass
-        elif self.kind == CYCLOTOMIC:
-            if type(self.order) is not int or self.order < 1:
+        elif kind == CYCLOTOMIC:
+            if type(order) is not int or order < 1:
                 raise StructureValidationError(
                     "cyclotomic order must be a positive integer")
-            if self.order > MAX_ORDER:
+            if order > MAX_ORDER:
                 raise StructureValidationError(
-                    f"cyclotomic order {self.order} exceeds the limit {MAX_ORDER}")
-        elif self.kind == RATIONAL_FUNCTIONS:
-            if not (isinstance(self.indeterminate, str) and self.indeterminate.isidentifier()):
+                    f"cyclotomic order {order} exceeds the limit {MAX_ORDER}")
+        elif kind == RATIONAL_FUNCTIONS:
+            if not (isinstance(indeterminate, str) and indeterminate.isidentifier()):
                 raise StructureValidationError(
                     "indeterminate must be a nonempty identifier")
         else:
-            raise StructureValidationError(f"unknown field kind {self.kind!r}")
+            raise StructureValidationError(f"unknown field kind {kind!r}")
+        self.kind, self.order, self.indeterminate = kind, order, indeterminate
+        self._key = (kind, order, indeterminate)
+
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, FieldDescriptor) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "FieldDescriptor(kind={!r}, order={!r}, indeterminate={!r})".format(*self._key)
 
     @classmethod
     def rationals(cls) -> "FieldDescriptor":

@@ -13,8 +13,7 @@ import functools
 import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .catalog import CatalogEntry
-from .errors import ScalarSyntaxError, StructureValidationError
+from .errors import ScalarSyntaxError, StructureValidationError, UnknownNameError
 from .graded import (
     AlgebraElement,
     GradedAlgebra,
@@ -26,7 +25,28 @@ from .graded import (
 from .quasihopf import QuasiHopfStructure
 from .representations import Representation
 from .scalars import FieldDescriptor, Scalar, parse_scalar
-from .twisting import validate_twistor
+from .twisting import Twistor, validate_twistor
+
+
+class CatalogEntry:
+    """A named structure with its twistors and representations, as one
+    ``.qh`` file or one builtin holds them."""
+
+    def __init__(self, name: str, structure: QuasiHopfStructure,
+                 twistors: Dict[str, Twistor], representations: Dict[str, Representation],
+                 notes: str = ""):
+        self.name, self.structure, self.notes = name, structure, notes
+        self.twistors, self.representations = twistors, representations
+
+    def twistor(self, name: str) -> Twistor:
+        if name not in self.twistors:
+            raise UnknownNameError(f"entry {self.name} has no twistor {name!r}")
+        return self.twistors[name]
+
+    def representation(self, name: str) -> Representation:
+        if name not in self.representations:
+            raise UnknownNameError(f"entry {self.name} has no representation {name!r}")
+        return self.representations[name]
 
 
 # ---------------------------------------------------------------------------

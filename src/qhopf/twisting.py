@@ -15,8 +15,7 @@ the result is always re-verified, which doubles as an engine self-test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotInvertibleError, PostconditionError, StructureValidationError
 from .graded import AlgebraElement, LinearMap, TensorElement
@@ -58,8 +57,7 @@ def invert_tensor(t: TensorElement) -> Optional[TensorElement]:
     return inv
 
 
-@dataclass(frozen=True)  # read-only, as twist_structure memoises per twistor
-class Twistor:
+class Twistor(NamedTuple):  # read-only, as twist_structure memoises per twistor
     f: TensorElement
     f_inv: TensorElement
     name: str = "F"

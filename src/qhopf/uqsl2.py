@@ -31,7 +31,7 @@ import operator
 from functools import cache
 from typing import Dict, Tuple
 
-from .catalog import CatalogEntry, search_r
+from .catalog import search_r
 from .graded import (
     AlgebraElement,
     GradedAlgebra,
@@ -43,6 +43,7 @@ from .graded import (
 from .quasihopf import QuasiHopfStructure
 from .representations import trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar, _power
+from .structfile import CatalogEntry
 from .twisting import identity_twistor
 
 C3 = FieldDescriptor.cyclotomic(3)

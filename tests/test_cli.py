@@ -95,6 +95,23 @@ def test_verify_unknown_check(capsys):
     assert main(["verify", path("z2-group"), "--checks", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_verify_with_no_check_named_exits_2(checks, capsys):
+    assert main(["verify", path("z2-group"), "--checks", checks, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --checks: name at least one of axioms, qtri, qybe, identities, all"]
+
+
+def test_verify_runs_each_named_check_once_in_first_named_order(capsys):
+    assert main(["verify", path("z2-group"), "--checks", "qtri,axioms,qtri,axioms",
+                 "--json"]) == 0
+    subjects = [r["subject"] for r in json.loads(capsys.readouterr().out)["reports"]]
+    assert subjects == ["z2-group:quasitriangular", "z2-group:quasi-bialgebra",
+                        "z2-group:antipode"]
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "does-not-exist.qh"]) == 2
 
