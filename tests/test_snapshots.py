@@ -21,6 +21,14 @@ RATIONAL = ("z2-group", "z2-cocycle", "sweedler-h4", "grassmann-theta",
             "sweedler-twisted")
 Q_OF_Q = {"kind": "rational-functions", "indeterminate": "q"}
 C = "(2*q^2 - q + 3)/(q + 2)"  # a (deg 2)/(deg 1) coefficient in Q(q)
+QQ_COPIES = ("z2-group", "z2-cocycle", "sweedler-h4", "grassmann-theta")
+# f = 1 (x) 1 + C (1 - g) (x) (1 - g) on Z2 is counital, and
+# f^-1 = 1 (x) 1 - D (1 - g) (x) (1 - g) with D = C / (1 + 4 C)
+D = f"({C})/(1 + 4*({C}))"
+Q_PAIR = {"f": [["1", "1", f"1 + {C}"], ["1", "g", f"-{C}"], ["g", "1", f"-{C}"],
+                ["g", "g", C]],
+          "f_inv": [["1", "1", f"1 - {D}"], ["1", "g", D], ["g", "1", D],
+                    ["g", "g", f"-{D}"]]}
 
 CASES = {f"verify-{name}": (["verify", f"{name}.qh", "--json"], 0)
          for name in RATIONAL + ("small-uqsl2",)}
@@ -45,7 +53,12 @@ CASES.update({
     "verify-sweedler-twisted-qq-mutated": (
         ["verify", "sweedler-twisted.qq.mutated.qh", "--checks", "all",
          "--json"], 1),
+    "twist-z2-group-qq-q-pair": (
+        ["twist", "z2-group.qq.qh", "--twistor", "q-pair", "--verify-invariance",
+         "--json"], 0),
 })
+CASES.update({f"verify-{name}-qq": (["verify", f"{name}.qq.qh", "--checks", "all",
+                                     "--json"], 0) for name in QQ_COPIES})
 for _label, _extra in (
         ("u", ["--kind", "u"]),
         ("c1-beta", ["--kind", "c1", "--source", "beta"]),
@@ -76,6 +89,12 @@ def workdir(tmp_path_factory):
     row = next(r for r in doc["phi"] if r[:3] == ["1", "1", "1"])
     row[3] = f"{row[3]} + {C}"
     (root / "sweedler-twisted.qq.mutated.qh").write_text(json.dumps(doc))
+    for name in QQ_COPIES:
+        doc = json.loads((DATA / f"{name}.qh").read_text())
+        doc["field"] = Q_OF_Q
+        if name == "z2-group":
+            doc["twistors"]["q-pair"] = Q_PAIR
+        (root / f"{name}.qq.qh").write_text(json.dumps(doc))
     return root
 
 
