@@ -15,15 +15,18 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
   normalisation.  The table is built on first use of an order.  An
   inverse is the product of the Galois conjugates over the rational norm.
 * ``rational-functions(q)`` -- rational functions in one indeterminate,
-  stored as ``(num, den)``: coefficient tuples over Q, constant term
-  first, no trailing zeros, coprime, with ``den`` monic; zero is
-  ``((), (1,))``.  Operands are reduced, so a result is cancelled across
-  them (Henrici): a product cancels ``n1`` with ``d2`` and ``n2`` with
-  ``d1``; a sum with ``g = gcd(d1, d2)`` and ``t = n1 (d2/g) + n2 (d1/g)``
-  cancels only ``gcd(t, g)``, and equal denominators give ``g = d1``
-  at once.  No gcd is taken when a side is constant, so rational
-  multiples and polynomial sums need none, and an inverse is rescaled by
-  its numerator's leading coefficient.
+  stored as ``(num, den)``: integer coefficient tuples, constant term
+  first, no trailing zeros, coprime, the gcd of all their coefficients 1
+  and ``den``'s leading coefficient positive; zero is ``((), (1,))``.
+  Operands are reduced, so a result is cancelled across them (Henrici):
+  a product cancels ``n1`` with ``d2`` and ``n2`` with ``d1``; a sum with
+  ``g = gcd(d1, d2)`` and ``t = n1 (d2/g) + n2 (d1/g)`` cancels only
+  ``gcd(t, g)``, and equal denominators give ``g = d1`` at once.  A gcd is
+  the primitive integer polynomial of a primitive remainder sequence, so
+  by Gauss's lemma every quotient by it is exact over Z; one division by
+  the joint content ends each operation.  No gcd is taken when a side is
+  constant, so rational multiples and polynomial sums need none, and an
+  inverse swaps num and den and fixes the sign.
 
 Every representation is canonical, so two scalars are equal exactly when
 their stored payloads are equal.  There is no floating point anywhere;
@@ -36,8 +39,9 @@ Each descriptor builds one table of payload operations on first use,
 arithmetic looks them up, and the kernels of graded.py and linalg.py call
 them on payloads directly.  ``mul`` never multiplies by a factor equal to one.
 The cyclotomic (and rational) mul, add and inv are memoised by operand payloads
-and order (``MEMO_CAP`` entries each), as operands repeat; only Q(q) payloads
-hash through the Python-level ``Fraction.__hash__``, so they are not memoised.
+and order, and the Q(q) mul and add by operand payloads (``MEMO_CAP`` entries
+each), as operands repeat.  ``QQ`` appears only at input and output: parsing a
+fraction and rendering a coefficient over its denominator.
 
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
@@ -63,28 +67,23 @@ try:  # gmpy2 gives a large constant-factor speedup; fractions is the fallback
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
 
-_QQ0 = QQ(0)
-_QQ1 = QQ(1)
-_PONE = (_QQ1,)
-
-Poly = Tuple  # dense coefficients, constant term first, no trailing zeros
+Poly = Tuple  # dense int coefficients, constant term first, no trailing zeros
+_ONE = (1,)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over QQ
-
-
-def _ptrim(cs) -> Poly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+# integer polynomial helpers
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _ptrim((a[i] if i < len(a) else _QQ0) + (b[i] if i < len(b) else _QQ0)
-                  for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
@@ -95,57 +94,74 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     if len(b) == 1:  # a constant factor: scale, no convolution
         c = b[0]
         return a if c == 1 else tuple(c * x for x in a)
-    out = [_QQ0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     nonzero = [(j, d) for j, d in enumerate(b) if d]  # zeros skipped in both factors
     for i, c in enumerate(a):
         if c:
             for j, d in nonzero:
                 out[i + j] += c * d
-    return _ptrim(out)
+    return tuple(out)  # the leading coefficient is a product of nonzero ints
 
 
-def _pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_QQ0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and a:
-        f = a[-1] / lead
-        off = len(a) - len(b)
-        q[off] = f
-        for i, c in enumerate(b):
-            a[off + i] -= f * c
-        while a and a[-1] == 0:
+def _pquo(a: Poly, b: Poly) -> Poly:
+    """a / b, for a b that divides a in Z[x]: every step divides exactly."""
+    if b == _ONE:
+        return a
+    a, lead, m = list(a), b[-1], len(b) - 1
+    q = [0] * (len(a) - m)
+    for off in range(len(q) - 1, -1, -1):
+        c = q[off] = a[off + m] // lead
+        if c:
+            for i in range(m):
+                a[off + i] -= c * b[i]
+    return tuple(q)
+
+
+def _primitive(a) -> Poly:
+    g = gcd(*a)
+    return tuple(a) if g == 1 else tuple(c // g for c in a)
+
+
+def _prem(a: Poly, b: Poly) -> list:
+    """A remainder of a by b over Q, scaled to integers: each step subtracts
+    the smallest integer multiples that cancel the leading term."""
+    a, lead, m = list(a), b[-1], len(b) - 1
+    while len(a) > m:
+        c = a.pop()
+        g = gcd(lead, c)
+        s, t, off = lead // g, c // g, len(a) - m
+        if s != 1:
+            a = [s * x for x in a]
+        for i in range(m):
+            a[off + i] -= t * b[i]
+        while a and not a[-1]:
             a.pop()
-    return _ptrim(q), _ptrim(a)
+    return a
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
+    """gcd over Q[x] of nonzero a, b as the primitive integer polynomial with a
+    positive leading coefficient: a primitive PRS (Knuth, TAOCP 4.6.1)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return tuple(c / a[-1] for c in a)
-
-
-def _pquo(a: Poly, b: Poly) -> Poly:  # exact: b divides a
-    return a if b == _PONE else _pdivmod(a, b)[0]
+        a, b = b, _primitive(_prem(a, b))
+    return a if a[-1] > 0 else tuple(-c for c in a)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Poly:
-    """Coefficients of the n-th cyclotomic polynomial.
+    """Integer coefficients of the n-th cyclotomic polynomial.
 
-    >>> cyclotomic_polynomial(4) == (QQ(1), QQ(0), QQ(1))
-    True
+    >>> cyclotomic_polynomial(4)
+    (1, 0, 1)
     """
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
     # x^n - 1 divided by the cyclotomic polynomials of the proper divisors
-    num = _ptrim([-_QQ1] + [_QQ0] * (n - 1) + [_QQ1])
+    num = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _pdivmod(num, cyclotomic_polynomial(d))
-            assert not rem
+            num = _pquo(num, cyclotomic_polynomial(d))
     return num
 
 
@@ -164,30 +180,41 @@ def _power(x, n: int, mul, one):
 # ---------------------------------------------------------------------------
 # rational-function kernel over canonical payloads (num, den)
 
-_RZERO = ((), _PONE)
+_RZERO = ((), _ONE)
+MEMO_CAP = 4096  # entries in each memo of _rmul, _radd, _cmul, _cadd and _cinv
 
 
 def _gcd1(a: Poly, b: Poly) -> Poly:  # a nonzero constant is coprime to anything
-    return _pgcd(a, b) if len(a) > 1 and len(b) > 1 else _PONE
+    return _pgcd(a, b) if len(a) > 1 and len(b) > 1 else _ONE
 
 
+def _rcontent(num: Poly, den: Poly):
+    """(num, den) divided by the gcd of all their coefficients."""
+    g = gcd(*num, *den)
+    if g == 1:
+        return num, den
+    return tuple(c // g for c in num), tuple(c // g for c in den)
+
+
+@functools.lru_cache(MEMO_CAP)
 def _rmul(x, y):
     """Henrici's product of reduced x, y: cancel n1 with d2 and n2 with d1."""
     (n1, d1), (n2, d2) = x, y
     if not n1 or not n2:
         return _RZERO
     g1, g2 = _gcd1(n1, d2), _gcd1(n2, d1)
-    return (_pmul(_pquo(n1, g1), _pquo(n2, g2)),
-            _pmul(_pquo(d1, g2), _pquo(d2, g1)))
+    return _rcontent(_pmul(_pquo(n1, g1), _pquo(n2, g2)),
+                     _pmul(_pquo(d1, g2), _pquo(d2, g1)))
 
 
+@functools.lru_cache(MEMO_CAP)
 def _radd(x, y):
     """Henrici's sum of reduced x, y: only gcd(t, g) can cancel (see above)."""
     (n1, d1), (n2, d2) = x, y
     if not n1 or not n2:
         return x if n1 else y
     if d1 == d2:  # one denominator (two polynomials too): g = d1, e1 = e2 = 1
-        g, e, t = d1, _PONE, _padd(n1, n2)
+        g, e, t = d1, _ONE, _padd(n1, n2)
     else:
         g = _gcd1(d1, d2)
         e1, e2 = _pquo(d1, g), _pquo(d2, g)
@@ -195,22 +222,27 @@ def _radd(x, y):
     if not t:
         return _RZERO
     h = _gcd1(t, g)
-    return _pquo(t, h), _pmul(e, _pquo(g, h))
+    return _rcontent(_pquo(t, h), _pmul(e, _pquo(g, h)))
+
+
+def _rinv(x):  # (den, num) is coprime and primitive already; fix the sign
+    num, den = x
+    if num[-1] > 0:
+        return den, num
+    return tuple(-c for c in den), tuple(-c for c in num)
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic kernel over integer numerators
 
 _CZERO = ((), 1)
-MEMO_CAP = 4096  # entries in each of the memos of _cmul, _cadd and _cinv
 
 
 @functools.cache  # one entry per order n <= MAX_ORDER
 def _order_data(n: int):
     """(Phi_n, phi(n), rows), with sparse integer rows[k - phi(n)] of z^k
     mod Phi_n for phi(n) <= k < 2 phi(n)."""
-    modulus = cyclotomic_polynomial(n)
-    phi = [int(c) for c in modulus]
+    phi = cyclotomic_polynomial(n)
     m = len(phi) - 1
     row = [-c for c in phi[:-1]]  # z^m, since Phi_n is monic
     rows = []
@@ -220,7 +252,7 @@ def _order_data(n: int):
         row = [0] + row[:-1]
         for i in range(m):
             row[i] -= top * phi[i]
-    return modulus, m, tuple(rows)
+    return phi, m, tuple(rows)
 
 
 def _cyclo(nums: list, den):
@@ -283,9 +315,8 @@ def _cadd(a, b):  # keyed without the order: a sum is not reduced mod Phi_n
     return _cyclo(out, den)
 
 
-def _cyclo_to_qq(a) -> Poly:
-    nums, den = a
-    return tuple(QQ(c, den) for c in nums)
+def _over(nums: Poly, den) -> Poly:
+    return nums if den == 1 else tuple(QQ(c, den) for c in nums)
 
 
 @functools.lru_cache(MEMO_CAP)
@@ -376,9 +407,8 @@ class FieldDescriptor:
         if self.kind != RATIONAL_FUNCTIONS:  # the rationals are the cyclotomic field of order 1
             n, one, add = self.order or 1, ((1,), 1), _cadd
             mul, inv = lambda a, b: _cmul(a, b, n), lambda a: _cinv(a, n)
-        else:  # an inverse is (den, num), coprime already, over num's leading coefficient
-            one, add, mul = (_PONE, _PONE), _radd, _rmul
-            inv = lambda v: tuple(tuple(c / v[0][-1] for c in p) for p in v[::-1])
+        else:
+            one, add, mul, inv = (_ONE, _ONE), _radd, _rmul, _rinv
         return PayloadOps(add, lambda a, b: b if a == one else a if b == one else mul(a, b),
                           neg, is_zero, one, lambda a: a if a == one else inv(a))
 
@@ -388,7 +418,7 @@ class FieldDescriptor:
         if self.kind == CYCLOTOMIC:
             return _creduce([0, 1], 1, self.order)
         if self.kind == RATIONAL_FUNCTIONS:
-            return (_QQ0, _QQ1), (_QQ1,)
+            return (0, 1), _ONE
         raise ValueError("the rationals have no generator")
 
     @property
@@ -418,7 +448,7 @@ class FieldDescriptor:
     def from_rational(self, r) -> "Scalar":
         r = QQ(r)
         if self.kind == RATIONAL_FUNCTIONS:
-            return Scalar(self, (_ptrim((r,)), (_QQ1,)))
+            return Scalar(self, ((int(r.numerator),), (int(r.denominator),)) if r else _RZERO)
         return Scalar(self, ((r.numerator,), r.denominator) if r else _CZERO)
 
     def generator(self) -> "Scalar":
@@ -517,8 +547,8 @@ class Scalar:
             return self.inv() ** (-n)
         f = self.field
         if f.kind == RATIONAL_FUNCTIONS:
-            # num, den coprime and den monic: so are num^n, den^n, with no gcd
-            return Scalar(f, tuple(_power(p, n, _pmul, _PONE) for p in self.value))
+            # num, den coprime with joint content 1 (Gauss): so are num^n, den^n
+            return Scalar(f, tuple(_power(p, n, _pmul, _ONE) for p in self.value))
         return _power(self, n, Scalar.__mul__, f.one())
 
     # -- equality ---------------------------------------------------------
@@ -533,16 +563,12 @@ class Scalar:
 
     def __hash__(self):
         # a constant hashes as its rational value, agreeing with == against int
-        v = self.value
-        if self.field.kind != RATIONAL_FUNCTIONS:
-            nums, den = v
-            if len(nums) <= 1:
-                v = QQ(nums[0], den) if nums else _QQ0
-        elif self.field.kind == RATIONAL_FUNCTIONS and v[1] == (_QQ1,):
-            v = v[0]
-        if isinstance(v, tuple) and len(v) <= 1:
-            v = v[0] if v else _QQ0
-        return hash(v)
+        nums, den = self.value
+        if self.field.kind == RATIONAL_FUNCTIONS:
+            if len(den) > 1:
+                return hash(self.value)
+            den = den[0]
+        return hash(QQ(nums[0], den) if nums else 0) if len(nums) <= 1 else hash(self.value)
 
     def __bool__(self):
         return not self.is_zero()
@@ -594,17 +620,12 @@ def _render_poly(p: Poly, var: str, shift: int = 0) -> str:
 def render_scalar(x: Scalar) -> str:
     f = x.field
     if f.kind != RATIONAL_FUNCTIONS:
-        nums, den = x.value
-        return _render_poly(nums if den == 1 else _cyclo_to_qq(x.value), "z")
+        return _render_poly(_over(*x.value), "z")
     num, den = x.value
-    if den == (_QQ1,):
-        return _render_poly(num, f.indeterminate)
-    nz = [i for i, c in enumerate(den) if c != 0]
-    if len(nz) == 1:  # monomial denominator: render as a Laurent polynomial
-        return _render_poly(tuple(c / den[nz[0]] for c in num),
-                            f.indeterminate, shift=-nz[0])
-    return (f"({_render_poly(num, f.indeterminate)})"
-            f"/({_render_poly(den, f.indeterminate)})")
+    lead, var = den[-1], f.indeterminate  # rendered as num/lead over den/lead, monic
+    if not any(den[:-1]):  # a monomial denominator: render as a Laurent polynomial
+        return _render_poly(_over(num, lead), var, shift=1 - len(den))
+    return f"({_render_poly(_over(num, lead), var)})/({_render_poly(_over(den, lead), var)})"
 
 
 # ---------------------------------------------------------------------------

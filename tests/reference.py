@@ -1,5 +1,8 @@
-"""Plain list-matrix arithmetic: an independent reference for the tests,
+"""Plain list-matrix arithmetic, term-by-term tensor arithmetic and a Q(q)
+kernel on Fraction coefficients: independent references for the tests,
 which the engine itself never uses."""
+
+from fractions import Fraction
 
 
 def _mat_mul(a, b, field):
@@ -106,3 +109,99 @@ def dense_rref(rows, cols, field):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+# -- Q(q) on Fraction coefficients: Euclid over Q, monic denominators --------------
+#
+# A rational function is (num, den): Fraction tuples, constant term first, no
+# trailing zeros, coprime, den monic; zero is ((), (1,)).  Sums and products
+# cancel across reduced operands as in Henrici, with gcds by Euclid over Q.
+
+_F1 = (Fraction(1),)
+
+
+def _ptrim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return _ptrim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                  for i in range(n))
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _ptrim(out)
+
+
+def _pdivmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        f = a[-1] / b[-1]
+        off = len(a) - len(b)
+        q[off] = f
+        for i, c in enumerate(b):
+            a[off + i] -= f * c
+        while a and a[-1] == 0:
+            a.pop()
+    return _ptrim(q), _ptrim(a)
+
+
+def _pgcd(a, b):
+    """The monic gcd of two polynomials, not both zero."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def _pquo(a, b):  # exact: b divides a
+    return _pdivmod(a, b)[0]
+
+
+def ratfun(num, den):
+    """The reduced payload of num/den from coefficient lists (den nonzero)."""
+    num, den = _ptrim(Fraction(c) for c in num), _ptrim(Fraction(c) for c in den)
+    if not num:
+        return (), _F1
+    g = _pgcd(num, den)
+    num, den = _pquo(num, g), _pquo(den, g)
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def ratfun_mul(x, y):
+    """Henrici's product: cancel n1 with d2 and n2 with d1."""
+    (n1, d1), (n2, d2) = x, y
+    if not n1 or not n2:
+        return (), _F1
+    g1, g2 = _pgcd(n1, d2), _pgcd(n2, d1)
+    return (_pmul(_pquo(n1, g1), _pquo(n2, g2)),
+            _pmul(_pquo(d1, g2), _pquo(d2, g1)))
+
+
+def ratfun_add(x, y):
+    """Henrici's sum: with g = gcd(d1, d2) only gcd(t, g) can cancel."""
+    (n1, d1), (n2, d2) = x, y
+    if not n1 or not n2:
+        return x if n1 else y
+    g = _pgcd(d1, d2)
+    e1, e2 = _pquo(d1, g), _pquo(d2, g)
+    t = _padd(_pmul(n1, e2), _pmul(n2, e1))
+    if not t:
+        return (), _F1
+    h = _pgcd(t, g)
+    return _pquo(t, h), _pmul(_pmul(e1, e2), _pquo(g, h))
+
+
+def ratfun_inv(x):
+    """(den, num) over num's leading coefficient (x nonzero)."""
+    return tuple(tuple(c / x[0][-1] for c in p) for p in x[::-1])

@@ -1,14 +1,17 @@
 """The rational-function kernel of Q(q): sums, products, quotients and
-inverses against sympy's ``cancel``, the invariants of a canonical payload,
-and the gcds the cross-cancelling kernel is allowed to skip."""
+inverses against sympy's ``cancel`` and against the Fraction kernel of
+tests/reference.py, the invariants of a canonical payload, and the gcds the
+cross-cancelling kernel is allowed to skip."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qhopf.scalars as scalars
 from qhopf.scalars import QQ, FieldDescriptor
+from reference import ratfun, ratfun_add, ratfun_inv, ratfun_mul
 
 RQ = FieldDescriptor.rational_functions("q")
 ONE = (QQ(1),)
@@ -47,9 +50,9 @@ def canonical(expr):
 
 
 def payload(x):
+    """x's payload scaled to a monic denominator, over Fraction."""
     n, d = x.value
-    return (tuple(Fraction(int(c.numerator), int(c.denominator)) for c in n),
-            tuple(Fraction(int(c.numerator), int(c.denominator)) for c in d))
+    return tuple(Fraction(c, d[-1]) for c in n), tuple(Fraction(c, d[-1]) for c in d)
 
 
 def _coprime(a, b):
@@ -67,11 +70,14 @@ def _coprime(a, b):
 
 
 def assert_canonical(x):
+    """Integer coefficients, primitive, den[-1] > 0, coprime, no trailing zeros."""
     n, d = x.value
-    assert d and d[-1] == 1
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0
+    assert gcd(*n, *d) == 1
     assert not n or n[-1] != 0
     assert n or x.value == ((), ONE)
-    assert not n or _coprime(n, d)
+    assert not n or _coprime([Fraction(c) for c in n], [Fraction(c) for c in d])
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,6 +94,50 @@ def test_ring_ops_agree_with_sympy_cancel(x, y):
         assert payload(x / y) == canonical(sx / sy)
         assert payload(y.inv()) == canonical(1 / sy)
         assert_canonical(y.inv())
+
+
+def _conv(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+@st.composite
+def with_reference(draw):
+    """A scalar parsed from its text and its payload from the reference kernel:
+    num/den with large contents, a monomial denominator, or a constant."""
+    kind = draw(st.sampled_from(("general", "monomial", "constant")))
+    k = draw(st.integers(-10 ** 12, 10 ** 12).filter(bool))
+    m = draw(st.sampled_from((1, 2, 6, 10 ** 9 + 7, 3 * 10 ** 12)))
+    if kind == "constant":
+        num, den = [k], [m]
+    elif kind == "monomial":  # m q^j
+        num, den = [k * c for c in draw(polys)], [0] * draw(st.integers(0, 3)) + [m]
+    else:  # a common factor f, as in FACTORS, for the gcds to cancel
+        f = draw(st.sampled_from(([1], [0, 1], [1, 1], [-1, 1], [3, 2], [1, 0, 1])))
+        num = [k * c for c in _conv(draw(polys), f)]
+        den = [m * c for c in _conv(draw(polys), f)]
+    return RQ.parse(f"({_text(num)})/({_text(den)})"), ratfun(num, den)
+
+
+def _neg(r):
+    return tuple(-c for c in r[0]), r[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(with_reference(), with_reference())
+def test_ring_ops_agree_with_the_fraction_kernel(xr, yr):
+    """Each result, scaled to a monic denominator, is the reference payload."""
+    (x, rx), (y, ry) = xr, yr
+    results = [(x, rx), (y, ry), (x + y, ratfun_add(rx, ry)),
+               (x - y, ratfun_add(rx, _neg(ry))), (x * y, ratfun_mul(rx, ry))]
+    if y:
+        results += [(x / y, ratfun_mul(rx, ratfun_inv(ry))), (y.inv(), ratfun_inv(ry))]
+    for result, expected in results:
+        assert_canonical(result)
+        assert payload(result) == expected
 
 
 @pytest.mark.parametrize("a, b, op, expected", [
@@ -124,6 +174,10 @@ def test_zero_payload():
 
 @pytest.fixture
 def gcd_calls(monkeypatch):
+    """The gcds taken from here on; the memos are cleared, so that an operation
+    an earlier test ran is computed again."""
+    scalars._rmul.cache_clear()
+    scalars._radd.cache_clear()
     calls = []
     original = scalars._pgcd
 
@@ -172,3 +226,13 @@ def test_powers_of_a_reduced_fraction_take_no_gcd(gcd_calls):
     assert [p.value for p in powers] == [square.value, cube.value]
     for p in powers:
         assert_canonical(p)
+
+
+def test_the_memos_stay_within_their_cap():
+    q = RQ.generator().value
+    for k in range(scalars.MEMO_CAP + 100):  # more distinct operands than the cap
+        a = ((k, 1), (1, 2))  # (k + q)/(1 + 2q)
+        scalars._rmul(a, q), scalars._radd(a, q)
+    for memo in (scalars._rmul, scalars._radd):
+        info = memo.cache_info()
+        assert info.maxsize == scalars.MEMO_CAP and info.currsize <= info.maxsize
