@@ -51,14 +51,14 @@ def _dump(obj) -> str:
 
 
 def cmd_verify(args) -> int:
-    entry = load_entry(args.file)
-    H = entry.structure
     requested = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
     if not requested:
         raise QhopfError(f"--checks: name at least one of {', '.join(CHECK_NAMES)}")
     for c in requested:
         if c not in CHECK_NAMES:
             raise QhopfError(f"unknown check {c!r}; valid: {', '.join(CHECK_NAMES)}")
+    entry = load_entry(args.file)
+    H = entry.structure
     if "all" in requested:
         requested = ["axioms", "identities"] + \
             (["qtri", "qybe"] if H.r is not None else [])

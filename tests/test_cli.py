@@ -104,6 +104,19 @@ def test_verify_with_no_check_named_exits_2(checks, capsys):
         "error: --checks: name at least one of axioms, qtri, qybe, identities, all"]
 
 
+@pytest.mark.parametrize("checks, line", [
+    ("", "error: --checks: name at least one of axioms, qtri, qybe, identities, all"),
+    (",", "error: --checks: name at least one of axioms, qtri, qybe, identities, all"),
+    ("axioms,nonsense", "error: unknown check 'nonsense'; "
+                        "valid: axioms, qtri, qybe, identities, all")],
+    ids=["empty", "comma", "unknown"])
+def test_verify_checks_the_flag_before_loading(checks, line, capsys):
+    """The missing file shows nothing was read: the flag's error comes first."""
+    assert main(["verify", "no-such-file.qh", "--checks", checks, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [line]
+
+
 def test_verify_runs_each_named_check_once_in_first_named_order(capsys):
     assert main(["verify", path("z2-group"), "--checks", "qtri,axioms,qtri,axioms",
                  "--json"]) == 0
