@@ -315,10 +315,6 @@ def _cadd(a, b):  # keyed without the order: a sum is not reduced mod Phi_n
     return _cyclo(out, den)
 
 
-def _over(nums: Poly, den) -> Poly:
-    return nums if den == 1 else tuple(QQ(c, den) for c in nums)
-
-
 @functools.lru_cache(MEMO_CAP)
 def _cinv(a, n: int):
     """a^-1 = prod_k sigma_k(a) / N(a) over the Galois conjugates sigma_k: z -> z^k
@@ -584,6 +580,10 @@ class Scalar:
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def _over(nums: Poly, den) -> Poly:
+    return nums if den == 1 else tuple(QQ(c, den) for c in nums)
 
 
 def _render_q(c) -> str:
