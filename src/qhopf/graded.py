@@ -12,15 +12,17 @@ extended to arbitrary ranks.  Tensor legs may live over different graded
 algebras; this is how matrix-valued legs (a representation applied to one
 leg) are supported without a second sign calculus.
 
-Coefficients are ``Scalar`` objects; the kernels compute on their raw
-payloads with the field's payload table and wrap each nonzero sum into a
-``Scalar`` once (``_collect``), with no second pass for zeros.
+Coefficients are ``Scalar`` objects.  An algebra's one product table maps
+(i, j) to the payload terms ((k, c), ...) of e_i e_j, read a row at a time
+(``row(i)``); ``mul_basis`` wraps an entry into ``Scalar`` objects for other
+callers.  The kernels compute on raw payloads with the field's payload
+operations, accumulate into one dict and wrap each nonzero sum once (``_wrap``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BasisMismatchError,
@@ -33,21 +35,34 @@ from .linalg import eliminate
 from .scalars import FieldDescriptor, Scalar
 
 Key = Tuple[int, ...]
+Row = Tuple[Tuple[int, tuple], ...]  # the terms (k, payload) of one product e_i e_j
 
 
 def _clean(coeffs: Mapping) -> dict:
     return {k: v for k, v in coeffs.items() if not v.is_zero()}
 
 
-def _collect(field: FieldDescriptor, terms) -> dict:
-    """Sum payload terms (key, value) per key with the field's payload
-    operations and wrap each nonzero sum into a Scalar once."""
-    add, acc = field.ops.add, {}
+def _sum(add: Callable, terms) -> dict:
+    """The payload terms (key, value) summed per key with the field's add."""
+    acc = {}
     for key, v in terms:
         s = acc.get(key)
         acc[key] = v if s is None else add(s, v)
+    return acc
+
+
+def _nonzero(is_zero: Callable, acc: dict) -> dict:
+    return {k: v for k, v in acc.items() if not is_zero(v)}
+
+
+def _wrap(field: FieldDescriptor, acc: dict) -> dict:
+    """The nonzero payload sums of acc, each wrapped into a Scalar once."""
     is_zero = field.ops.is_zero
     return {k: Scalar(field, v) for k, v in acc.items() if not is_zero(v)}
+
+
+def _collect(field: FieldDescriptor, terms) -> dict:
+    return _wrap(field, _sum(field.ops.add, terms))
 
 
 def _factor(c: Scalar) -> str:
@@ -137,8 +152,12 @@ class BaseAlgebra:
             self._generators = tuple(gens)
         return self._generators
 
-    def mul_basis(self, i: int, j: int) -> Dict[int, Scalar]:
+    def row(self, i: int) -> Dict[int, Row]:
+        """Row i of the payload product table: j -> the nonzero terms of e_i e_j."""
         raise NotImplementedError
+
+    def mul_basis(self, i: int, j: int) -> Dict[int, Scalar]:
+        return {k: Scalar(self.field, v) for k, v in self.row(i).get(j, ())}
 
     def basis_element(self, i: int) -> "AlgebraElement":
         return AlgebraElement(self, {i: self.field.one()}, False)
@@ -168,11 +187,13 @@ class BaseAlgebra:
 class GradedAlgebra(BaseAlgebra):
     """A validated unital associative Z2-graded algebra given by structure
     constants: entries[(i, j, k)] is the coefficient of basis k in the
-    product (basis i)(basis j).  Validation runs at construction: parity
-    compatibility, the two-sided unit law, and (g x) y = g (x y) for
-    generators g and basis x, y.  That suffices: the a with
+    product (basis i)(basis j).  Validation runs at construction, in basis
+    order: parity compatibility, the two-sided unit law, and (g x) y = g (x y)
+    for generators g and basis x, y.  That suffices: the a with
     (a x) y = a (x y) for all x, y contain 1 and are closed under products,
-    as ((ab) x) y = a (b (xy)) = (ab)(xy)."""
+    as ((ab) x) y = a (b (xy)) = (ab)(xy).  For each g and x, both sides are
+    summed for every y at once; only if one such pair of sums differs are the
+    basis triples searched in order (``quantify``), to name the first one."""
 
     def __init__(self, basis: GradedBasis,
                  entries: Mapping[Tuple[int, int, int], Scalar],
@@ -182,42 +203,45 @@ class GradedAlgebra(BaseAlgebra):
         self.labels = basis.labels
         self.parity = basis.parity
         self.name = name
-        self._mul: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for (i, j, k), c in entries.items():
-            if not c.is_zero():
-                self._mul.setdefault((i, j), {})[k] = c
+        self._rows: List[Dict[int, Row]] = [{} for _ in self.labels]
+        for (i, j, k), c in sorted(entries.items()):  # each row's terms in basis order
+            if c.is_zero():
+                continue
+            if self.parity[k] != (self.parity[i] + self.parity[j]) % 2:
+                raise StructureValidationError(
+                    f"parity violation in product {self.labels[i]}*{self.labels[j]}"
+                    f" -> {self.labels[k]}")
+            self._rows[i][j] = self._rows[i].get(j, ()) + ((k, c.value),)
         self.unit_coeffs = {basis.unit_index: field.one()}
         self._validate()
 
-    def mul_basis(self, i: int, j: int) -> Dict[int, Scalar]:
-        return self._mul.get((i, j), {})
+    def row(self, i: int) -> Dict[int, Row]:
+        return self._rows[i]
 
     def _validate(self):
-        d = self.dim
-        u = self.basis.unit_index
-        for (i, j), prods in self._mul.items():
-            pij = (self.parity[i] + self.parity[j]) % 2
-            for k, c in prods.items():
-                if self.parity[k] != pij:
-                    raise StructureValidationError(
-                        f"parity violation in product {self.labels[i]}*{self.labels[j]}"
-                        f" -> {self.labels[k]}")
+        d, u, rows, ops = self.dim, self.basis.unit_index, self._rows, self.field.ops
         for i in range(d):
-            if self.mul_basis(u, i) != {i: self.field.one()} or \
-               self.mul_basis(i, u) != {i: self.field.one()}:
+            if rows[u].get(i) != ((i, ops.one),) or rows[i].get(u) != ((i, ops.one),):
                 raise StructureValidationError(
                     f"unit law fails at basis element {self.labels[i]}")
-        # the a with (a x) y = a (x y) for all x, y form a subalgebra
-        table, mul, neg = self._mul, self.field.ops.mul, self.field.ops.neg
+        add, mul, neg, is_zero = ops.add, ops.mul, ops.neg, ops.is_zero
 
         def assoc(i, j, l):  # (e_i e_j) e_l - e_i (e_j e_l), straight from the table
-            left = ((m, mul(c.value, e.value)) for k, c in table.get((i, j), {}).items()
-                    for m, e in table.get((k, l), {}).items())
-            right = ((m, neg(mul(c.value, e.value))) for k, c in table.get((j, l), {}).items()
-                     for m, e in table.get((i, k), {}).items())
+            left = ((m, mul(c, e)) for k, c in rows[i].get(j, ()) for m, e in rows[k].get(l, ()))
+            right = ((m, neg(mul(c, e))) for k, c in rows[j].get(l, ())
+                     for m, e in rows[i].get(k, ()))
             return AlgebraElement(self, _collect(self.field, itertools.chain(left, right)), False)
-        require(quantify(self, assoc, 3, True), StructureValidationError,
-                "associativity fails at {}")
+
+        def batch(g, x):  # (e_g e_x) e_y = e_g (e_x e_y) for every y, summed per (y, m)
+            left = _sum(add, (((y, m), mul(c, e)) for k, c in rows[g].get(x, ())
+                              for y, prods in rows[k].items() for m, e in prods))
+            right = _sum(add, (((y, m), mul(c, e)) for y, prods in rows[x].items()
+                               for k, c in prods for m, e in rows[g].get(k, ())))
+            return _nonzero(is_zero, left) == _nonzero(is_zero, right)
+        # the a with (a x) y = a (x y) for all x, y form a subalgebra
+        if not all(batch(g, x) for g in self.generators() for x in range(d)):
+            require(quantify(self, assoc, 3), StructureValidationError,
+                    "associativity fails at {}")
 
     def __eq__(self, other):
         if self is other:
@@ -226,7 +250,7 @@ class GradedAlgebra(BaseAlgebra):
             return NotImplemented
         return (self.labels == other.labels and self.parity == other.parity
                 and self.basis.unit_index == other.basis.unit_index
-                and self.field == other.field and self._mul == other._mul)
+                and self.field == other.field and self._rows == other._rows)
 
     def __hash__(self):
         return hash((self.labels, self.parity, self.field))
@@ -238,7 +262,7 @@ class GradedAlgebra(BaseAlgebra):
 class MatrixSpaceAlgebra(BaseAlgebra):
     """End(V) for a graded carrier V, with the matrix-unit basis E[i,j].
     The parity of E[i,j] is parity(v_i) + parity(v_j); products are the
-    usual delta rule, generated on demand."""
+    usual delta rule E[i,j] E[j,l] = E[i,l], a row generated on demand."""
 
     def __init__(self, carrier_parity: Sequence[int], field: FieldDescriptor,
                  name: str = ""):
@@ -250,16 +274,12 @@ class MatrixSpaceAlgebra(BaseAlgebra):
         self.labels = tuple(f"E[{i},{j}]" for i in range(d) for j in range(d))
         self.parity = tuple((self.carrier_parity[i] + self.carrier_parity[j]) % 2
                             for i in range(d) for j in range(d))
-        self._one = field.one()
-        self.unit_coeffs = {i * d + i: self._one for i in range(d)}
+        self.unit_coeffs = {i * d + i: field.one() for i in range(d)}
 
-    def mul_basis(self, a: int, b: int) -> Dict[int, Scalar]:
-        d = self.carrier_dim
+    def row(self, a: int) -> Dict[int, Row]:
+        d, one = self.carrier_dim, self.field.ops.one
         i, j = divmod(a, d)
-        k, l = divmod(b, d)
-        if j != k:
-            return {}
-        return {i * d + l: self._one}
+        return {j * d + l: ((i * d + l, one),) for l in range(d)}
 
     def __eq__(self, other):
         if self is other:
@@ -363,11 +383,16 @@ class AlgebraElement(_Sparse):
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        alg = self.algebra
-        mul = alg.field.ops.mul
-        return AlgebraElement(alg, _collect(alg.field, (
-            (k, mul(mul(c.value, d.value), e.value)) for i, c in self.coeffs.items()
-            for j, d in other.coeffs.items() for k, e in alg.mul_basis(i, j).items())), False)
+        alg, acc = self.algebra, {}
+        add, mul = alg.field.ops.add, alg.field.ops.mul
+        for i, c in self.coeffs.items():
+            row = alg.row(i)
+            for j, d in other.coeffs.items():
+                cd = mul(c.value, d.value)
+                for k, e in row.get(j, ()):
+                    s, v = acc.get(k), mul(cd, e)
+                    acc[k] = v if s is None else add(s, v)
+        return AlgebraElement(alg, _wrap(alg.field, acc), False)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -449,31 +474,37 @@ class TensorElement(_Sparse):
 
     def __mul__(self, other):
         """Componentwise graded product: the Koszul sign exponent for basis
-        keys K (left) and L (right) is sum over i < j of parity(L_i)*parity(K_j)."""
+        keys K (left) and L (right) is sum over i < j of parity(L_i)*parity(K_j):
+        mod 2, the bits two masks share, of the i with L_i odd and of the i with
+        parity(K_{i+1}) + ... + parity(K_{r-1}) odd (both 0 if every leg is even)."""
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        r = self.rank
-        legs = self.legs
-        parities = [leg.parity for leg in legs]
-        mul, neg = legs[0].field.ops.mul, legs[0].field.ops.neg
+        legs, field, acc = self.legs, self.legs[0].field, {}
+        add, mul, neg = field.ops.add, field.ops.mul, field.ops.neg
+        parities = [leg.parity for leg in legs] if any(1 in leg.parity for leg in legs) else []
 
-        def terms():
-            for kx, cx in self.coeffs.items():
-                # suffix[i] = parity(K_{i+1}) + ... + parity(K_{r-1})
-                suffix = [0] * (r + 1)
-                for t in range(r - 1, -1, -1):
-                    suffix[t] = suffix[t + 1] + parities[t][kx[t]]
-                for ky, cy in other.coeffs.items():
-                    # look the leg products up first: most pairs of matrix units vanish
-                    prods = [legs[t].mul_basis(kx[t], ky[t]) for t in range(r)]
-                    if not all(prods):
-                        continue
-                    coeff = mul(cx.value, cy.value)
-                    if sum(parities[t][ky[t]] * suffix[t + 1] for t in range(r)) % 2:
-                        coeff = neg(coeff)
-                    yield from _expand(mul, coeff, prods)
-        return TensorElement(legs, _collect(legs[0].field, terms()), False)
+        def odd(key):  # bit t: leg t of key is odd
+            return sum(1 << t for t, p in enumerate(parities) if p[key[t]])
+        right = [(ky, cy.value, odd(ky)) for ky, cy in other.coeffs.items()]
+        for kx, cx in self.coeffs.items():
+            rows, vx, kodd = [leg.row(k) for leg, k in zip(legs, kx)], cx.value, odd(kx)
+            after = sum(1 << t for t in range(len(parities)) if (kodd >> t + 1).bit_count() & 1)
+            for ky, vy, lodd in right:
+                prods = list(map(dict.get, rows, ky))  # rows are dicts; None: e_i e_j = 0
+                if None in prods:
+                    continue
+                c = mul(vx, vy)
+                if lodd & after and (lodd & after).bit_count() & 1:
+                    c = neg(c)
+                for terms in itertools.product(*prods):  # one term (k, payload) per leg
+                    v = c
+                    for _, w in terms:
+                        v = mul(v, w)
+                    key = tuple([k for k, _ in terms])
+                    s = acc.get(key)
+                    acc[key] = v if s is None else add(s, v)
+        return TensorElement(legs, _wrap(field, acc), False)
 
     # -- permutations ---------------------------------------------------------
 
@@ -515,8 +546,8 @@ class TensorElement(_Sparse):
             raise BasisMismatchError("merged legs must share one algebra")
         mul = a.field.ops.mul
         return TensorElement(self.legs[:i] + self.legs[i + 1:], _collect(a.field, (
-            (key[:i] + (k,) + key[j + 1:], mul(c.value, e.value)) for key, c in self.coeffs.items()
-            for k, e in a.mul_basis(key[i], key[j]).items())), False)
+            (key[:i] + (k,) + key[j + 1:], mul(c.value, e)) for key, c in self.coeffs.items()
+            for k, e in a.row(key[i]).get(key[j], ()))), False)
 
     def merge_all(self) -> AlgebraElement:
         """Collapse all legs with the product map, left to right."""

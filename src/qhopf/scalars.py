@@ -40,8 +40,9 @@ arithmetic looks them up, and the kernels of graded.py and linalg.py call
 them on payloads directly.  ``mul`` never multiplies by a factor equal to one.
 The cyclotomic (and rational) mul, add and inv are memoised by operand payloads
 and order, and the Q(q) mul and add by operand payloads (``MEMO_CAP`` entries
-each), as operands repeat.  ``QQ`` appears only at input and output: parsing a
-fraction and rendering a coefficient over its denominator.
+each), as operands repeat, and so is the rendered text of a payload.  ``QQ``
+appears only at input and output: parsing a fraction and rendering a
+coefficient over its denominator.
 
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
@@ -181,7 +182,7 @@ def _power(x, n: int, mul, one):
 # rational-function kernel over canonical payloads (num, den)
 
 _RZERO = ((), _ONE)
-MEMO_CAP = 4096  # entries in each memo of _rmul, _radd, _cmul, _cadd and _cinv
+MEMO_CAP = 4096  # entries in each memo of _rmul, _radd, _cmul, _cadd, _cinv and _render
 
 
 def _gcd1(a: Poly, b: Poly) -> Poly:  # a nonzero constant is coprime to anything
@@ -618,11 +619,16 @@ def _render_poly(p: Poly, var: str, shift: int = 0) -> str:
 
 
 def render_scalar(x: Scalar) -> str:
-    f = x.field
-    if f.kind != RATIONAL_FUNCTIONS:
-        return _render_poly(_over(*x.value), "z")
-    num, den = x.value
-    lead, var = den[-1], f.indeterminate  # rendered as num/lead over den/lead, monic
+    return _render(x.value, x.field.indeterminate if x.field.kind == RATIONAL_FUNCTIONS else None)
+
+
+@functools.lru_cache(MEMO_CAP)
+def _render(value, var: Optional[str]) -> str:
+    """The text of a payload: of Q(q) over the indeterminate ``var``, else of Q(z)."""
+    if var is None:
+        return _render_poly(_over(*value), "z")
+    num, den = value
+    lead = den[-1]  # rendered as num/lead over den/lead, monic
     if not any(den[:-1]):  # a monomial denominator: render as a Laurent polynomial
         return _render_poly(_over(num, lead), var, shift=1 - len(den))
     return f"({_render_poly(_over(num, lead), var)})/({_render_poly(_over(den, lead), var)})"

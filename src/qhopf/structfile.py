@@ -73,8 +73,8 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     H = entry.structure
     A = H.algebra
     labels = A.labels
-    mul_rows = [[labels[i], labels[j], labels[k], str(c)]
-                for (i, j) in sorted(A._mul) for k, c in sorted(A._mul[(i, j)].items())]
+    mul_rows = [[labels[i], labels[j], labels[k], str(c)] for i in range(A.dim)
+                for j in range(A.dim) for k, c in sorted(A.mul_basis(i, j).items())]
     return {
         "name": entry.name,
         "notes": entry.notes,

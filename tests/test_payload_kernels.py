@@ -13,10 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qhopf
+import qhopf.catalog
 import qhopf.scalars as scalars
+import qhopf.structfile
 from qhopf.catalog import make_algebra
 from qhopf.cli import main
+from qhopf.errors import StructureValidationError
 from qhopf.graded import AlgebraElement, LinearMap, MatrixSpaceAlgebra, TensorElement
+from qhopf.graded import GradedAlgebra
 from qhopf.linalg import rref
 from qhopf.scalars import QQ, FieldDescriptor
 from qhopf.structfile import load_entry
@@ -244,3 +248,95 @@ def test_a_broken_table_exits_2_naming_the_triple(tmp_path, capsys, name, entry,
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == [f"error: associativity fails at {label}"]
+
+
+# -- one payload product table -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", qhopf.catalog.BUILTIN_NAMES)
+def test_mul_basis_is_the_scalar_view_of_the_table(name):
+    A = qhopf.catalog.load_builtin(name).structure.algebra
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        row = A.row(i).get(j, ())
+        assert A.mul_basis(i, j) == {k: scalars.Scalar(A.field, v) for k, v in row}
+        assert [k for k, _ in row] == sorted({k for k, _ in row})  # one term per k
+        assert not any(A.field.ops.is_zero(v) for _, v in row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_matrix_units_multiply_by_the_delta_rule(field):
+    M = MatrixSpaceAlgebra((0, 1), field)
+    for a, b in itertools.product(range(4), repeat=2):
+        (i, j), (k, l) = divmod(a, 2), divmod(b, 2)
+        expected = {2 * i + l: field.one()} if j == k else {}
+        assert M.mul_basis(a, b) == expected
+        assert {k: scalars.Scalar(field, v) for k, v in M.row(a).get(b, ())} == expected
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.qh")), ids=lambda p: p.stem)
+def test_golden_files_read_back_and_render_unchanged(path):
+    """``entry_to_dict`` reads the table through ``mul_basis``; the golden
+    files are what scripts/generate_golden.py writes for the builtins."""
+    text = path.read_text()
+    assert qhopf.structfile.entry_to_dict(load_entry(str(path))) == json.loads(text)
+    assert qhopf.structfile.render_entry(qhopf.catalog.load_builtin(path.stem)) == text
+
+
+def _first_failing_triple(labels, entries):
+    """Brute force over the entries themselves, not an algebra's table: the
+    first basis triple (i, j, l), in basis order, with
+    (e_i e_j) e_l != e_i (e_j e_l), as "(label, label, label)", or None."""
+    prods = {}
+    for (i, j, k), c in entries.items():
+        if not c.is_zero():
+            prods.setdefault((i, j), {})[k] = c
+
+    def times(x, y):  # products of dicts {basis index: Scalar}
+        out = {}
+        for (a, c), (b, d) in itertools.product(x.items(), y.items()):
+            for k, e in prods.get((a, b), {}).items():
+                out[k] = out[k] + c * d * e if k in out else c * d * e
+        return {k: v for k, v in out.items() if not v.is_zero()}
+    one = next(iter(entries.values())).field.one()
+    e = [{i: one} for i in range(len(labels))]
+    for i, j, l in itertools.product(range(len(labels)), repeat=3):
+        if times(times(e[i], e[j]), e[l]) != times(e[i], times(e[j], e[l])):
+            return f"({labels[i]}, {labels[j]}, {labels[l]})"
+    return None
+
+
+@lru_cache(maxsize=None)
+def _witness_table(name):
+    """(basis, entries, field) of the Grassmann and Sweedler tables above,
+    over Q, or of small-uqsl2 over cyclotomic(3) as read from its file."""
+    if name == "small-uqsl2":
+        A = load_entry(str(DATA / "small-uqsl2.qh")).structure.algebra
+    else:
+        A = algebras(FieldDescriptor.rationals())[0 if name == "grassmann" else 1]
+    entries = {(i, j, k): c for i, j in itertools.product(range(A.dim), repeat=2)
+               for k, c in A.mul_basis(i, j).items()}
+    return A.basis, entries, A.field
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grassmann", "sweedler", "sweedler", "small-uqsl2"]), st.data())
+def test_the_batched_associativity_check_names_the_oracle_triple(name, data):
+    """Change or add one structure constant off the unit row and column, of
+    the parity its product needs: the algebra either loads, and no triple
+    fails, or the error names the first failing triple in basis order."""
+    basis, entries, field = _witness_table(name)
+    others = [i for i in range(len(basis.labels)) if i != basis.unit_index]
+    i, j = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+    k = data.draw(st.sampled_from([k for k in range(len(basis.labels))
+                                   if basis.parity[k] == (basis.parity[i] + basis.parity[j]) % 2]))
+    values = [field.from_int(n) for n in (0, 1, -1, 2)] + (
+        [field.generator()] if field.generator_name else [field.from_rational(QQ(1, 2))])
+    entries = dict(entries)
+    entries[(i, j, k)] = data.draw(st.sampled_from(values))
+    expected = _first_failing_triple(basis.labels, entries)
+    try:
+        GradedAlgebra(basis, entries, field)
+    except StructureValidationError as err:
+        assert expected is not None and str(err) == f"associativity fails at {expected}"
+    else:
+        assert expected is None

@@ -210,9 +210,10 @@ def test_mutation_sensitivity_every_datum(e2):
     # structure-constant flips are rejected at construction time instead
     from qhopf.graded import AlgebraElement as El
     from qhopf.graded import GradedAlgebra
-    for (i, j), prods in sorted(A._mul.items()):
+    table = {(a, b): A.mul_basis(a, b) for a in range(A.dim) for b in range(A.dim)}
+    for (i, j), prods in sorted(table.items()):
         for k in sorted(prods):
-            entries = {(a, b, c): s for (a, b), out in A._mul.items()
+            entries = {(a, b, c): s for (a, b), out in table.items()
                        for c, s in out.items()}
             entries[(i, j, k)] = -entries[(i, j, k)]
             try:

@@ -246,3 +246,18 @@ def test_overlong_integer_literal_is_a_syntax_error(text, position):
     with pytest.raises(ScalarSyntaxError) as err:
         parse_scalar(text, RQ)
     assert err.value.position == position
+
+
+def test_the_render_memo_stays_within_its_cap():
+    """Rendering is memoised by payload and indeterminate: one payload
+    renders over each field's own variable, and the memo stays bounded."""
+    import qhopf.scalars as scalars
+    RQ, RT = FieldDescriptor.rational_functions("q"), FieldDescriptor.rational_functions("t")
+    assert RQ.generator().value == RT.generator().value
+    assert (str(RQ.generator()), str(RT.generator())) == ("q", "t")
+    C5 = FieldDescriptor.cyclotomic(5)
+    z = C5.generator()
+    for k in range(scalars.MEMO_CAP + 100):  # more distinct payloads than the cap
+        assert str(z + k) == (f"z + {k}" if k else "z")
+    info = scalars._render.cache_info()
+    assert info.maxsize == scalars.MEMO_CAP and info.currsize <= info.maxsize
