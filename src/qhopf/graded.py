@@ -62,6 +62,7 @@ def _wrap(field: FieldDescriptor, acc: dict) -> dict:
 
 
 def _collect(field: FieldDescriptor, terms) -> dict:
+    """Sum payload terms (key, value) per key and wrap the nonzero sums."""
     return _wrap(field, _sum(field.ops.add, terms))
 
 
