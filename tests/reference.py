@@ -90,6 +90,47 @@ def linear_image(m, x):
     return _nonzero(out)
 
 
+def tensor_of(*factors):
+    """Coefficients of the plain tensor product a1 (x) a2 (x) ... of elements."""
+    out = {(): factors[0].field.one()}
+    for f in factors:
+        out = {key + (k,): c * e for key, c in out.items() for k, e in f.coeffs.items()}
+    return _nonzero(out)
+
+
+def embedded(t, slots, legs):
+    """Coefficients of t with its leg n at slot slots[n] of the legs, units
+    elsewhere."""
+    out = {}
+    for key, c in t.coeffs.items():
+        terms = {(): c}
+        for pos, leg in enumerate(legs):
+            factor = ({key[slots.index(pos)]: leg.field.one()} if pos in slots
+                      else leg.unit_coeffs)
+            terms = {k + (b,): d * e for k, d in terms.items() for b, e in factor.items()}
+        for k, d in terms.items():
+            _add(out, k, d)
+    return _nonzero(out)
+
+
+def element_coeffs(algebra, coeffs):
+    """Coefficients of the sum of c e_k over the items k: c of coeffs, where k
+    is a basis index or label and c a Scalar or an int."""
+    out = {}
+    for k, c in coeffs.items():
+        _add(out, k if isinstance(k, int) else algebra.labels.index(k),
+             algebra.field.from_int(c) if isinstance(c, int) else c)
+    return _nonzero(out)
+
+
+def tensor_sum(x, y, sign=1):
+    """Coefficients of x + y, or of x - y with sign -1, for tensors of any rank."""
+    out = dict(x.coeffs)
+    for key, c in y.coeffs.items():
+        _add(out, key, c if sign == 1 else -c)
+    return _nonzero(out)
+
+
 def dense_rref(rows, cols, field):
     """Gauss-Jordan on dense rows of width cols, pivoting on the first nonzero
     entry; returns the nonzero reduced rows and their pivot columns."""

@@ -18,14 +18,14 @@ import qhopf.scalars as scalars
 import qhopf.structfile
 from qhopf.catalog import make_algebra
 from qhopf.cli import main
-from qhopf.errors import StructureValidationError
+from qhopf.errors import FieldMismatchError, StructureValidationError
 from qhopf.graded import AlgebraElement, LinearMap, MatrixSpaceAlgebra, TensorElement
 from qhopf.graded import GradedAlgebra
 from qhopf.linalg import rref
 from qhopf.scalars import QQ, FieldDescriptor
 from qhopf.structfile import load_entry
-from reference import (dense_rref, element_product, graded_product, linear_image,
-                       mapped, merged)
+from reference import (dense_rref, element_coeffs, element_product, embedded,
+                       graded_product, linear_image, mapped, merged, tensor_of, tensor_sum)
 
 DATA = Path(qhopf.__file__).parent / "data"
 FIELDS = (FieldDescriptor.rationals(), FieldDescriptor.cyclotomic(3),
@@ -173,6 +173,71 @@ def test_linear_map_call_matches(field, data):
 
 @KERNEL
 @given(fields, st.data())
+def test_tensor_of_elements_matches(field, data):
+    factors = [tensor(data, field, (A,)).as_element() for A in
+               data.draw(st.lists(st.sampled_from(algebras(field)), min_size=1, max_size=3))]
+    t = TensorElement.of(*factors)
+    assert t.legs == tuple(f.algebra for f in factors)
+    assert t.coeffs == tensor_of(*factors)
+    assert canonical(t.coeffs, field)
+
+
+@KERNEL
+@given(fields, st.data())
+def test_embed_matches(field, data):
+    legs = tuple(data.draw(st.lists(st.sampled_from(algebras(field)), min_size=1, max_size=4)))
+    slots = sorted(data.draw(st.sets(st.integers(0, len(legs) - 1))))
+    t = tensor(data, field, tuple(legs[s] for s in slots))
+    out = t.embed(slots, legs)
+    assert out.coeffs == embedded(t, slots, legs)
+    assert canonical(out.coeffs, field)
+
+
+@KERNEL
+@given(fields, st.data())
+def test_element_sums_label_and_index_keys(field, data):
+    A = data.draw(st.sampled_from(algebras(field)))
+    keys = st.one_of(st.integers(0, A.dim - 1), st.sampled_from(A.labels))
+    coeffs = data.draw(st.dictionaries(keys, st.one_of(scalar(field), st.integers(-2, 2)),
+                                       max_size=6))
+    x = A.element(coeffs)
+    assert x.coeffs == element_coeffs(A, coeffs)
+    assert canonical(x.coeffs, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_element_drops_a_sum_of_zero_and_refuses_another_field(field):
+    A = algebras(field)[1]
+    two = field.from_int(2)
+    assert A.element({1: two, "g": -two, "x": 0, 3: 1}).coeffs == {3: field.one()}
+    assert A.element({"x": two, 2: two}).coeffs == {2: field.from_int(4)}
+    other = FieldDescriptor.cyclotomic(7)
+    with pytest.raises(FieldMismatchError):
+        A.element({"g": other.generator()})
+
+
+@KERNEL
+@given(fields, st.data())
+def test_sums_and_differences_match(field, data):
+    legs = tuple(data.draw(st.lists(st.sampled_from(algebras(field)), max_size=2)))
+    x, y = tensor(data, field, legs), tensor(data, field, legs)
+    assert (x + y).coeffs == tensor_sum(x, y)
+    assert (x - y).coeffs == tensor_sum(x, y, -1)
+    assert canonical((x + y).coeffs, field) and canonical((x - y).coeffs, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rank_zero_tensors_add_and_subtract(field):
+    """A rank-0 tensor has no leg to take its field from."""
+    x, y = TensorElement((), {(): field.from_int(2)}), TensorElement((), {(): field.one()})
+    assert (x + y).coeffs == {(): field.from_int(3)}
+    assert (x - y).coeffs == {(): field.one()}
+    assert (x - x).coeffs == {} and (x + -x).is_zero()
+    assert (x + TensorElement((), {})).coeffs == x.coeffs
+
+
+@KERNEL
+@given(fields, st.data())
 def test_rref_matches_dense_gauss_jordan(field, data):
     cols = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(st.dictionaries(st.integers(0, cols - 1), scalar(field),
@@ -248,6 +313,20 @@ def test_a_broken_table_exits_2_naming_the_triple(tmp_path, capsys, name, entry,
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == [f"error: associativity fails at {label}"]
+
+
+def test_a_later_generator_alone_breaks_associativity():
+    """a annihilates every basis element but the unit, so (a x) y = a (x y)
+    holds for the first generator a; the second generator b fails, as
+    (b b) b = c b = b but b (b b) = b c = 0."""
+    labels = ["1", "a", "b", "c"]
+    products = {**{("1", x): {x: 1} for x in labels}, **{(x, "1"): {x: 1} for x in labels},
+                ("b", "b"): {"c": 1}, ("c", "b"): {"b": 1}}
+    with pytest.raises(StructureValidationError) as err:
+        make_algebra(labels, [0, 0, 0, 0], "1", products)
+    assert str(err.value) == "associativity fails at (b, b, b)"
+    del products[("c", "b")]
+    assert make_algebra(labels, [0, 0, 0, 0], "1", products).generators() == (1, 2)
 
 
 # -- one payload product table -------------------------------------------------------
