@@ -16,7 +16,9 @@ Coefficients are ``Scalar`` objects.  An algebra's one product table maps
 (i, j) to the payload terms ((k, c), ...) of e_i e_j, read a row at a time
 (``row(i)``); ``mul_basis`` wraps an entry into ``Scalar`` objects for other
 callers.  The kernels compute on raw payloads with the field's payload
-operations, accumulate into one dict and wrap each nonzero sum once (``_wrap``).
+operations and generate terms (key, payload); ``_collect`` is the one place
+that sums them per key, drops the zero sums and wraps each other sum into a
+``Scalar`` once.
 """
 
 from __future__ import annotations
@@ -51,19 +53,10 @@ def _sum(add: Callable, terms) -> dict:
     return acc
 
 
-def _nonzero(is_zero: Callable, acc: dict) -> dict:
-    return {k: v for k, v in acc.items() if not is_zero(v)}
-
-
-def _wrap(field: FieldDescriptor, acc: dict) -> dict:
-    """The nonzero payload sums of acc, each wrapped into a Scalar once."""
-    is_zero = field.ops.is_zero
-    return {k: Scalar(field, v) for k, v in acc.items() if not is_zero(v)}
-
-
 def _collect(field: FieldDescriptor, terms) -> dict:
     """Sum payload terms (key, value) per key and wrap the nonzero sums."""
-    return _wrap(field, _sum(field.ops.add, terms))
+    is_zero = field.ops.is_zero
+    return {k: Scalar(field, v) for k, v in _sum(field.ops.add, terms).items() if not is_zero(v)}
 
 
 def _factor(c: Scalar) -> str:
@@ -170,13 +163,11 @@ class BaseAlgebra:
         return AlgebraElement(self, {})
 
     def element(self, coeffs: Mapping[Union[int, str], Union[Scalar, int]]) -> "AlgebraElement":
-        out: Dict[int, Scalar] = {}
-        for k, v in coeffs.items():
-            idx = k if isinstance(k, int) else self.index_of(k)
-            s = v if isinstance(v, Scalar) else self.field.from_int(v)
-            if not s.is_zero():
-                out[idx] = out.get(idx, self.field.zero()) + s
-        return AlgebraElement(self, out)
+        """The sum of c e_k over the items k: c, k an index or a label."""
+        zero = self.field.zero()  # its _coerce refuses a scalar of another field
+        return AlgebraElement(self, _collect(self.field, (
+            (k if isinstance(k, int) else self.index_of(k), zero._coerce(v).value)
+            for k, v in coeffs.items())), False)
 
     def index_of(self, label: str) -> int:
         try:
@@ -194,7 +185,9 @@ class GradedAlgebra(BaseAlgebra):
     (a x) y = a (x y) for all x, y contain 1 and are closed under products,
     as ((ab) x) y = a (b (xy)) = (ab)(xy).  For each g and x, both sides are
     summed for every y at once; only if one such pair of sums differs are the
-    basis triples searched in order (``quantify``), to name the first one."""
+    pairs (i, j) of basis elements summed in order, and the first pair whose
+    sums differ, with the least y where they do, names the first failing
+    triple."""
 
     def __init__(self, basis: GradedBasis,
                  entries: Mapping[Tuple[int, int, int], Scalar],
@@ -225,24 +218,23 @@ class GradedAlgebra(BaseAlgebra):
             if rows[u].get(i) != ((i, ops.one),) or rows[i].get(u) != ((i, ops.one),):
                 raise StructureValidationError(
                     f"unit law fails at basis element {self.labels[i]}")
-        add, mul, neg, is_zero = ops.add, ops.mul, ops.neg, ops.is_zero
+        add, mul, zero = ops.add, ops.mul, self.field.zero().value
 
-        def assoc(i, j, l):  # (e_i e_j) e_l - e_i (e_j e_l), straight from the table
-            left = ((m, mul(c, e)) for k, c in rows[i].get(j, ()) for m, e in rows[k].get(l, ()))
-            right = ((m, neg(mul(c, e))) for k, c in rows[j].get(l, ())
-                     for m, e in rows[i].get(k, ()))
-            return AlgebraElement(self, _collect(self.field, itertools.chain(left, right)), False)
-
-        def batch(g, x):  # (e_g e_x) e_y = e_g (e_x e_y) for every y, summed per (y, m)
-            left = _sum(add, (((y, m), mul(c, e)) for k, c in rows[g].get(x, ())
+        def failing(i, j):  # the y with (e_i e_j) e_y != e_i (e_j e_y), summed per (y, m)
+            left = _sum(add, (((y, m), mul(c, e)) for k, c in rows[i].get(j, ())
                               for y, prods in rows[k].items() for m, e in prods))
-            right = _sum(add, (((y, m), mul(c, e)) for y, prods in rows[x].items()
-                               for k, c in prods for m, e in rows[g].get(k, ())))
-            return _nonzero(is_zero, left) == _nonzero(is_zero, right)
+            right = _sum(add, (((y, m), mul(c, e)) for y, prods in rows[j].items()
+                               for k, c in prods for m, e in rows[i].get(k, ())))
+            if left == right:
+                return []
+            return [y for y, m in left.keys() | right.keys()
+                    if left.get((y, m), zero) != right.get((y, m), zero)]
         # the a with (a x) y = a (x y) for all x, y form a subalgebra
-        if not all(batch(g, x) for g in self.generators() for x in range(d)):
-            require(quantify(self, assoc, 3), StructureValidationError,
-                    "associativity fails at {}")
+        if any(failing(g, x) for g in self.generators() for x in range(d)):
+            ys, i, j = next((ys, i, j) for i, j in itertools.product(range(d), repeat=2)
+                            if (ys := failing(i, j)))
+            names = ", ".join(self.labels[t] for t in (i, j, min(ys)))
+            raise StructureValidationError(f"associativity fails at ({names})")
 
     def __eq__(self, other):
         if self is other:
@@ -384,16 +376,19 @@ class AlgebraElement(_Sparse):
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        alg, acc = self.algebra, {}
-        add, mul = alg.field.ops.add, alg.field.ops.mul
-        for i, c in self.coeffs.items():
-            row = alg.row(i)
-            for j, d in other.coeffs.items():
-                cd = mul(c.value, d.value)
-                for k, e in row.get(j, ()):
-                    s, v = acc.get(k), mul(cd, e)
-                    acc[k] = v if s is None else add(s, v)
-        return AlgebraElement(alg, _wrap(alg.field, acc), False)
+        alg, mul = self.algebra, self.algebra.field.ops.mul
+        right = [(j, d.value) for j, d in other.coeffs.items()]
+
+        def terms():
+            for i, c in self.coeffs.items():
+                row = alg.row(i)
+                for j, d in right:
+                    prods = row.get(j)
+                    if prods:
+                        cd = mul(c.value, d)
+                        for k, e in prods:
+                            yield k, mul(cd, e)
+        return AlgebraElement(alg, _collect(alg.field, terms()), False)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -481,31 +476,31 @@ class TensorElement(_Sparse):
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        legs, field, acc = self.legs, self.legs[0].field, {}
-        add, mul, neg = field.ops.add, field.ops.mul, field.ops.neg
+        legs, field = self.legs, self.legs[0].field
+        mul, neg = field.ops.mul, field.ops.neg
         parities = [leg.parity for leg in legs] if any(1 in leg.parity for leg in legs) else []
 
         def odd(key):  # bit t: leg t of key is odd
             return sum(1 << t for t, p in enumerate(parities) if p[key[t]])
         right = [(ky, cy.value, odd(ky)) for ky, cy in other.coeffs.items()]
-        for kx, cx in self.coeffs.items():
-            rows, vx, kodd = [leg.row(k) for leg, k in zip(legs, kx)], cx.value, odd(kx)
-            after = sum(1 << t for t in range(len(parities)) if (kodd >> t + 1).bit_count() & 1)
-            for ky, vy, lodd in right:
-                prods = list(map(dict.get, rows, ky))  # rows are dicts; None: e_i e_j = 0
-                if None in prods:
-                    continue
-                c = mul(vx, vy)
-                if lodd & after and (lodd & after).bit_count() & 1:
-                    c = neg(c)
-                for terms in itertools.product(*prods):  # one term (k, payload) per leg
-                    v = c
-                    for _, w in terms:
-                        v = mul(v, w)
-                    key = tuple([k for k, _ in terms])
-                    s = acc.get(key)
-                    acc[key] = v if s is None else add(s, v)
-        return TensorElement(legs, _wrap(field, acc), False)
+
+        def terms():
+            for kx, cx in self.coeffs.items():
+                rows, vx, kodd = [leg.row(k) for leg, k in zip(legs, kx)], cx.value, odd(kx)
+                after = sum(1 << t for t in range(len(parities)) if (kodd >> t + 1).bit_count() & 1)
+                for ky, vy, lodd in right:
+                    prods = list(map(dict.get, rows, ky))  # rows are dicts; None: e_i e_j = 0
+                    if None in prods:
+                        continue
+                    c = mul(vx, vy)
+                    if lodd & after and (lodd & after).bit_count() & 1:
+                        c = neg(c)
+                    for legterms in itertools.product(*prods):  # one (k, payload) per leg
+                        v = c
+                        for _, w in legterms:
+                            v = mul(v, w)
+                        yield tuple([k for k, _ in legterms]), v
+        return TensorElement(legs, _collect(field, terms()), False)
 
     # -- permutations ---------------------------------------------------------
 
