@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 import qhopf
 from qhopf.cli import main
 from qhopf.errors import ScalarSyntaxError, StructureValidationError
-from qhopf.scalars import MAX_EXPONENT, MAX_NESTING, MAX_ORDER, FieldDescriptor, parse_scalar
+from qhopf.scalars import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_ORDER, FieldDescriptor,
+                           parse_scalar)
 from qhopf.structfile import parse_entry
 
 DATA = Path(qhopf.__file__).parent / "data"
 Q = FieldDescriptor.rationals()
-FIELDS = (Q, FieldDescriptor.cyclotomic(3), FieldDescriptor.rational_functions("q"))
+RQ = FieldDescriptor.rational_functions("q")
+FIELDS = (Q, FieldDescriptor.cyclotomic(3), RQ)
 
 
 def corrupt(tmp_path, name, mutate):
@@ -195,6 +197,86 @@ def test_malformed_carrier_exits_2_naming_the_representation(tmp_path, mutate, c
     assert "Traceback" not in run.stderr
     err = run.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "regular" in err[0]
+
+
+# -- the size of a parsed scalar ---------------------------------------------
+
+LIMIT = sys.get_int_max_str_digits()  # the most digits an int converts to text
+HALF = "9" * (LIMIT // 2 + 1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("text", [
+    f"{'9' * LIMIT} + 1", f"-{'9' * LIMIT} - 1", f"{HALF}*{HALF}", f"1/3/({HALF})/({HALF})",
+], ids=["sum", "difference", "product", "quotient"])
+def test_an_integer_too_long_to_render_is_refused_at_its_operator(field, text):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, field)
+    assert err.value.message == f"integer longer than {LIMIT} digits"
+    assert err.value.position == max(text.rfind(op) for op in "+-*/")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_an_integer_of_the_most_digits_parses_and_renders(field):
+    nines = "9" * LIMIT
+    assert str(parse_scalar(f"{nines} - 1 + 1", field)) == nines
+    assert str(parse_scalar(f"-{nines}/7*1", field)) == f"-{nines}/7"
+
+
+def test_an_oversized_rational_exits_2_with_one_error_line(tmp_path, capsys):
+    def mutate(doc):
+        doc["beta"]["1"] = f"{'9' * 4000}*{'9' * 4000}"
+    assert main(["verify", corrupt(tmp_path, "z2-group", mutate), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"error: beta.1: integer longer than {LIMIT} digits (at position 4000)"]
+
+
+def test_a_qq_product_beyond_the_degree_cap_exits_2_at_once(tmp_path, capsys):
+    """800 factors of degree 1000 (8.8 kB): refused at the second product,
+    before it is formed."""
+    def mutate(doc):
+        doc["field"] = {"kind": "rational-functions", "indeterminate": "q"}
+        doc["beta"]["1"] = "*".join(["(q^1000+1)"] * 800)
+    path = corrupt(tmp_path, "z2-group", mutate)
+    t0 = time.perf_counter()
+    assert main(["verify", path, "--json"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: beta.1: degree larger than {MAX_DEGREE} (at position 21)"]
+
+
+def test_qq_degrees_up_to_the_cap_parse():
+    assert MAX_DEGREE >= MAX_EXPONENT
+    e = MAX_EXPONENT
+    assert str(parse_scalar(f"q^-{e} + q^{e}", RQ)) == f"q^{e} + q^-{e}"
+    assert parse_scalar(f"q^{MAX_DEGREE - e}*q^{e}", RQ) == parse_scalar(f"q^{e}", RQ) ** (
+        MAX_DEGREE // e)
+    text = f"q^{MAX_DEGREE - e}*q^{e}*q"
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, RQ)
+    assert (err.value.message, err.value.position) == (
+        f"degree larger than {MAX_DEGREE}", text.rindex("*"))
+
+
+def _qq_factor(e, f, c):
+    """A power of q, a binomial or a quotient of binomials."""
+    return st.sampled_from([f"q^{e}", f"(q^{e} + {c})", f"(q^{e} - {c})/(q^{f} + {c})"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("*/"), st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+                          st.integers(-MAX_EXPONENT, MAX_EXPONENT), st.integers(2, 5)),
+                min_size=1, max_size=3), st.data())
+def test_every_accepted_qq_product_or_power_is_within_the_degree_cap(factors, data):
+    text = "1" + "".join(f"{op}{data.draw(_qq_factor(e, f, c))}" for op, e, f, c in factors)
+    try:
+        num, den = parse_scalar(text, RQ).value
+    except ScalarSyntaxError as err:
+        assert err.message == f"degree larger than {MAX_DEGREE}"
+    else:
+        assert max(len(num), len(den)) - 1 <= MAX_DEGREE
 
 
 # -- fuzzing the reader with single faults -----------------------------------
