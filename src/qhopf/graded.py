@@ -377,15 +377,14 @@ class AlgebraElement(_Sparse):
             return self.scale(other)
         self._check(other)
         alg, mul = self.algebra, self.algebra.field.ops.mul
-        right = [(j, d.value) for j, d in other.coeffs.items()]
 
         def terms():
             for i, c in self.coeffs.items():
                 row = alg.row(i)
-                for j, d in right:
+                for j, d in other.coeffs.items():
                     prods = row.get(j)
                     if prods:
-                        cd = mul(c.value, d)
+                        cd = mul(c.value, d.value)
                         for k, e in prods:
                             yield k, mul(cd, e)
         return AlgebraElement(alg, _collect(alg.field, terms()), False)
@@ -403,10 +402,8 @@ class AlgebraElement(_Sparse):
                 for i, c in sorted(self.coeffs.items())}
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         return " + ".join(f"{_factor(c)}*{self.algebra.labels[i]}"
-                          for i, c in sorted(self.coeffs.items()))
+                          for i, c in sorted(self.coeffs.items())) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +508,12 @@ class TensorElement(_Sparse):
         perm = tuple(perm)
         if sorted(perm) != list(range(r)):
             raise InvalidPermutationError(f"{perm} is not a permutation of 0..{r - 1}")
-        legs = tuple(self.legs[p] for p in perm)
-        parities = [leg.parity for leg in self.legs]
-        acc: Dict[Key, Scalar] = {}
-        for key, c in self.coeffs.items():
-            exp = 0
-            for a in range(r):
-                for b in range(a + 1, r):
-                    if perm[a] > perm[b]:
-                        exp += parities[perm[a]][key[perm[a]]] * \
-                               parities[perm[b]][key[perm[b]]]
-            acc[tuple(key[p] for p in perm)] = -c if exp % 2 else c  # keys stay distinct
-        return TensorElement(legs, acc, False)
+        legs, parities = tuple(self.legs[p] for p in perm), [leg.parity for leg in self.legs]
+        swapped = [(s, t) for a, s in enumerate(perm) for t in perm[a + 1:] if s > t]
+        return TensorElement(legs, {  # keys stay distinct
+            tuple(key[p] for p in perm): -c if sum(
+                parities[s][key[s]] & parities[t][key[t]] for s, t in swapped) % 2 else c
+            for key, c in self.coeffs.items()}, False)
 
     def swap(self) -> "TensorElement":
         """The graded twist on a rank-2 tensor."""
@@ -610,23 +601,16 @@ class TensorElement(_Sparse):
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        if self.rank != other.rank:
-            return False
-        if any(a is not b and a != b for a, b in zip(self.legs, other.legs)):
-            return False
-        return self.coeffs == other.coeffs
+        return (self.rank == other.rank and self.coeffs == other.coeffs
+                and all(a is b or a == b for a, b in zip(self.legs, other.legs)))
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for key, c in sorted(self.coeffs.items()):
-            label = "(x)".join(self.legs[t].labels[key[t]] for t in range(self.rank))
-            terms.append(f"{_factor(c)}*[{label}]")
-        return " + ".join(terms)
+        return " + ".join("{}*[{}]".format(_factor(c), "(x)".join(
+            leg.labels[k] for leg, k in zip(self.legs, key)))
+            for key, c in sorted(self.coeffs.items())) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,11 @@ coefficient over its denominator.
 from __future__ import annotations
 
 import functools
-import operator
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import (FieldMismatchError, NotInvertibleError, ScalarSyntaxError,
                      StructureValidationError)
@@ -643,25 +642,17 @@ _TOKEN_OPS = "+-*/^()"
 MAX_NESTING = 100  # parentheses and unary signs; bounds the recursion
 MAX_EXPONENT = 1000  # |n| in NAME^n; bounds the size of a parsed power
 MAX_DEGREE = 2 * MAX_EXPONENT  # of a parsed Q(q) numerator or denominator: q^-1000 + q^1000
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-              "^": operator.pow}
-
-
-@functools.cache
-def _power_of_ten(n: int) -> int:
-    return 10 ** n
+_OPERATORS = {"+": Scalar.__add__, "-": Scalar.__sub__, "*": Scalar.__mul__,
+              "/": Scalar.__truediv__}
 
 
 def _degree_bound(op: str, a, b) -> int:
     """A bound on the degrees of the numerator and denominator of the Q(q)
-    payloads a op b (b an int for "^"), from the operands' degrees alone."""
-    n1, d1 = len(a[0]) - 1, len(a[1]) - 1
-    if op == "^":
-        return max(n1, d1) * abs(b)
-    n2, d2 = (len(b[1]) - 1, len(b[0]) - 1) if op == "/" else (len(b[0]) - 1, len(b[1]) - 1)
-    if op in "*/":
-        return max(n1 + n2, d1 + d2)
-    return max(n1 + d2, n2 + d1, d1 + d2)
+    payloads a op b, from the operands' degrees alone."""
+    (n1, d1), (n2, d2) = (len(a[0]) - 1, len(a[1]) - 1), (len(b[0]) - 1, len(b[1]) - 1)
+    if op == "/":
+        n2, d2 = d2, n2
+    return max(n1 + n2, d1 + d2) if op in "*/" else max(n1 + d2, n2 + d1, d1 + d2)
 
 
 def _tokenize(text: str):
@@ -725,36 +716,31 @@ class _Parser:
         return value
 
     def expr(self) -> Scalar:
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.take()
-            value = self.apply(op, pos, value, self.term())
-        return value
+        return self.operations("+-", self.term)
 
     def term(self) -> Scalar:
-        value = self.factor()
-        while self.peek()[0] in ("*", "/"):
+        return self.operations("*/", self.factor)
+
+    def operations(self, ops: str, operand: Callable[[], Scalar]) -> Scalar:
+        """operand (op operand)* for op in ops, left to right.  Each result is
+        refused at its operator's position if over Q(q) its degree could
+        exceed MAX_DEGREE (checked before it is formed) or if it holds an
+        integer with more digits than the interpreter converts to text."""
+        value = operand()
+        while self.peek()[0] in ops:
             op, _, pos = self.take()
-            rhs = self.factor()
+            rhs = operand()
             if op == "/" and rhs.is_zero():
                 raise ScalarSyntaxError("not invertible: division by zero", pos)
-            value = self.apply(op, pos, value, rhs)
-        return value
-
-    def apply(self, op: str, pos: int, a: Scalar, b) -> Scalar:
-        """a op b, refused at the operator's position pos if over Q(q) its
-        degree could exceed MAX_DEGREE (checked before it is formed) or if it
-        holds an integer with more digits than the interpreter converts to
-        text, so that rendering it would fail."""
-        if self.field.kind == RATIONAL_FUNCTIONS and \
-                _degree_bound(op, a.value, b if op == "^" else b.value) > MAX_DEGREE:
-            raise ScalarSyntaxError(f"degree larger than {MAX_DEGREE}", pos)
-        value = _OPERATORS[op](a, b)
-        nums, den = value.value
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if limit and max(map(abs, nums + (den if isinstance(den, tuple) else (den,)))) \
-                >= _power_of_ten(limit):
-            raise ScalarSyntaxError(f"integer longer than {limit} digits", pos)
+            if self.field.kind == RATIONAL_FUNCTIONS and \
+                    _degree_bound(op, value.value, rhs.value) > MAX_DEGREE:
+                raise ScalarSyntaxError(f"degree larger than {MAX_DEGREE}", pos)
+            value = _OPERATORS[op](value, rhs)
+            nums, den = value.value
+            big = max(map(abs, nums + (den if isinstance(den, tuple) else (den,))))
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # 2^3 < 10
+                raise ScalarSyntaxError(f"integer longer than {limit} digits", pos)
         return value
 
     def factor(self) -> Scalar:
@@ -796,8 +782,8 @@ class _Parser:
                 raise ScalarSyntaxError(
                     f"token {value!r} does not belong to the field {self.field}", pos)
             base = self.field.generator()
-            if self.peek()[0] == "^":
-                pos = self.take()[2]
+            if self.peek()[0] == "^":  # a power of q or z: degree at most MAX_DEGREE
+                self.take()
                 sign, epos = 1, self.peek()[2]
                 if self.peek()[0] == "-":
                     self.take()
@@ -806,7 +792,7 @@ class _Parser:
                 if exponent > MAX_EXPONENT:
                     raise ScalarSyntaxError(
                         f"exponent larger than {MAX_EXPONENT}", epos)
-                return self.apply("^", pos, base, sign * exponent)
+                return base ** (sign * exponent)
             return base
         if kind == "(":
             self.check_depth(self.depth)

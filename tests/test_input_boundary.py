@@ -247,17 +247,26 @@ def test_a_qq_product_beyond_the_degree_cap_exits_2_at_once(tmp_path, capsys):
         f"error: beta.1: degree larger than {MAX_DEGREE} (at position 21)"]
 
 
+E, REST = MAX_EXPONENT, MAX_DEGREE - MAX_EXPONENT
+
+
 def test_qq_degrees_up_to_the_cap_parse():
     assert MAX_DEGREE >= MAX_EXPONENT
-    e = MAX_EXPONENT
-    assert str(parse_scalar(f"q^-{e} + q^{e}", RQ)) == f"q^{e} + q^-{e}"
-    assert parse_scalar(f"q^{MAX_DEGREE - e}*q^{e}", RQ) == parse_scalar(f"q^{e}", RQ) ** (
-        MAX_DEGREE // e)
-    text = f"q^{MAX_DEGREE - e}*q^{e}*q"
+    assert str(parse_scalar(f"q^-{E} + q^{E}", RQ)) == f"q^{E} + q^-{E}"
+    assert parse_scalar(f"q^{REST}*q^{E}", RQ).value == ((0,) * MAX_DEGREE + (1,), (1,))
+    assert parse_scalar(f"q^-{REST}*q^-{E} + 1", RQ).value == (
+        (1,) + (0,) * (MAX_DEGREE - 1) + (1,), (0,) * MAX_DEGREE + (1,))
+
+
+@pytest.mark.parametrize("text, operator", [
+    (f"q^{REST}*q^{E}*q", "*q"), (f"q^{REST}*q^{E}/q^-1", "/"),
+    (f"q^-{REST}*q^-{E} + 1/(q + 1)", "+ 1/"), (f"q^-{REST}*q^-{E} - q^-1", "- q"),
+], ids=["product", "quotient", "sum", "difference"])
+def test_qq_degrees_beyond_the_cap_are_refused_at_the_operator(text, operator):
     with pytest.raises(ScalarSyntaxError) as err:
         parse_scalar(text, RQ)
     assert (err.value.message, err.value.position) == (
-        f"degree larger than {MAX_DEGREE}", text.rindex("*"))
+        f"degree larger than {MAX_DEGREE}", text.rindex(operator))
 
 
 def _qq_factor(e, f, c):
@@ -269,7 +278,7 @@ def _qq_factor(e, f, c):
 @given(st.lists(st.tuples(st.sampled_from("*/"), st.integers(-MAX_EXPONENT, MAX_EXPONENT),
                           st.integers(-MAX_EXPONENT, MAX_EXPONENT), st.integers(2, 5)),
                 min_size=1, max_size=3), st.data())
-def test_every_accepted_qq_product_or_power_is_within_the_degree_cap(factors, data):
+def test_every_accepted_qq_product_is_within_the_degree_cap(factors, data):
     text = "1" + "".join(f"{op}{data.draw(_qq_factor(e, f, c))}" for op, e, f, c in factors)
     try:
         num, den = parse_scalar(text, RQ).value
