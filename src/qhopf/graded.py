@@ -402,8 +402,10 @@ class AlgebraElement(_Sparse):
                 for i, c in sorted(self.coeffs.items())}
 
     def __repr__(self):
+        if not self.coeffs:
+            return "0"
         return " + ".join(f"{_factor(c)}*{self.algebra.labels[i]}"
-                          for i, c in sorted(self.coeffs.items())) or "0"
+                          for i, c in sorted(self.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +603,23 @@ class TensorElement(_Sparse):
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return (self.rank == other.rank and self.coeffs == other.coeffs
-                and all(a is b or a == b for a, b in zip(self.legs, other.legs)))
+        if self.rank != other.rank:
+            return False
+        if any(a is not b and a != b for a, b in zip(self.legs, other.legs)):
+            return False
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
-        return " + ".join("{}*[{}]".format(_factor(c), "(x)".join(
-            leg.labels[k] for leg, k in zip(self.legs, key)))
-            for key, c in sorted(self.coeffs.items())) or "0"
+        if not self.coeffs:
+            return "0"
+        terms = []
+        for key, c in sorted(self.coeffs.items()):
+            label = "(x)".join(self.legs[t].labels[key[t]] for t in range(self.rank))
+            terms.append(f"{_factor(c)}*[{label}]")
+        return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------

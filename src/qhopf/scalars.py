@@ -642,17 +642,7 @@ _TOKEN_OPS = "+-*/^()"
 MAX_NESTING = 100  # parentheses and unary signs; bounds the recursion
 MAX_EXPONENT = 1000  # |n| in NAME^n; bounds the size of a parsed power
 MAX_DEGREE = 2 * MAX_EXPONENT  # of a parsed Q(q) numerator or denominator: q^-1000 + q^1000
-_OPERATORS = {"+": Scalar.__add__, "-": Scalar.__sub__, "*": Scalar.__mul__,
-              "/": Scalar.__truediv__}
-
-
-def _degree_bound(op: str, a, b) -> int:
-    """A bound on the degrees of the numerator and denominator of the Q(q)
-    payloads a op b, from the operands' degrees alone."""
-    (n1, d1), (n2, d2) = (len(a[0]) - 1, len(a[1]) - 1), (len(b[0]) - 1, len(b[1]) - 1)
-    if op == "/":
-        n2, d2 = d2, n2
-    return max(n1 + n2, d1 + d2) if op in "*/" else max(n1 + d2, n2 + d1, d1 + d2)
+_BINARY = {"+": Scalar.__add__, "-": Scalar.__sub__, "*": Scalar.__mul__, "/": Scalar.__truediv__}
 
 
 def _tokenize(text: str):
@@ -722,10 +712,11 @@ class _Parser:
         return self.operations("*/", self.factor)
 
     def operations(self, ops: str, operand: Callable[[], Scalar]) -> Scalar:
-        """operand (op operand)* for op in ops, left to right.  Each result is
-        refused at its operator's position if over Q(q) its degree could
-        exceed MAX_DEGREE (checked before it is formed) or if it holds an
-        integer with more digits than the interpreter converts to text."""
+        """operand (op operand)* for op in ops, left to right.  A result is
+        refused at its operator if it holds an integer longer than Python
+        renders, or over Q(q) if the sum of its operands' degrees (each the
+        larger of its numerator's and denominator's), which bounds its own,
+        exceeds MAX_DEGREE: that is checked before the result is formed."""
         value = operand()
         while self.peek()[0] in ops:
             op, _, pos = self.take()
@@ -733,9 +724,9 @@ class _Parser:
             if op == "/" and rhs.is_zero():
                 raise ScalarSyntaxError("not invertible: division by zero", pos)
             if self.field.kind == RATIONAL_FUNCTIONS and \
-                    _degree_bound(op, value.value, rhs.value) > MAX_DEGREE:
+                    max(map(len, value.value)) + max(map(len, rhs.value)) - 2 > MAX_DEGREE:
                 raise ScalarSyntaxError(f"degree larger than {MAX_DEGREE}", pos)
-            value = _OPERATORS[op](value, rhs)
+            value = _BINARY[op](value, rhs)
             nums, den = value.value
             big = max(map(abs, nums + (den if isinstance(den, tuple) else (den,))))
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
