@@ -6,8 +6,10 @@ Generators E, F, K with
     E^3 = F^3 = 0,   K^3 = 1,            q = z  (primitive cube root of 1),
 
 ordered basis E^a F^b K^c, 0 <= a, b, c < 3, over the cyclotomic field of
-order 3.  The multiplication table comes from ``_reduce``, a memoised
-rewrite of words in E, F, K into that order.  The Hopf structure used here is
+order 3.  The multiplication table is the generators' left action on that
+basis, read off the relations (``_build_algebra``): the product of two basis
+elements applies K, F and E to the right factor as the left one spells them,
+on payloads.  The Hopf structure used here is
 
     coproduct(E) = E (x) K + 1 (x) E,    coproduct(F) = F (x) 1 + K^{-1} (x) F,
     antipode(E) = -E K^{-1},             antipode(F) = -K F,
@@ -38,6 +40,7 @@ from .graded import (
     GradedBasis,
     LinearMap,
     TensorElement,
+    _sum,
     linear_form,
 )
 from .quasihopf import QuasiHopfStructure
@@ -49,7 +52,6 @@ from .twisting import identity_twistor
 C3 = FieldDescriptor.cyclotomic(3)
 Q = C3.generator()
 LAM = (Q - Q.inv()).inv()  # 1/(q - q^{-1})
-_RANK = {"E": 0, "F": 1, "K": 2}
 
 
 def _monomial_label(a: int, b: int, c: int) -> str:
@@ -62,61 +64,65 @@ def _monomial_label(a: int, b: int, c: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _word(a: int, b: int, c: int) -> Tuple[str, ...]:
-    return ("E",) * a + ("F",) * b + ("K",) * c
-
-
-@cache
-def _reduce(word: Tuple[str, ...]) -> Dict[Tuple[int, int, int], Scalar]:
-    """The word in E, F, K rewritten in normal order E^a F^b K^c, as exact
-    cyclotomic coefficients keyed by (a, b, c)."""
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if _RANK[a] <= _RANK[b]:
-            continue
-        head, tail = word[:i], word[i + 2:]
-        if (a, b) == ("K", "E"):
-            return _scaled(_reduce(head + ("E", "K") + tail), Q ** 2)
-        if (a, b) == ("K", "F"):
-            return _scaled(_reduce(head + ("F", "K") + tail), Q ** -2)
-        # F E = E F - lam K + lam K^2
-        out: Dict[Tuple[int, int, int], Scalar] = {}
-        _accumulate(out, _reduce(head + ("E", "F") + tail), C3.one())
-        _accumulate(out, _reduce(head + ("K",) + tail), -LAM)
-        _accumulate(out, _reduce(head + ("K", "K") + tail), LAM)
-        return out
-    # normal ordered: truncate powers
-    a, b, c = (word.count(letter) for letter in "EFK")
-    if a >= 3 or b >= 3:
-        return {}
-    return {(a, b, c % 3): C3.one()}
-
-
-def _scaled(table: Dict, s: Scalar) -> Dict:
-    return {k: s * v for k, v in table.items()}
-
-
-def _accumulate(acc: Dict, table: Dict, s: Scalar) -> None:
-    for k, v in table.items():
-        cur = acc.get(k)
-        val = s * v
-        acc[k] = val if cur is None else cur + val
+def _powers(act, v):
+    """[v, act(v), act(act(v))]: v under the powers 0, 1 and 2 of a generator."""
+    out = [v]
+    for _ in range(2):
+        out.append(act(out[-1]))
+    return out
 
 
 @cache
 def _build_algebra() -> GradedAlgebra:
+    """The product e_i e_j for e_i = E^a F^b K^c is the left action of K c
+    times, then F b times, then E a times, on e_j: elements are payload
+    dicts keyed by (a, b, c), and each partial image serves every longer
+    word that ends in it.  By the relations,
+
+        K E^a F^b K^c = q^(2a - 2b) E^a F^b K^(c+1),
+        E E^a F^b K^c = E^(a+1) F^b K^c            (zero at a + 1 = 3),
+        F E^a F^b K^c = E^a F^(b+1) K^c            (zero at b + 1 = 3)
+            + sum over j < a and p = 1, 2 of s_p q^(2pj - 2pb) E^(a-1) F^b K^(c+p),
+
+    with (s_1, s_2) = (-lam, lam): F passes the a E's by F E = E F - lam K +
+    lam K^2, and each s_p K^p made at the E with j E's to its right passes
+    them (q^(2pj)) and the b F's (q^(-2pb))."""
+    ops = C3.ops
+    mul, is_zero = ops.mul, ops.is_zero
+    qp = [(Q ** k).value for k in range(3)]
+    s = {1: -LAM, 2: LAM}
+    f_terms = {(a, b, p): (s[p] * sum((Q ** (2 * p * j - 2 * p * b) for j in range(a)),
+                                      C3.zero())).value
+               for a in (1, 2) for b in range(3) for p in (1, 2)}
+
+    def act_k(v):
+        return {(a, b, (c + 1) % 3): mul(qp[(2 * a - 2 * b) % 3], x)
+                for (a, b, c), x in v.items()}
+
+    def act_e(v):
+        return {(a + 1, b, c): x for (a, b, c), x in v.items() if a < 2}
+
+    def act_f(v):
+        terms = []
+        for (a, b, c), x in v.items():
+            if b < 2:
+                terms.append(((a, b + 1, c), x))
+            if a:
+                terms.extend(((a - 1, b, (c + p) % 3), mul(f_terms[a, b, p], x)) for p in (1, 2))
+        return {t: x for t, x in _sum(ops.add, terms).items() if not is_zero(x)}
+
     triples = list(itertools.product(range(3), repeat=3))
     labels = tuple(_monomial_label(*t) for t in triples)
     index = {t: i for i, t in enumerate(triples)}
     basis = GradedBasis(labels, (0,) * 27, index[(0, 0, 0)])
     entries = {}
-    for t1 in triples:
-        w1 = _word(*t1)
-        for t2 in triples:
-            prod = _reduce(w1 + _word(*t2))
-            for t3, coeff in prod.items():
-                if not coeff.is_zero():
-                    entries[(index[t1], index[t2], index[t3])] = coeff
+    for t2, j in index.items():
+        for c, kv in enumerate(_powers(act_k, {t2: ops.one})):
+            for b, fkv in enumerate(_powers(act_f, kv)):
+                for a, efkv in enumerate(_powers(act_e, fkv)):
+                    i = index[a, b, c]
+                    for t3, x in efkv.items():
+                        entries[i, j, index[t3]] = Scalar(C3, x)
     return GradedAlgebra(basis, entries, C3, name="uqsl2(3)")
 
 

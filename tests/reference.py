@@ -1,8 +1,9 @@
-"""Plain list-matrix arithmetic, term-by-term tensor arithmetic and a Q(q)
-kernel on Fraction coefficients: independent references for the tests,
-which the engine itself never uses."""
+"""Plain list-matrix arithmetic, term-by-term tensor arithmetic, a Q(q)
+kernel on Fraction coefficients and a word rewrite for small-uqsl2:
+independent references for the tests, which the engine itself never uses."""
 
 from fractions import Fraction
+from functools import cache
 
 
 def _mat_mul(a, b, field):
@@ -246,3 +247,53 @@ def ratfun_add(x, y):
 def ratfun_inv(x):
     """(den, num) over num's leading coefficient (x nonzero)."""
     return tuple(tuple(c / x[0][-1] for c in p) for p in x[::-1])
+
+
+# -- small-uqsl2 by rewriting words in E, F, K -------------------------------------
+#
+# A word is rewritten into normal order E^a F^b K^c one adjacent swap at a time,
+# by KE = q^2 EK, KF = q^-2 FK and FE = EF - lam K + lam K^2, then truncated by
+# E^3 = F^3 = 0 and K^3 = 1.  The engine builds its table from the generators'
+# action on normal-ordered elements instead.
+
+_RANK = {"E": 0, "F": 1, "K": 2}
+
+
+def uqsl2_word(a, b, c):
+    return ("E",) * a + ("F",) * b + ("K",) * c
+
+
+@cache
+def uqsl2_reduce(word):
+    """The word in E, F, K rewritten in normal order E^a F^b K^c, as exact
+    cyclotomic coefficients keyed by (a, b, c)."""
+    from qhopf.uqsl2 import C3, LAM, Q
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if _RANK[a] <= _RANK[b]:
+            continue
+        head, tail = word[:i], word[i + 2:]
+        if (a, b) == ("K", "E"):
+            return _scaled(uqsl2_reduce(head + ("E", "K") + tail), Q ** 2)
+        if (a, b) == ("K", "F"):
+            return _scaled(uqsl2_reduce(head + ("F", "K") + tail), Q ** -2)
+        # F E = E F - lam K + lam K^2
+        out = {}
+        _accumulate(out, uqsl2_reduce(head + ("E", "F") + tail), C3.one())
+        _accumulate(out, uqsl2_reduce(head + ("K",) + tail), -LAM)
+        _accumulate(out, uqsl2_reduce(head + ("K", "K") + tail), LAM)
+        return out
+    # normal ordered: truncate powers
+    a, b, c = (word.count(letter) for letter in "EFK")
+    if a >= 3 or b >= 3:
+        return {}
+    return {(a, b, c % 3): C3.one()}
+
+
+def _scaled(table, s):
+    return {k: s * v for k, v in table.items()}
+
+
+def _accumulate(acc, table, s):
+    for k, v in table.items():
+        _add(acc, k, s * v)
