@@ -13,7 +13,8 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
   with a per-order table of ``z^k mod Phi_n`` (integral, since ``Phi_n``
   is monic with integer coefficients), followed by one gcd
   normalisation.  The table is built on first use of an order.  An
-  inverse is the product of the Galois conjugates over the rational norm.
+  inverse divides out the content (the gcd of the numerators) and is the
+  product of the primitive part's Galois conjugates over its rational norm.
 * ``rational-functions(q)`` -- rational functions in one indeterminate,
   stored as ``(num, den)``: integer coefficient tuples, constant term
   first, no trailing zeros, coprime, the gcd of all their coefficients 1
@@ -58,7 +59,7 @@ import functools
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 from typing import Callable, Optional, Tuple
 
 from .errors import (FieldMismatchError, NotInvertibleError, ScalarSyntaxError,
@@ -319,9 +320,12 @@ def _cadd(a, b):  # keyed without the order: a sum is not reduced mod Phi_n
 
 @functools.lru_cache(MEMO_CAP)
 def _cinv(a, n: int):
-    """a^-1 = prod_k sigma_k(a) / N(a) over the Galois conjugates sigma_k: z -> z^k
-    (k coprime to n, k != 1), read off a table of z^j mod Phi_n; N(a) is rational."""
+    """a^-1 = prod_k sigma_k(p) / (g N(p)) for a = g p, g the content of a's
+    numerators, over the Galois conjugates sigma_k: z -> z^k (k coprime to n,
+    k != 1), read off a table of z^j mod Phi_n; N(p) is rational."""
     nums, den = a
+    g = gcd(*nums)
+    nums = tuple(c // g for c in nums)
     m = _order_data(n)[1]
     powers = [((1,), 1)]
     for _ in range(n - 1):
@@ -336,7 +340,7 @@ def _cinv(a, n: int):
             conj = _cmul(conj, _cyclo(s, 1), n)
     (norm,), _ = _cmul((nums, 1), conj, n)
     sign = 1 if norm > 0 else -1
-    return _cyclo([sign * den * c for c in conj[0]], abs(norm))
+    return _cyclo([sign * den * c for c in conj[0]], abs(norm) * g)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +720,13 @@ class _Parser:
         refused at its operator if it holds an integer longer than Python
         renders, or over Q(q) if the sum of its operands' degrees (each the
         larger of its numerator's and denominator's), which bounds its own,
-        exceeds MAX_DEGREE: that is checked before the result is formed."""
+        exceeds MAX_DEGREE: that is checked before the result is formed.
+        Over cyclotomic(n), a quotient by an irrational divisor is refused
+        before the inverse is formed if phi(n) log2(sum |a_i|), for the
+        coefficients a_i of the divisor's primitive part, exceeds the same
+        digit limit in bits: it bounds the size of the divisor's rational
+        norm, whose computation is the cost of the inverse."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         value = operand()
         while self.peek()[0] in ops:
             op, _, pos = self.take()
@@ -726,10 +736,14 @@ class _Parser:
             if self.field.kind == RATIONAL_FUNCTIONS and \
                     max(map(len, value.value)) + max(map(len, rhs.value)) - 2 > MAX_DEGREE:
                 raise ScalarSyntaxError(f"degree larger than {MAX_DEGREE}", pos)
+            divisor = rhs.value[0]
+            if limit and op == "/" and self.field.kind == CYCLOTOMIC and len(divisor) > 1 and \
+                    _order_data(self.field.order)[1] * log2(
+                        sum(map(abs, divisor)) // gcd(*divisor)) > limit * log2(10):
+                raise ScalarSyntaxError(f"norm of the divisor may exceed {limit} digits", pos)
             value = _BINARY[op](value, rhs)
             nums, den = value.value
             big = max(map(abs, nums + (den if isinstance(den, tuple) else (den,))))
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
             if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # 2^3 < 10
                 raise ScalarSyntaxError(f"integer longer than {limit} digits", pos)
         return value

@@ -247,6 +247,43 @@ def test_a_qq_product_beyond_the_degree_cap_exits_2_at_once(tmp_path, capsys):
         f"error: beta.1: degree larger than {MAX_DEGREE} (at position 21)"]
 
 
+C3, C360 = FieldDescriptor.cyclotomic(3), FieldDescriptor.cyclotomic(MAX_ORDER)
+NORM_CAP = f"norm of the divisor may exceed {LIMIT} digits"
+
+
+def test_a_quotient_by_a_divisor_of_too_large_a_norm_exits_2_at_once(tmp_path, capsys):
+    """1/(<LIMIT-digit integer> + z + 2*z^5) over cyclotomic(360) (4.3 kB): the
+    divisor's norm may have phi(360) = 96 times as many digits, so the quotient
+    is refused at its "/" before the inverse is formed."""
+    def mutate(doc):
+        doc["field"] = {"kind": "cyclotomic", "order": MAX_ORDER}
+        doc["beta"]["1"] = f"1/({'9' * LIMIT} + z + 2*z^5)"
+    path = corrupt(tmp_path, "z2-group", mutate)
+    t0 = time.perf_counter()
+    assert main(["verify", path, "--json"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.splitlines() == [f"error: beta.1: {NORM_CAP} (at position 1)"]
+
+
+@pytest.mark.parametrize("field, divisor", [
+    (Q, "9" * LIMIT), (C360, "9" * LIMIT),  # a rational divisor is exempt
+    (C360, f"{'9' * (LIMIT - 100)}*(z + 2*z^5)"),  # and so is the content
+    (C3, f"{'9' * (LIMIT // 2 - 1)} + z"),  # norm below 10^(2 (LIMIT/2 - 1) + 1)
+    (RQ, f"{'9' * LIMIT} + q"),
+], ids=["rational", "rational-over-c360", "content", "c3-below-the-cap", "qq"])
+def test_a_divisor_within_the_norm_cap_is_inverted(field, divisor):
+    assert parse_scalar(f"1/({divisor})", field) * parse_scalar(divisor, field) == 1
+
+
+@pytest.mark.parametrize("field, divisor", [
+    (C3, f"{'9' * (LIMIT // 2 + 1)} + z"), (C360, f"{'9' * 45} + z"),
+], ids=["c3", "c360"])
+def test_a_divisor_beyond_the_norm_cap_is_refused_at_its_operator(field, divisor):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(f"2 + 1/({divisor})", field)
+    assert (err.value.message, err.value.position) == (NORM_CAP, 5)
+
+
 E, REST = MAX_EXPONENT, MAX_DEGREE - MAX_EXPONENT
 
 
