@@ -721,11 +721,11 @@ class _Parser:
         renders, or over Q(q) if the sum of its operands' degrees (each the
         larger of its numerator's and denominator's), which bounds its own,
         exceeds MAX_DEGREE: that is checked before the result is formed.
-        Over cyclotomic(n), a quotient by an irrational divisor is refused
-        before the inverse is formed if phi(n) log2(sum |a_i|), for the
-        coefficients a_i of the divisor's primitive part, exceeds the same
-        digit limit in bits: it bounds the size of the divisor's rational
-        norm, whose computation is the cost of the inverse."""
+        Over cyclotomic(n), a quotient is refused before the inverse is
+        formed if phi(n) log2(sum |a_i|), for the coefficients a_i of the
+        divisor's primitive part, exceeds the same digit limit in bits: it
+        bounds the size of that part's rational norm, whose computation is
+        the cost of the inverse."""
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         value = operand()
         while self.peek()[0] in ops:
@@ -736,11 +736,11 @@ class _Parser:
             if self.field.kind == RATIONAL_FUNCTIONS and \
                     max(map(len, value.value)) + max(map(len, rhs.value)) - 2 > MAX_DEGREE:
                 raise ScalarSyntaxError(f"degree larger than {MAX_DEGREE}", pos)
-            divisor = rhs.value[0]
-            if limit and op == "/" and self.field.kind == CYCLOTOMIC and len(divisor) > 1 and \
-                    _order_data(self.field.order)[1] * log2(
-                        sum(map(abs, divisor)) // gcd(*divisor)) > limit * log2(10):
-                raise ScalarSyntaxError(f"norm of the divisor may exceed {limit} digits", pos)
+            if limit and op == "/" and self.field.kind == CYCLOTOMIC:
+                divisor = rhs.value[0]  # a rational one has the primitive part 1
+                phi = _order_data(self.field.order)[1]
+                if phi * log2(sum(map(abs, divisor)) // gcd(*divisor)) > limit * log2(10):
+                    raise ScalarSyntaxError(f"norm of the divisor may exceed {limit} digits", pos)
             value = _BINARY[op](value, rhs)
             nums, den = value.value
             big = max(map(abs, nums + (den if isinstance(den, tuple) else (den,))))
