@@ -90,10 +90,8 @@ def _build_algebra() -> GradedAlgebra:
     ops = C3.ops
     mul, is_zero = ops.mul, ops.is_zero
     qp = [(Q ** k).value for k in range(3)]
-    s = {1: -LAM, 2: LAM}
-    f_terms = {(a, b, p): (s[p] * sum((Q ** (2 * p * j - 2 * p * b) for j in range(a)),
-                                      C3.zero())).value
-               for a in (1, 2) for b in range(3) for p in (1, 2)}
+    f_terms = {(a, b, p): (s * sum((Q ** (2 * p * (j - b)) for j in range(a)), C3.zero())).value
+               for a in (1, 2) for b in range(3) for p, s in ((1, -LAM), (2, LAM))}
 
     def act_k(v):
         return {(a, b, (c + 1) % 3): mul(qp[(2 * a - 2 * b) % 3], x)

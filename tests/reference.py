@@ -5,6 +5,8 @@ independent references for the tests, which the engine itself never uses."""
 from fractions import Fraction
 from functools import cache
 
+from qhopf.scalars import FieldDescriptor
+
 
 def _mat_mul(a, b, field):
     """Plain product of list matrices of scalars over ``field``."""
@@ -257,6 +259,9 @@ def ratfun_inv(x):
 # action on normal-ordered elements instead.
 
 _RANK = {"E": 0, "F": 1, "K": 2}
+_C3 = FieldDescriptor.cyclotomic(3)
+_Q = _C3.generator()
+_LAM = (_Q - _Q.inv()).inv()  # 1/(q - q^-1)
 
 
 def uqsl2_word(a, b, c):
@@ -267,27 +272,26 @@ def uqsl2_word(a, b, c):
 def uqsl2_reduce(word):
     """The word in E, F, K rewritten in normal order E^a F^b K^c, as exact
     cyclotomic coefficients keyed by (a, b, c)."""
-    from qhopf.uqsl2 import C3, LAM, Q
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if _RANK[a] <= _RANK[b]:
             continue
         head, tail = word[:i], word[i + 2:]
         if (a, b) == ("K", "E"):
-            return _scaled(uqsl2_reduce(head + ("E", "K") + tail), Q ** 2)
+            return _scaled(uqsl2_reduce(head + ("E", "K") + tail), _Q ** 2)
         if (a, b) == ("K", "F"):
-            return _scaled(uqsl2_reduce(head + ("F", "K") + tail), Q ** -2)
+            return _scaled(uqsl2_reduce(head + ("F", "K") + tail), _Q ** -2)
         # F E = E F - lam K + lam K^2
         out = {}
-        _accumulate(out, uqsl2_reduce(head + ("E", "F") + tail), C3.one())
-        _accumulate(out, uqsl2_reduce(head + ("K",) + tail), -LAM)
-        _accumulate(out, uqsl2_reduce(head + ("K", "K") + tail), LAM)
+        _accumulate(out, uqsl2_reduce(head + ("E", "F") + tail), _C3.one())
+        _accumulate(out, uqsl2_reduce(head + ("K",) + tail), -_LAM)
+        _accumulate(out, uqsl2_reduce(head + ("K", "K") + tail), _LAM)
         return out
     # normal ordered: truncate powers
     a, b, c = (word.count(letter) for letter in "EFK")
     if a >= 3 or b >= 3:
         return {}
-    return {(a, b, c % 3): C3.one()}
+    return {(a, b, c % 3): _C3.one()}
 
 
 def _scaled(table, s):
