@@ -268,7 +268,7 @@ def test_a_quotient_by_a_divisor_of_too_large_a_norm_exits_2_at_once(tmp_path, c
 @pytest.mark.parametrize("field, divisor", [
     (Q, "9" * LIMIT), (C360, "9" * LIMIT),  # a rational divisor is exempt
     (C360, f"{'9' * (LIMIT - 100)}*(z + 2*z^5)"),  # and so is the content
-    (C3, f"{'9' * (LIMIT // 2 - 1)} + z"),  # norm below 10^(2 (LIMIT/2 - 1) + 1)
+    (C3, f"{'9' * (LIMIT // 2 - 1)} + z"),  # bound (sum |a_i|)^2 = 10^(LIMIT - 2)
     (RQ, f"{'9' * LIMIT} + q"),
 ], ids=["rational", "rational-over-c360", "content", "c3-below-the-cap", "qq"])
 def test_a_divisor_within_the_norm_cap_is_inverted(field, divisor):
