@@ -2,10 +2,13 @@
 
 Each file under ``tests/snapshots`` is the exact stdout of one CLI command,
 run in a directory holding copies of the golden files (so the ``file`` key
-is a bare file name).  Regenerate a snapshot only when a change of output
-is intended, and say why in the change log.
+is a bare file name), except ``invariant-spaces.json``: every invariant
+space of every golden file, as ``invariant_spaces_text`` renders it.
+Regenerate a snapshot only when a change of output is intended, and say why
+in the change log.
 """
 
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -13,7 +16,10 @@ from pathlib import Path
 import pytest
 
 import qhopf
+from qhopf import invariants
 from qhopf.cli import main
+from qhopf.quasihopf import solve_canonical_elements
+from qhopf.structfile import load_entry
 
 DATA = Path(qhopf.__file__).parent / "data"
 SNAPSHOTS = Path(__file__).parent / "snapshots"
@@ -59,6 +65,11 @@ CASES.update({
 })
 CASES.update({f"verify-{name}-qq": (["verify", f"{name}.qq.qh", "--checks", "all",
                                      "--json"], 0) for name in QQ_COPIES})
+for _name in ("small-uqsl2", "z2-cocycle"):
+    CASES[f"casimir-{_name}-c1-inv-0"] = (
+        ["casimir", f"{_name}.qh", "--kind", "c1", "--source", "inv:0", "--json"], 0)
+    CASES[f"casimir-{_name}-c2-pinv-0"] = (
+        ["casimir", f"{_name}.qh", "--kind", "c2", "--source", "pinv:0", "--json"], 0)
 for _label, _extra in (
         ("u", ["--kind", "u"]),
         ("c1-beta", ["--kind", "c1", "--source", "beta"]),
@@ -116,3 +127,52 @@ def test_twisted_file_matches_snapshot(workdir, monkeypatch, capsys):
     expected = (SNAPSHOTS / "twist-sweedler-twisted-qq-fixed.qh").read_text(
         encoding="utf-8")
     assert (workdir / "twisted.qq.qh").read_text(encoding="utf-8") == expected
+
+
+def _graded(space):
+    return {"even": [x.to_dict() for x in space.even],
+            "odd": [x.to_dict() for x in space.odd]}
+
+
+def _form(H, xi):
+    return [str(xi(H.basis_element(i))) for i in range(H.algebra.dim)]
+
+
+def _matrix(m):
+    return [[str(c) for c in row] for row in m]
+
+
+def invariant_spaces_text() -> str:
+    """The (pseudo-)invariant subspaces, the center, the (pseudo-)invariant
+    linear forms and the canonical-element solutions of every golden file;
+    for the files over Q also the invariant maps and the invariant bilinear
+    forms of every ordered pair of its representations."""
+    doc = {}
+    for path in sorted(DATA.glob("*.qh")):
+        entry = load_entry(str(path))
+        H = entry.structure
+        out = doc[path.stem] = {
+            "invariants": _graded(invariants.invariant_subspace(H)),
+            "pseudo-invariants": _graded(invariants.pseudo_invariant_subspace(H)),
+            "center": _graded(invariants.center(H)),
+            "invariant-forms": [_form(H, xi) for xi in invariants.invariant_linear_forms(H)],
+            "pseudo-invariant-forms": [
+                _form(H, xi) for xi in invariants.pseudo_invariant_linear_forms(H)],
+            "canonical-elements": [[alpha.to_dict(), beta.to_dict()]
+                                   for alpha, beta in solve_canonical_elements(H)],
+        }
+        if path.stem not in RATIONAL:
+            continue
+        reps = sorted(entry.representations.items())
+        for (vn, V), (wn, W) in itertools.product(reps, repeat=2):
+            even, odd = invariants.invariant_maps(H, V, W)
+            out[f"maps {vn} -> {wn}"] = {"even": [_matrix(f) for f in even],
+                                         "odd": [_matrix(f) for f in odd]}
+            out[f"bilinear forms {vn} x {wn}"] = [
+                _matrix(B) for B in invariants.invariant_bilinear_forms(H, V, W)]
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def test_invariant_spaces_match_snapshot():
+    expected = (SNAPSHOTS / "invariant-spaces.json").read_text(encoding="utf-8")
+    assert invariant_spaces_text() == expected
