@@ -1,33 +1,46 @@
-"""Adjoint and anti-adjoint actions, their invariants, invariant forms,
+"""Invariants of the adjoint and anti-adjoint actions, invariant forms,
 and the module-morphism construction.
 
 The adjoint action of a on b is  sum a_(1) b S(a_(2)) (-1)^{[b][a_(2)]},
 the anti-adjoint action is       sum S(a_(1)) b a_(2) (-1)^{[b][a_(1)]};
-signs depend on the parity of b, so inhomogeneous b is split into its
-even and odd parts and all solution spaces are computed per parity,
-returned with deterministic echelon-form bases.  Maps V -> W are list
-matrices at the interface only; their module structure is computed on
-End(V (+) W) legs, where the graded tensor product supplies every sign.
+both, and their defect  action(a, c) - eps(a) c,  live in ``quasihopf``,
+where the antipode axioms use them too.  One defect table per structure
+and action, defect(a, e_j) for the quantified a and every basis j, gives
+every fixed space: its columns the (pseudo-)invariant elements, its rows
+the (pseudo-)invariant linear forms and their membership tests.  Element
+spaces, the center and the invariant maps go through one solver, ``_solve``,
+which splits the unknowns by parity (the signs depend on the parity of the
+candidate) and returns deterministic echelon-form bases.
+
+Maps V -> W are list matrices at the interface only; their module structure
+is computed on End(V (+) W) legs.  A bilinear form pairs v_i (x) w_j with
+v_i the matrix unit E[i, e] of End(V (+) k), e the even vector spanning
+the trivial summand, so a_(1) (x) a_(2) acts by End legs.  In both, the
+graded tensor product supplies every sign.
 
 A condition "for all a" is imposed for the generators a only: commuting
 with a is closed under products, and so is invariance under the actions
 once ``quasihopf._closed`` holds.  The reduced system has the same kernel,
 hence the same echelon basis.  A linear form is a rank-0 ``LinearMap``,
-like the counit.  One row system per action, memoised per structure,
-gives both the form spaces (its kernel) and the membership tests (a form
-annihilates every row).
+like the counit.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError, StructureValidationError
 from .graded import AlgebraElement, LinearMap, TensorElement, centralizes, linear_form, require
-from .linalg import Row, nullspace, rows_of
-from .quasihopf import QuasiHopfStructure, _closed, condition_rows, memoized
-from .representations import Matrix, Representation, direct_sum
+from .linalg import nullspace, rows_of
+from .quasihopf import (
+    QuasiHopfStructure,
+    _closed,
+    adjoint_action,
+    anti_adjoint_action,
+    defect,
+    memoized,
+)
+from .representations import Matrix, Representation, direct_sum, trivial_representation
 
 
 class GradedSubspace:
@@ -45,34 +58,55 @@ class GradedSubspace:
         return len(self.even) + len(self.odd)
 
 
+def _domain(H: QuasiHopfStructure):
+    """The quantified a of an invariance condition, as indices: the
+    generators once the actions are known to be actions, else the basis."""
+    return H.algebra.generators() if _closed(H) else range(H.algebra.dim)
+
+
+def _solve(algebra, keys, column) -> GradedSubspace:
+    """The x = sum_j x_j e_j over the basis indices j in keys with
+    sum_j x_j column(j)[n] = 0 for every n, where column(j) lists the
+    defects of e_j as elements; solved on the even and the odd keys apart."""
+    out = GradedSubspace()
+    for parity, bucket in ((0, out.even), (1, out.odd)):
+        idx = [j for j in keys if algebra.parity[j] == parity]
+        columns = [{(n, k): c for n, d in enumerate(column(j)) for k, c in d.coeffs.items()}
+                   for j in idx]
+        for vec in nullspace(rows_of(columns), len(idx), algebra.field):
+            bucket.append(AlgebraElement(algebra, dict(zip(idx, vec))))
+    return out
+
+
 # ---------------------------------------------------------------------------
-# actions
+# elements and forms fixed by an action
 
 
-def adjoint_action(H: QuasiHopfStructure, a: AlgebraElement,
-                   b: AlgebraElement) -> AlgebraElement:
-    return H.contract(H.delta(a), (1,), right=(b,))
+@memoized
+def _defect_table(H: QuasiHopfStructure, action) -> List[List[AlgebraElement]]:
+    """defect(a, e_j) for the quantified a (one list each) and every basis j."""
+    A = H.algebra
+    return [[defect(H, action, i, A.basis_element(j)) for j in range(A.dim)]
+            for i in _domain(H)]
 
 
-def anti_adjoint_action(H: QuasiHopfStructure, a: AlgebraElement,
-                        b: AlgebraElement) -> AlgebraElement:
-    return H.contract(H.delta(a), (0,), left=(None, b))
-
-
-def _invariance_defect(H: QuasiHopfStructure, action, i: int,
-                       c: AlgebraElement) -> AlgebraElement:
-    """action(basis i, c) - eps(basis i) c: zero for all i iff c is invariant."""
-    return action(H, H.basis_element(i), c) - c.scale(H.eps(H.basis_element(i)))
-
-
-def _domain(H: QuasiHopfStructure, sound: bool):
-    """The quantified elements a of a "for all a" condition, as indices."""
-    return H.algebra.generators() if sound else range(H.algebra.dim)
+def _fixed_elements(H: QuasiHopfStructure, action) -> GradedSubspace:
+    table = _defect_table(H, action)
+    return _solve(H.algebra, range(H.algebra.dim), lambda j: [row[j] for row in table])
 
 
 def _is_fixed(H: QuasiHopfStructure, action, c: AlgebraElement) -> bool:
-    return all(_invariance_defect(H, action, i, c).is_zero()
-               for i in _domain(H, _closed(H)))
+    return all(defect(H, action, i, c).is_zero() for i in _domain(H))
+
+
+def invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
+    """Solutions of the adjoint-invariance condition; always contains beta."""
+    return _fixed_elements(H, adjoint_action)
+
+
+def pseudo_invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
+    """Solutions of the anti-adjoint-invariance condition; contains alpha."""
+    return _fixed_elements(H, anti_adjoint_action)
 
 
 def is_invariant_element(H: QuasiHopfStructure, c: AlgebraElement) -> bool:
@@ -83,80 +117,16 @@ def is_pseudo_invariant_element(H: QuasiHopfStructure, c: AlgebraElement) -> boo
     return _is_fixed(H, anti_adjoint_action, c)
 
 
-# ---------------------------------------------------------------------------
-# solution spaces
-
-
-def _graded_nullspace(H: QuasiHopfStructure, condition,
-                      sound: bool) -> GradedSubspace:
-    """Solve condition(basis_a_index, candidate) == 0 for all a, separately on
-    the even and odd coordinates.  ``condition`` must be linear in the
-    candidate element; with ``sound``, a runs over the generators."""
-    A = H.algebra
-    conditions = [functools.partial(condition, i) for i in _domain(H, sound)]
-    out = GradedSubspace()
-    for target_parity, bucket in ((0, out.even), (1, out.odd)):
-        idx = [j for j in range(A.dim) if A.parity[j] == target_parity]
-        for vec in nullspace(condition_rows(A, idx, conditions), len(idx), A.field):
-            bucket.append(AlgebraElement(A, dict(zip(idx, vec))))
-    return out
-
-
-def invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
-    """Solutions of the adjoint-invariance condition; always contains beta."""
-    return _graded_nullspace(
-        H, lambda i, c: _invariance_defect(H, adjoint_action, i, c), _closed(H))
-
-
-def pseudo_invariant_subspace(H: QuasiHopfStructure) -> GradedSubspace:
-    """Solutions of the anti-adjoint-invariance condition; contains alpha."""
-    return _graded_nullspace(
-        H, lambda i, c: _invariance_defect(H, anti_adjoint_action, i, c), _closed(H))
-
-
-def is_central(H: QuasiHopfStructure, x: AlgebraElement
-               ) -> Tuple[bool, Optional[Tuple[str, AlgebraElement]]]:
-    """True when x commutes with every generator, hence with A; otherwise the
-    first basis element with a nonzero commutator is the witness."""
-    passed, comm, at, *_ = centralizes(H.algebra, x)
-    return passed, None if passed else (at, comm)
-
-
-def center(H: QuasiHopfStructure) -> GradedSubspace:
-    return _graded_nullspace(
-        H, lambda i, c: c * H.basis_element(i) - H.basis_element(i) * c, True)
-
-
-# ---------------------------------------------------------------------------
-# linear forms
-
-
-@memoized
-def _form_rows(H: QuasiHopfStructure, action) -> List[Row]:
-    """Rows xi(action(a, e_j)) - eps(a) xi(e_j) for the quantified a and every
-    j: a form is fixed by the action iff it annihilates all of them."""
-    A = H.algebra
-    rows = []
-    for i in _domain(H, _closed(H)):
-        eps_a = H.eps(A.basis_element(i))
-        for j in range(A.dim):
-            row = dict(action(H, A.basis_element(i), A.basis_element(j)).coeffs)
-            row[j] = row.get(j, A.field.zero()) - eps_a
-            rows.append(row)
-    return rows
-
-
 def _fixed_forms(H: QuasiHopfStructure, action) -> List[LinearMap]:
+    """The forms xi annihilating every entry of the table: xi(action(a, b))
+    = eps(a) xi(b) for all a, b."""
     A = H.algebra
-    return [linear_form(A, vec)
-            for vec in nullspace(_form_rows(H, action), A.dim, A.field)]
+    rows = [d.coeffs for row in _defect_table(H, action) for d in row]
+    return [linear_form(A, vec) for vec in nullspace(rows, A.dim, A.field)]
 
 
 def _is_fixed_form(H: QuasiHopfStructure, action, xi: LinearMap) -> bool:
-    zero = H.algebra.field.zero()
-    values = [image.coeffs.get((), zero) for image in xi.images]
-    return all(sum((c * values[k] for k, c in row.items()), zero).is_zero()
-               for row in _form_rows(H, action))
+    return all(xi(d).is_zero() for row in _defect_table(H, action) for d in row)
 
 
 def invariant_linear_forms(H: QuasiHopfStructure) -> List[LinearMap]:
@@ -174,6 +144,25 @@ def is_invariant_form(H: QuasiHopfStructure, xi: LinearMap) -> bool:
 
 def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearMap) -> bool:
     return _is_fixed_form(H, anti_adjoint_action, xi)
+
+
+# ---------------------------------------------------------------------------
+# the center
+
+
+def is_central(H: QuasiHopfStructure, x: AlgebraElement
+               ) -> Tuple[bool, Optional[Tuple[str, AlgebraElement]]]:
+    """True when x commutes with every generator, hence with A; otherwise the
+    first basis element with a nonzero commutator is the witness."""
+    passed, comm, at, *_ = centralizes(H.algebra, x)
+    return passed, None if passed else (at, comm)
+
+
+def center(H: QuasiHopfStructure) -> GradedSubspace:
+    A = H.algebra
+    gens = [A.basis_element(g) for g in A.generators()]
+    return _solve(A, range(A.dim), lambda j: [
+        A.basis_element(j) * g - g * A.basis_element(j) for g in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +221,8 @@ class _Hom:
         return (t * TensorElement.of(f, self.end.unit())).merge_all()
 
     def defects(self, f: AlgebraElement):
-        """a . f - eps(a) f over the generators a (over the basis unless
-        the action is known to be one): all zero iff f is invariant."""
-        H = self.H
-        for i in _domain(H, _closed(H)):
-            a = H.basis_element(i)
-            yield self.act(a, f) - f.scale(H.eps(a))
+        """a . f - eps(a) f over the quantified a: all zero iff f is invariant."""
+        return (defect(self.H, lambda _, a, x: self.act(a, x), i, f) for i in _domain(self.H))
 
 
 @memoized
@@ -255,16 +240,10 @@ def module_action(H: QuasiHopfStructure, V: Representation, W: Representation,
 def invariant_maps(H: QuasiHopfStructure, V: Representation,
                    W: Representation) -> Tuple[List[Matrix], List[Matrix]]:
     """Bases of the invariant maps in l(V, W), split as (even, odd)."""
-    hom, field = _hom(H, V, W), H.algebra.field
-    results: List[List[Matrix]] = []
-    for parity in (0, 1):
-        entries = [k for keys in hom.keys for k in keys if hom.end.parity[k] == parity]
-        columns = [{(i, k): c for i, d in enumerate(hom.defects(hom.end.basis_element(e)))
-                    for k, c in d.coeffs.items()} for e in entries]
-        results.append([
-            hom.matrix(AlgebraElement(hom.end, dict(zip(entries, vec))))
-            for vec in nullspace(rows_of(columns), len(entries), field)])
-    return results[0], results[1]
+    hom = _hom(H, V, W)
+    space = _solve(hom.end, [k for keys in hom.keys for k in keys],
+                   lambda k: hom.defects(hom.end.basis_element(k)))
+    return [hom.matrix(f) for f in space.even], [hom.matrix(f) for f in space.odd]
 
 
 def is_invariant_map(H: QuasiHopfStructure, V: Representation, W: Representation,
@@ -308,32 +287,26 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
 def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
                              W: Representation) -> List[Matrix]:
     """Bilinear forms with  sum (a_(1) v, a_(2) w) (-1)^{[v][a_(2)]}
-    = eps(a) (v, w);  returned as matrices B[i][j] = (v_i, w_j)."""
-    A, field = H.algebra, H.algebra.field
-    n = V.dim * W.dim
+    = eps(a) (v, w);  returned as matrices B[i][j] = (v_i, w_j).
+
+    The vector v_i is the matrix unit E[i, e] of End(V (+) k), with e the
+    last, even carrier vector, so the product (a_(1) (x) a_(2))(v_i (x) w_j)
+    of End legs carries the sign (-1)^{[v_i][a_(2)]}."""
+    A = H.algebra
+    padded = [direct_sum(X, trivial_representation(H.counit)) for X in (V, W)]
+    vectors = [[U.matrix_algebra().basis_element(p * U.dim + U.dim - 1)
+                for p in range(U.dim - 1)] for U in padded]
+    unknown = {(p * padded[0].dim + V.dim, q * padded[1].dim + W.dim): p * W.dim + q
+               for p in range(V.dim) for q in range(W.dim)}
     rows = []
-    for idx in _domain(H, _closed(H)):
-        a = A.basis_element(idx)
-        eps_a = H.eps(a)
-        for i in range(V.dim):
-            for j in range(W.dim):
-                row = {i * W.dim + j: -eps_a}
-                for (k1, k2), d in H.coproduct.on_basis(idx).coeffs.items():
-                    mv = V.matrix_of(A.basis_element(k1))
-                    mw = W.matrix_of(A.basis_element(k2))
-                    coeff = d
-                    if V.carrier_parity[i] * A.parity[k2] % 2:
-                        coeff = -coeff
-                    for p in range(V.dim):
-                        if mv[p][i].is_zero():
-                            continue
-                        for q in range(W.dim):
-                            if not mw[q][j].is_zero():
-                                row[p * W.dim + q] = row.get(p * W.dim + q, field.zero()) \
-                                    + coeff * mv[p][i] * mw[q][j]
-                rows.append(row)
-    out = []
-    for vec in nullspace(rows, n, field):
-        out.append([[vec[i * W.dim + j] for j in range(W.dim)]
-                    for i in range(V.dim)])
-    return out
+    for idx in _domain(H):
+        acting = H.coproduct.on_basis(idx).apply_maps(
+            [(0, padded[0].leg_map()), (1, padded[1].leg_map())])
+        eps_a = H.eps(A.basis_element(idx))
+        for v in vectors[0]:
+            for w in vectors[1]:
+                x = TensorElement.of(v, w)
+                rows.append({unknown[key]: c for key, c in
+                             (acting * x - x.scale(eps_a)).coeffs.items()})
+    return [[vec[p * W.dim:(p + 1) * W.dim] for p in range(V.dim)]
+            for vec in nullspace(rows, V.dim * W.dim, A.field)]

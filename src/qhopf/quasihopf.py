@@ -230,6 +230,31 @@ class QuasiHopfStructure:
 
 
 # ---------------------------------------------------------------------------
+# the adjoint actions
+
+
+def adjoint_action(H: QuasiHopfStructure, a: AlgebraElement,
+                   b: AlgebraElement) -> AlgebraElement:
+    """sum a_(1) b S(a_(2)) (-1)^{[b][a_(2)]}."""
+    return H.contract(H.delta(a), (1,), right=(b,))
+
+
+def anti_adjoint_action(H: QuasiHopfStructure, a: AlgebraElement,
+                        b: AlgebraElement) -> AlgebraElement:
+    """sum S(a_(1)) b a_(2) (-1)^{[b][a_(1)]}."""
+    return H.contract(H.delta(a), (0,), left=(None, b))
+
+
+def defect(H: QuasiHopfStructure, action, i: int, c: AlgebraElement) -> AlgebraElement:
+    """action(basis i, c) - eps(basis i) c: zero for every i iff the action
+    fixes c.  At the adjoint action and c = beta this is the antipode-beta
+    axiom, at the anti-adjoint one and c = alpha the antipode-alpha axiom
+    (alpha even, so the Koszul sign is +1)."""
+    a = H.basis_element(i)
+    return action(H, a, c) - c.scale(H.eps(a))
+
+
+# ---------------------------------------------------------------------------
 # verification
 
 
@@ -334,20 +359,6 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
     return report
 
 
-def _antipode_alpha_diff(H: QuasiHopfStructure, i: int,
-                         alpha: AlgebraElement) -> AlgebraElement:
-    """sum S(a_(1)) alpha a_(2) - eps(a) alpha at a = basis i (alpha even)."""
-    return H.contract(H.coproduct.on_basis(i), (0,), right=(alpha,)) \
-        - alpha.scale(H.eps(H.basis_element(i)))
-
-
-def _antipode_beta_diff(H: QuasiHopfStructure, i: int,
-                        beta: AlgebraElement) -> AlgebraElement:
-    """sum a_(1) beta S(a_(2)) - eps(a) beta at a = basis i (beta even)."""
-    return H.contract(H.coproduct.on_basis(i), (1,), right=(beta,)) \
-        - beta.scale(H.eps(H.basis_element(i)))
-
-
 def _phi_sandwich_inv(H: QuasiHopfStructure, beta: AlgebraElement,
                       alpha: AlgebraElement) -> AlgebraElement:
     """sum Xbar beta S(Ybar) alpha Zbar over the inverse coassociator."""
@@ -381,9 +392,9 @@ def verify_antipode_axioms(H: QuasiHopfStructure) -> AxiomReport:
         return report
 
     _run(report, "antipode-alpha", lambda: quantify(
-        A, lambda i: _antipode_alpha_diff(H, i, H.alpha), 1, _closed_canonical(H)))
+        A, lambda i: defect(H, anti_adjoint_action, i, H.alpha), 1, _closed_canonical(H)))
     _run(report, "antipode-beta", lambda: quantify(
-        A, lambda i: _antipode_beta_diff(H, i, H.beta), 1, _closed_canonical(H)))
+        A, lambda i: defect(H, adjoint_action, i, H.beta), 1, _closed_canonical(H)))
     _run(report, "coassociator-antipode-inv", _tensor_eq(
         lambda: _phi_sandwich_inv(H, H.beta, H.alpha), lambda: A.unit()))
     _run(report, "coassociator-antipode", _tensor_eq(
@@ -507,10 +518,10 @@ def solve_canonical_elements(H: QuasiHopfStructure
 
     # beta: sum a_(1) beta S(a_(2)) = eps(a) beta for every basis a
     beta_space = nullspace(condition_rows(A, even_idx, [
-        functools.partial(_antipode_beta_diff, H, i) for i in range(A.dim)]),
+        functools.partial(defect, H, adjoint_action, i) for i in range(A.dim)]),
         ncols, field)
 
-    alpha_conditions = [functools.partial(_antipode_alpha_diff, H, i)
+    alpha_conditions = [functools.partial(defect, H, anti_adjoint_action, i)
                         for i in range(A.dim)]
     # the two coassociator sandwiches equal 1
     rhs = {(A.dim + n, k): c for n in (0, 1) for k, c in A.unit().coeffs.items()}

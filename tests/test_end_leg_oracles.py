@@ -2,18 +2,19 @@
 
 Each test compares the engine against a second formula for the same object:
 the represented Casimir against the symbolic trace family ``casimir_Cm``,
-invariant maps against an invariance check assembled here from list
-matrices, ``_mat_mul`` and explicit Koszul signs, and the u-operator against
-its printed double sum, expanded term by term.
+invariant maps and invariant bilinear forms against invariance systems
+assembled here from list matrices and explicit Koszul signs, and the
+u-operator against its printed double sum, expanded term by term.
 """
 
 import itertools
 
 from qhopf.casimir import casimir_Cm, casimir_from_omega_rep, rtr_power, u_sum
 from qhopf.catalog import BUILTIN_NAMES, load_builtin
-from qhopf.invariants import invariant_maps
+from qhopf.invariants import invariant_bilinear_forms, invariant_maps
 from qhopf.linalg import nullspace, rows_of
 from qhopf.representations import apply_rep_on_leg
+from qhopf.scalars import RATIONALS
 from reference import _mat_mul
 from qhopf.twisting import twist_structure
 
@@ -78,6 +79,52 @@ def test_invariant_maps_on_odd_carrier(e4):
                            for row in dm for x in row), (vn, wn, parity)
             found += len(maps)
     assert found
+
+
+def _bilinear_rows(H, V, W):
+    """The invariance of B[i][j] = (v_i, w_j) for every basis a, as rows over
+    the unknowns i * W.dim + j:
+    sum d V(a_(1))[p][i] W(a_(2))[q][j] (-1)^{[v_i][a_(2)]} B[p][q] = eps(a) B[i][j]."""
+    A = H.algebra
+    rows = []
+    for idx in range(A.dim):
+        eps_a = H.eps(A.basis_element(idx))
+        for i in range(V.dim):
+            for j in range(W.dim):
+                row = {i * W.dim + j: -eps_a}
+                for (k1, k2), d in H.coproduct.on_basis(idx).coeffs.items():
+                    mv = V.matrix_of(A.basis_element(k1))
+                    mw = W.matrix_of(A.basis_element(k2))
+                    sign = -1 if V.carrier_parity[i] * A.parity[k2] % 2 else 1
+                    for p in range(V.dim):
+                        for q in range(W.dim):
+                            key = p * W.dim + q
+                            row[key] = row.get(key, A.field.zero()) \
+                                + sign * d * mv[p][i] * mw[q][j]
+                rows.append(row)
+    return rows
+
+
+def test_bilinear_forms_are_complete_on_every_rational_pair():
+    """As many forms as the hand-signed system has solutions, and each solves it."""
+    pairs = 0
+    for name in BUILTIN_NAMES:
+        entry = load_builtin(name)
+        H = entry.structure
+        if H.algebra.field.kind != RATIONALS:
+            continue
+        reps = sorted(entry.representations.items())
+        for (vn, V), (wn, W) in itertools.product(reps, repeat=2):
+            rows = _bilinear_rows(H, V, W)
+            forms = invariant_bilinear_forms(H, V, W)
+            assert len(forms) == len(nullspace(rows, V.dim * W.dim, H.algebra.field)), \
+                (name, vn, wn)
+            for B in forms:
+                flat = [c for line in B for c in line]
+                assert all(sum((c * flat[k] for k, c in row.items()),
+                               H.algebra.field.zero()).is_zero() for row in rows), (name, vn, wn)
+            pairs += 1
+    assert pairs == 30
 
 
 def _u_double_sum(H):
