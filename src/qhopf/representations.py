@@ -101,7 +101,7 @@ class Representation:
         return [[coeffs.get(i * d + j, z) for j in range(d)] for i in range(d)]
 
     def supertrace_of(self, x: AlgebraElement) -> Scalar:
-        return supertrace(self.matrix_of(x), self.carrier_parity)
+        return self._supertrace_map(self._leg_map(x))
 
     # -- representation legs on tensors --------------------------------------
 
