@@ -27,6 +27,7 @@ like the counit.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from .errors import NotInvariantError, OddElementError, StructureValidationError
@@ -292,21 +293,18 @@ def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
     The vector v_i is the matrix unit E[i, e] of End(V (+) k), with e the
     last, even carrier vector, so the product (a_(1) (x) a_(2))(v_i (x) w_j)
     of End legs carries the sign (-1)^{[v_i][a_(2)]}."""
-    A = H.algebra
+    A, one = H.algebra, H.algebra.field.one()
     padded = [direct_sum(X, trivial_representation(H.counit)) for X in (V, W)]
-    vectors = [[U.matrix_algebra().basis_element(p * U.dim + U.dim - 1)
-                for p in range(U.dim - 1)] for U in padded]
-    unknown = {(p * padded[0].dim + V.dim, q * padded[1].dim + W.dim): p * W.dim + q
-               for p in range(V.dim) for q in range(W.dim)}
+    legs = tuple(U.matrix_algebra() for U in padded)
+    units = [[p * (X.dim + 1) + X.dim for p in range(X.dim)] for X in (V, W)]  # E[p, e]
+    unknown = {key: n for n, key in enumerate(itertools.product(*units))}  # B[p][q]
     rows = []
     for idx in _domain(H):
         acting = H.coproduct.on_basis(idx).apply_maps(
             [(0, padded[0].leg_map()), (1, padded[1].leg_map())])
         eps_a = H.eps(A.basis_element(idx))
-        for v in vectors[0]:
-            for w in vectors[1]:
-                x = TensorElement.of(v, w)
-                rows.append({unknown[key]: c for key, c in
-                             (acting * x - x.scale(eps_a)).coeffs.items()})
+        for key in unknown:
+            x = TensorElement(legs, {key: one})
+            rows.append({unknown[k]: c for k, c in (acting * x - x.scale(eps_a)).coeffs.items()})
     return [[vec[p * W.dim:(p + 1) * W.dim] for p in range(V.dim)]
-            for vec in nullspace(rows, V.dim * W.dim, A.field)]
+            for vec in nullspace(rows, len(unknown), A.field)]
