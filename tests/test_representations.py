@@ -1,5 +1,6 @@
 import pytest
 
+from qhopf.catalog import BUILTIN_NAMES, load_builtin
 from qhopf.errors import StructureValidationError
 from qhopf.graded import TensorElement
 from qhopf.representations import (
@@ -80,3 +81,17 @@ def test_supertrace_linearity(e4):
     x, y = A.basis_element(0), A.basis_element(1)
     lhs = reg.supertrace_of(x + y.scale(3))
     assert lhs == reg.supertrace_of(x) + A.field.from_int(3) * reg.supertrace_of(y)
+
+
+def test_supertrace_of_matches_the_list_matrix_supertrace():
+    """The End-leg path (leg map, then Str on End(V)) against the trace of
+    matrix_of, on every basis element and one element using them all."""
+    for name in BUILTIN_NAMES:
+        entry = load_builtin(name)
+        A = entry.structure.algebra
+        mixed = A.zero()
+        for i in range(A.dim):
+            mixed = mixed + A.basis_element(i).scale(i + 2)
+        for rep in entry.representations.values():
+            for x in [A.basis_element(i) for i in range(A.dim)] + [mixed]:
+                assert rep.supertrace_of(x) == supertrace(rep.matrix_of(x), rep.carrier_parity)
