@@ -21,13 +21,12 @@ _EXPORTS = {
     "scalars": ("FieldDescriptor", "Scalar", "parse_scalar"),
     "graded": ("AlgebraElement", "GradedAlgebra", "GradedBasis", "LinearMap",
                "TensorElement"),
-    "quasihopf": ("QuasiHopfStructure", "solve_canonical_elements", "verify_antipode_axioms",
-                  "verify_quasi_bialgebra", "verify_quasi_ybe", "verify_quasitriangular",
-                  "verify_structure"),
+    "quasihopf": ("QuasiHopfStructure", "verify_antipode_axioms", "verify_quasi_bialgebra",
+                  "verify_quasi_ybe", "verify_quasitriangular", "verify_structure"),
     "twisting": ("Twistor", "twist_structure", "validate_twistor"),
     "representations": ("Representation", "regular_representation", "supertrace"),
     "invariants": ("adjoint_action", "anti_adjoint_action", "center", "invariant_subspace",
-                   "is_central", "pseudo_invariant_subspace"),
+                   "is_central", "pseudo_invariant_subspace", "solve_canonical_elements"),
     "casimir": ("build_C1", "build_C2", "casimir_Cm", "identity_suite",
                 "quadratic_invariants", "trace_forms", "u_inverse", "u_operator",
                 "verify_twist_invariance"),

@@ -34,10 +34,10 @@ from .graded import (
     TensorElement,
     linear_form,
 )
+from .invariants import solve_canonical_elements
 from .quasihopf import (
     QuasiHopfStructure,
     require_verified,
-    solve_canonical_elements,
     verify_quasitriangular,
     verify_structure,
 )

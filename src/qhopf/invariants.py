@@ -10,7 +10,10 @@ every fixed space: its columns the (pseudo-)invariant elements, its rows
 the (pseudo-)invariant linear forms and their membership tests.  Element
 spaces, the center and the invariant maps go through one solver, ``_solve``,
 which splits the unknowns by parity (the signs depend on the parity of the
-candidate) and returns deterministic echelon-form bases.
+candidate) and returns deterministic echelon-form bases.  The canonical
+elements are solved on the even parts of those spaces: beta is an
+invariant, alpha a pseudo-invariant, and both coassociator sandwiches
+equal 1.
 
 Maps V -> W are list matrices at the interface only; their module structure
 is computed on End(V (+) W) legs.  A bilinear form pairs v_i (x) w_j with
@@ -30,16 +33,25 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Tuple
 
-from .errors import NotInvariantError, OddElementError, StructureValidationError
+from .errors import (
+    NoSolutionError,
+    NotInvariantError,
+    OddElementError,
+    PostconditionError,
+    StructureValidationError,
+)
 from .graded import AlgebraElement, LinearMap, TensorElement, centralizes, linear_form, require
-from .linalg import nullspace, rows_of
+from .linalg import nullspace, rows_of, solve_affine
 from .quasihopf import (
     QuasiHopfStructure,
     _closed,
+    _phi_sandwich,
+    _phi_sandwich_inv,
     adjoint_action,
     anti_adjoint_action,
     defect,
     memoized,
+    verify_antipode_axioms,
 )
 from .representations import Matrix, Representation, direct_sum, trivial_representation
 
@@ -145,6 +157,57 @@ def is_invariant_form(H: QuasiHopfStructure, xi: LinearMap) -> bool:
 
 def is_pseudo_invariant_form(H: QuasiHopfStructure, xi: LinearMap) -> bool:
     return _is_fixed_form(H, anti_adjoint_action, xi)
+
+
+# ---------------------------------------------------------------------------
+# the canonical elements
+
+
+def solve_canonical_elements(H: QuasiHopfStructure
+                             ) -> List[Tuple[AlgebraElement, AlgebraElement]]:
+    """All (alpha, beta) pairs completing (coproduct, counit, antipode, phi)
+    to a quasi-Hopf structure, both elements even.
+
+    The antipode axioms say that beta is an even invariant and alpha an even
+    pseudo-invariant.  So beta runs over the echelon basis of the even
+    invariants, and for each beta, alpha = sum t_k p_k over the echelon
+    basis p_k of the even pseudo-invariants, where both coassociator
+    sandwiches equal 1: one affine system in the t_k.  Every returned pair
+    is re-verified.
+
+    The pairs are those of the affine system in the even coordinates of
+    alpha with the anti-adjoint and the sandwich rows, whose solution set is
+    the same.  p_k is 1 at the k-th free column f_k of the anti-adjoint
+    rows and 0 at the others and after f_k, so t_k = alpha[f_k], and alpha
+    is 0 after f_k exactly when t_j = 0 for j > k.  A column is free when
+    some homogeneous solution is 1 there and 0 after it, so the free columns
+    of that system are the f_k whose t_k is free (the sandwich rows only add
+    pivots).  A reduced echelon particular solution (0 at the free columns)
+    and kernel basis (1 at one free column, 0 at the others) are fixed by
+    the free columns, so both systems give the same alpha.
+    """
+    A = H.algebra
+    alpha_basis = pseudo_invariant_subspace(H).even
+    rhs = {(n, k): c for n in (0, 1) for k, c in A.unit().coeffs.items()}
+    results: List[Tuple[AlgebraElement, AlgebraElement]] = []
+    for beta in invariant_subspace(H).even:
+        particular, kernel = solve_affine(rows_of([
+            {(n, k): c for n, x in enumerate((_phi_sandwich_inv(H, beta, p),
+                                              _phi_sandwich(H, p, beta)))
+             for k, c in x.coeffs.items()} for p in alpha_basis] + [rhs]),
+            len(alpha_basis), A.field)
+        if particular is None:
+            continue
+        for t in [particular] + [[x + h for x, h in zip(particular, hvec)] for hvec in kernel]:
+            alpha = sum((p.scale(c) for c, p in zip(t, alpha_basis)), A.zero())
+            if not verify_antipode_axioms(H.with_data(alpha=alpha, beta=beta)).passed:
+                raise PostconditionError(
+                    "solved canonical elements failed re-verification")
+            results.append((alpha, beta))
+    if not results:
+        raise NoSolutionError(
+            "no canonical elements: the data does not extend to a quasi-Hopf structure")
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ A structure bundles a graded algebra with a coproduct, counit, antipode,
 coassociator ``phi`` (with inverse), canonical elements ``alpha``/``beta``,
 and an optional universal R-matrix.  Construction checks shapes only; the
 mathematical axioms are checked by the ``verify_*`` functions, which return
-reports with exact witnesses, never raising on a failed identity.
+reports with exact witnesses, never raising on a failed identity.  The
+adjoint and anti-adjoint actions and their defect are defined here for the
+antipode axioms; ``invariants`` solves their fixed spaces and, from those,
+the canonical elements.
 
 An identity quantified over the algebra holds on a subspace.  Once the
 facts of ``_closed`` (plus phi phi^{-1} = 1 for quasi-coassociativity, and
@@ -23,14 +26,9 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import (
-    NoRMatrixError,
-    NoSolutionError,
-    PostconditionError,
-    StructureValidationError,
-)
+from .errors import NoRMatrixError, StructureValidationError
 from .graded import (
     AlgebraElement,
     BaseAlgebra,
@@ -40,7 +38,7 @@ from .graded import (
     multiplicativity,
     quantify,
 )
-from .linalg import Row, nullspace, rows_of, rref, solve_affine
+from .linalg import rows_of, rref
 from .report import AxiomCheck, AxiomReport
 from .scalars import Scalar
 
@@ -481,69 +479,3 @@ def verify_structure(H: QuasiHopfStructure) -> AxiomReport:
         report.extend(verify_quasitriangular(H))
         report.extend(verify_quasi_ybe(H))
     return report
-
-
-# ---------------------------------------------------------------------------
-# solving for the canonical elements
-
-
-def condition_rows(A: GradedAlgebra, idx: Sequence[int], conditions,
-                   rhs: Optional[Mapping[tuple, Scalar]] = None) -> List[Row]:
-    """Sparse rows of the linear conditions cond(x) for cond in conditions,
-    in the coordinates idx of x.  Rows are labelled (condition number, basis
-    index); a right-hand side labelled the same way is column len(idx)."""
-    columns = [{(n, k): c for n, cond in enumerate(conditions)
-                for k, c in cond(A.basis_element(j)).coeffs.items()} for j in idx]
-    return rows_of(columns + ([rhs] if rhs else []))
-
-
-def solve_canonical_elements(H: QuasiHopfStructure
-                             ) -> List[Tuple[AlgebraElement, AlgebraElement]]:
-    """All (alpha, beta) pairs completing (coproduct, counit, antipode, phi)
-    to a quasi-Hopf structure, both elements even.
-
-    The two per-element axioms are linear in alpha resp. beta separately,
-    while the two coassociator axioms couple them bilinearly.  We therefore
-    solve the beta condition first, then for each basis vector of the beta
-    space solve the remaining axioms as an affine-linear system in alpha.
-    Every returned pair is re-verified.
-    """
-    A = H.algebra
-    field = A.field
-    even_idx = [i for i in range(A.dim) if A.parity[i] == 0]
-    ncols = len(even_idx)
-
-    def element_from(vec) -> AlgebraElement:
-        return AlgebraElement(A, dict(zip(even_idx, vec)))
-
-    # beta: sum a_(1) beta S(a_(2)) = eps(a) beta for every basis a
-    beta_space = nullspace(condition_rows(A, even_idx, [
-        functools.partial(defect, H, adjoint_action, i) for i in range(A.dim)]),
-        ncols, field)
-
-    alpha_conditions = [functools.partial(defect, H, anti_adjoint_action, i)
-                        for i in range(A.dim)]
-    # the two coassociator sandwiches equal 1
-    rhs = {(A.dim + n, k): c for n in (0, 1) for k, c in A.unit().coeffs.items()}
-    results: List[Tuple[AlgebraElement, AlgebraElement]] = []
-    for bvec in beta_space:
-        beta0 = element_from(bvec)
-        particular, kernel = solve_affine(condition_rows(
-            A, even_idx, alpha_conditions + [
-                lambda a: _phi_sandwich_inv(H, beta0, a),
-                lambda a: _phi_sandwich(H, a, beta0)], rhs), ncols, field)
-        if particular is None:
-            continue
-        candidates = [particular] + [
-            [p + h for p, h in zip(particular, hvec)] for hvec in kernel]
-        for avec in candidates:
-            alpha0 = element_from(avec)
-            candidate = H.with_data(alpha=alpha0, beta=beta0)
-            if not verify_antipode_axioms(candidate).passed:
-                raise PostconditionError(
-                    "solved canonical elements failed re-verification")
-            results.append((alpha0, beta0))
-    if not results:
-        raise NoSolutionError(
-            "no canonical elements: the data does not extend to a quasi-Hopf structure")
-    return results

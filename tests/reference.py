@@ -1,10 +1,16 @@
 """Plain list-matrix arithmetic, term-by-term tensor arithmetic, a Q(q)
-kernel on Fraction coefficients and a word rewrite for small-uqsl2:
-independent references for the tests, which the engine itself never uses."""
+kernel on Fraction coefficients, a word rewrite for small-uqsl2 and a
+full-basis solver for the canonical elements: independent references for
+the tests, which the engine itself never uses."""
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
+from qhopf.errors import NoSolutionError
+from qhopf.graded import AlgebraElement
+from qhopf.linalg import nullspace, rows_of, solve_affine
+from qhopf.quasihopf import (_phi_sandwich, _phi_sandwich_inv, adjoint_action,
+                             anti_adjoint_action, defect)
 from qhopf.scalars import FieldDescriptor
 
 
@@ -153,6 +159,52 @@ def dense_rref(rows, cols, field):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+# -- the canonical elements, every condition at every basis element -----------------
+
+
+def condition_rows(A, idx, conditions, rhs=None):
+    """Sparse rows of the linear conditions cond(x) for cond in conditions,
+    in the coordinates idx of x.  Rows are labelled (condition number, basis
+    index); a right-hand side labelled the same way is column len(idx)."""
+    columns = [{(n, k): c for n, cond in enumerate(conditions)
+                for k, c in cond(A.basis_element(j)).coeffs.items()} for j in idx]
+    return rows_of(columns + ([rhs] if rhs else []))
+
+
+def canonical_elements(H):
+    """The (alpha, beta) pairs in the even coordinates: beta from the
+    adjoint defects at every basis element, then per beta alpha from the
+    anti-adjoint defects at every basis element and both coassociator
+    sandwiches equal to 1, as one affine system.  Not re-verified."""
+    A = H.algebra
+    even_idx = [i for i in range(A.dim) if A.parity[i] == 0]
+    ncols = len(even_idx)
+
+    def element_from(vec):
+        return AlgebraElement(A, dict(zip(even_idx, vec)))
+
+    beta_space = nullspace(condition_rows(A, even_idx, [
+        partial(defect, H, adjoint_action, i) for i in range(A.dim)]), ncols, A.field)
+    alpha_conditions = [partial(defect, H, anti_adjoint_action, i) for i in range(A.dim)]
+    rhs = {(A.dim + n, k): c for n in (0, 1) for k, c in A.unit().coeffs.items()}
+    results = []
+    for bvec in beta_space:
+        beta = element_from(bvec)
+        particular, kernel = solve_affine(condition_rows(
+            A, even_idx, alpha_conditions + [
+                lambda a: _phi_sandwich_inv(H, beta, a),
+                lambda a: _phi_sandwich(H, a, beta)], rhs), ncols, A.field)
+        if particular is None:
+            continue
+        for avec in [particular] + [[p + h for p, h in zip(particular, hvec)]
+                                    for hvec in kernel]:
+            results.append((element_from(avec), beta))
+    if not results:
+        raise NoSolutionError(
+            "no canonical elements: the data does not extend to a quasi-Hopf structure")
+    return results
 
 
 # -- Q(q) on Fraction coefficients: Euclid over Q, monic denominators --------------

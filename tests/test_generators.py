@@ -18,7 +18,7 @@ import qhopf
 from qhopf.casimir import identity_suite
 from qhopf.catalog import load_builtin, make_algebra
 from qhopf.cli import main
-from qhopf.errors import StructureValidationError
+from qhopf.errors import NoSolutionError, StructureValidationError
 from qhopf.graded import BaseAlgebra, LinearMap, TensorElement
 from qhopf.invariants import (
     center,
@@ -29,6 +29,7 @@ from qhopf.invariants import (
     is_central,
     pseudo_invariant_linear_forms,
     pseudo_invariant_subspace,
+    solve_canonical_elements,
 )
 from qhopf.linalg import nullspace, rref
 from qhopf.quasihopf import (
@@ -40,6 +41,8 @@ from qhopf.quasihopf import (
     verify_quasitriangular,
 )
 from qhopf.structfile import load_entry
+from qhopf.twisting import twist_structure
+from reference import canonical_elements
 
 DATA = Path(qhopf.__file__).parent / "data"
 RATIONAL = ["z2-group", "z2-cocycle", "sweedler-h4", "grassmann-theta",
@@ -369,6 +372,71 @@ def test_invariant_spaces_agree(name, full):
     reduced = spaces(H)
     full()
     assert spaces(H) == reduced
+
+
+def _canonical_pairs(solve, H):
+    try:
+        return [(alpha.to_dict(), beta.to_dict()) for alpha, beta in solve(H)]
+    except NoSolutionError as err:
+        return str(err)
+
+
+def _assert_same_canonical_elements(H):
+    bare = H.with_data(alpha=None, beta=None)
+    expected = _canonical_pairs(canonical_elements, bare)
+    assert _canonical_pairs(solve_canonical_elements, bare) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_canonical_elements_match_the_full_basis_solver(name, uqsl2):
+    H = _entry(name, uqsl2).structure
+    assert (H.alpha.to_dict(), H.beta.to_dict()) in _assert_same_canonical_elements(H)
+
+
+@pytest.mark.parametrize("name", RATIONAL)
+def test_canonical_elements_of_twists_match_the_full_basis_solver(name):
+    entry = load_builtin(name)
+    for F in entry.twistors.values():
+        _assert_same_canonical_elements(twist_structure(entry.structure, F))
+
+
+def test_canonical_elements_without_closure_use_the_basis():
+    H = load_builtin("sweedler-h4").structure
+    A = H.algebra
+    images = list(H.antipode.images)
+    images[A.index_of("x")] = images[A.index_of("x")].scale(2)
+    doubled = H.with_data(antipode=LinearMap(A, (A,), images, name="antipode"))
+    assert not _closed(doubled)
+    assert isinstance(_assert_same_canonical_elements(doubled), str)
+
+
+def test_canonical_elements_of_a_gauged_antipode_match_the_full_basis_solver():
+    """S' = u S(.) u^-1 comes with alpha' = u alpha and beta' = beta u^-1.
+    At u = 1 + 2g the even invariants span u^-1 and the even
+    pseudo-invariants span u, so each space matters to the solution."""
+    H = load_builtin("sweedler-h4").structure
+    A = H.algebra
+    g = A.basis_element(A.index_of("g"))
+    u = A.unit() + g.scale(2)
+    u_inv = (g.scale(2) - A.unit()).scale(A.field.from_rational(Fraction(1, 3)))
+    gauged = H.with_data(antipode=LinearMap(A, (A,), [
+        TensorElement.of(u) * image * TensorElement.of(u_inv) for image in H.antipode.images],
+        name="antipode"), alpha=u, beta=u_inv)
+    assert verify_antipode_axioms(gauged).passed
+    assert _space(invariant_subspace(gauged)) != _space(pseudo_invariant_subspace(gauged))
+    assert len(_assert_same_canonical_elements(gauged)) == 1
+
+
+@pytest.mark.parametrize("side", ["phi", "phi_inv"])
+def test_a_coassociator_changed_on_one_side_has_no_canonical_elements(side):
+    """Adding g (x) 1 (x) 1 to one side leaves the other side's sandwich
+    solvable, and both together not."""
+    H = load_builtin("z2-group").structure
+    A = H.algebra
+    g = A.basis_element(A.index_of("g"))
+    changed = H.with_data(**{side: getattr(H, side) + TensorElement.of(g, A.unit(), A.unit())})
+    assert isinstance(_assert_same_canonical_elements(changed), str)
 
 
 def test_is_central_witness_is_the_first_basis_element(e3):

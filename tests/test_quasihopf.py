@@ -3,9 +3,9 @@ import pytest
 from qhopf.catalog import grassmann_r_candidate, load_builtin
 from qhopf.errors import NoRMatrixError, StructureValidationError
 from qhopf.graded import LinearMap, TensorElement
+from qhopf.invariants import solve_canonical_elements
 from qhopf.quasihopf import (
     reindex,
-    solve_canonical_elements,
     verify_antipode_axioms,
     verify_quasi_bialgebra,
     verify_quasi_ybe,

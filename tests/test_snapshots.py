@@ -18,7 +18,7 @@ import pytest
 import qhopf
 from qhopf import invariants
 from qhopf.cli import main
-from qhopf.quasihopf import solve_canonical_elements
+from qhopf.invariants import solve_canonical_elements
 from qhopf.structfile import load_entry
 
 DATA = Path(qhopf.__file__).parent / "data"
