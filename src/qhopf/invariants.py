@@ -244,7 +244,6 @@ class _Hom:
         self.end = self.U.matrix_algebra()
         self.keys = [[(V.dim + p) * self.U.dim + q for q in range(V.dim)]
                      for p in range(W.dim)]
-        self._represented = {}
 
     def element(self, f: Matrix, parity: int) -> AlgebraElement:
         """The map f: V -> W, required to be homogeneous of the given parity."""
@@ -268,21 +267,9 @@ class _Hom:
         t = pairs.apply_maps([(0, rho), (1, rho)])
         return (t * TensorElement.of(f, self.end.unit())).merge_all()
 
-    def represented(self, i: int) -> TensorElement:
-        """a_(1) (x) S(a_(2)) for a = basis i, both legs acting on V (+) W."""
-        hit = self._represented.get(i)
-        if hit is None:
-            H, rho = self.H, self.U.leg_map()
-            hit = self._represented[i] = H.coproduct.on_basis(i).apply_maps(
-                [(1, H.antipode)]).apply_maps([(0, rho), (1, rho)])
-        return hit
-
     def act(self, a: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
         """a . f = sum a_(1) f S(a_(2)) (-1)^{[f][a_(2)]}."""
-        t = TensorElement(self.represented(0).legs, {})
-        for i, c in a.coeffs.items():
-            t = t + self.represented(i).scale(c)
-        return (t * TensorElement.of(f, self.end.unit())).merge_all()
+        return self.sandwich(self.H.delta(a).apply_maps([(1, self.H.antipode)]), f)
 
     def defects(self, f: AlgebraElement):
         """a . f - eps(a) f over the quantified a: all zero iff f is invariant."""
@@ -348,6 +335,12 @@ def module_morphism_from_invariant(f: Matrix, H: QuasiHopfStructure,
 # bilinear forms
 
 
+@memoized
+def _padded(H: QuasiHopfStructure, X: Representation) -> Representation:
+    """X (+) k, with k the trivial representation through the counit."""
+    return direct_sum(X, trivial_representation(H.counit))
+
+
 def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
                              W: Representation) -> List[Matrix]:
     """Bilinear forms with  sum (a_(1) v, a_(2) w) (-1)^{[v][a_(2)]}
@@ -357,7 +350,7 @@ def invariant_bilinear_forms(H: QuasiHopfStructure, V: Representation,
     last, even carrier vector, so the product (a_(1) (x) a_(2))(v_i (x) w_j)
     of End legs carries the sign (-1)^{[v_i][a_(2)]}."""
     A, one = H.algebra, H.algebra.field.one()
-    padded = [direct_sum(X, trivial_representation(H.counit)) for X in (V, W)]
+    padded = [_padded(H, X) for X in (V, W)]
     legs = tuple(U.matrix_algebra() for U in padded)
     units = [[p * (X.dim + 1) + X.dim for p in range(X.dim)] for X in (V, W)]  # E[p, e]
     unknown = {key: n for n, key in enumerate(itertools.product(*units))}  # B[p][q]

@@ -8,13 +8,15 @@ Three field kinds are supported, selected by a :class:`FieldDescriptor`:
   root of unity ``z``.  An element ``(c_0 + c_1 z + ... ) / d`` is stored
   as ``(numerators, d)``: a tuple of integer numerators ``c_i`` of degree
   below ``phi(n)``, no trailing zeros, and one common denominator
-  ``d > 0`` coprime to their content; zero is ``((), 1)``.  A product is
-  an integer convolution whose degrees ``k >= phi(n)`` are folded back
-  with a per-order table of ``z^k mod Phi_n`` (integral, since ``Phi_n``
-  is monic with integer coefficients), followed by one gcd
-  normalisation.  The table is built on first use of an order.  An
-  inverse divides out the content (the gcd of the numerators) and is the
-  product of the primitive part's Galois conjugates over its rational norm.
+  ``d > 0`` coprime to their content; zero is ``((), 1)``.  Products and
+  sums run on the integer-polynomial helpers that Q(q) uses: a product is
+  a convolution whose degrees ``k >= phi(n)`` are folded back with a
+  per-order table of ``z^k mod Phi_n`` (integral, since ``Phi_n`` is
+  monic with integer coefficients), followed by one gcd normalisation.
+  The table, built on first use of an order, holds every ``k`` below
+  ``max(n, 2 phi(n))``.  An inverse divides out the content (the gcd of
+  the numerators) and is the product of the primitive part's Galois
+  conjugates, read off the same table, over its rational norm.
 * ``rational-functions(q)`` -- rational functions in one indeterminate,
   stored as ``(num, den)``: integer coefficient tuples, constant term
   first, no trailing zeros, coprime, the gcd of all their coefficients 1
@@ -41,9 +43,9 @@ arithmetic looks them up, and the kernels of graded.py and linalg.py call
 them on payloads directly.  ``mul`` never multiplies by a factor equal to one.
 The cyclotomic (and rational) mul, add and inv are memoised by operand payloads
 and order, and the Q(q) mul and add by operand payloads (``MEMO_CAP`` entries
-each), as operands repeat, and so is the rendered text of a payload.  ``QQ``
-appears only at input and output: parsing a fraction and rendering a
-coefficient over its denominator.
+each), as operands repeat, and so is the rendered text of a payload.  ``QQ``,
+the one rational type ``fractions.Fraction``, appears only at input and
+output: parsing a fraction and rendering a coefficient over its denominator.
 
 >>> F = FieldDescriptor.rationals()
 >>> str(F.parse("1/2") + F.parse("1/3"))
@@ -65,10 +67,7 @@ from typing import Callable, Optional, Tuple
 from .errors import (FieldMismatchError, NotInvertibleError, ScalarSyntaxError,
                      StructureValidationError)
 
-try:  # gmpy2 gives a large constant-factor speedup; fractions is the fallback
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+QQ = Fraction  # the one rational type: parsing and rendering only
 
 Poly = Tuple  # dense int coefficients, constant term first, no trailing zeros
 _ONE = (1,)
@@ -243,16 +242,14 @@ _CZERO = ((), 1)
 
 @functools.cache  # one entry per order n <= MAX_ORDER
 def _order_data(n: int):
-    """(Phi_n, phi(n), rows), with sparse integer rows[k - phi(n)] of z^k
-    mod Phi_n for phi(n) <= k < 2 phi(n)."""
+    """(Phi_n, phi(n), rows), with sparse integer rows[k] of z^k mod Phi_n for
+    k < max(n, 2 phi(n)): the degrees of a product and the exponents of a conjugate."""
     phi = cyclotomic_polynomial(n)
     m = len(phi) - 1
-    row = [-c for c in phi[:-1]]  # z^m, since Phi_n is monic
-    rows = []
-    for _ in range(m):
+    row, rows = [1] + [0] * (m - 1), []
+    for _ in range(max(n, 2 * m)):
         rows.append(tuple((i, t) for i, t in enumerate(row) if t))
-        top = row[-1]
-        row = [0] + row[:-1]
+        top, row = row[-1], [0] + row[:-1]  # times z; z^m folds back as z^m - Phi_n
         for i in range(m):
             row[i] -= top * phi[i]
     return phi, m, tuple(rows)
@@ -277,7 +274,7 @@ def _creduce(conv: list, den, n: int):
     for k in range(len(conv) - 1, m - 1, -1):
         c = conv[k]
         if c:
-            for i, t in rows[k - m]:
+            for i, t in rows[k]:
                 conv[i] += c * t
     del conv[m:]
     return _cyclo(conv, den)
@@ -286,56 +283,31 @@ def _creduce(conv: list, den, n: int):
 @functools.lru_cache(MEMO_CAP)
 def _cmul(a, b, n: int):
     (x, dx), (y, dy) = a, b
-    if not x or not y:
-        return _CZERO
-    conv = [0] * (len(x) + len(y) - 1)
-    for i, c in enumerate(x):
-        if c:
-            for j, d in enumerate(y):
-                conv[i + j] += c * d
-    return _creduce(conv, dx * dy, n)
+    return _creduce(list(_pmul(x, y)), dx * dy, n)
 
 
 @functools.lru_cache(MEMO_CAP)
 def _cadd(a, b):  # keyed without the order: a sum is not reduced mod Phi_n
     (x, dx), (y, dy) = a, b
-    if not x:
-        return b
-    if not y:
-        return a
-    den = dx
-    if dx != dy:
-        g = gcd(dx, dy)
-        sx, sy = dy // g, dx // g
-        den = dx * sx
-        x = [c * sx for c in x]
-        y = [c * sy for c in y]
-    if len(x) < len(y):
-        x, y = y, x
-    out = list(x)
-    for i, c in enumerate(y):
-        out[i] += c
-    return _cyclo(out, den)
+    g = gcd(dx, dy)
+    return _cyclo(list(_padd(_pmul(x, (dy // g,)), _pmul(y, (dx // g,)))), dx // g * dy)
 
 
 @functools.lru_cache(MEMO_CAP)
 def _cinv(a, n: int):
     """a^-1 = prod_k sigma_k(p) / (g N(p)) for a = g p, g the content of a's
     numerators, over the Galois conjugates sigma_k: z -> z^k (k coprime to n,
-    k != 1), read off a table of z^j mod Phi_n; N(p) is rational."""
+    k != 1), read off the order's rows of z^j mod Phi_n; N(p) is rational."""
     nums, den = a
     g = gcd(*nums)
     nums = tuple(c // g for c in nums)
-    m = _order_data(n)[1]
-    powers = [((1,), 1)]
-    for _ in range(n - 1):
-        powers.append(_cmul(powers[-1], ((0, 1), 1), n))
+    _, m, rows = _order_data(n)
     conj = ((1,), 1)
     for k in range(2, n):
         if gcd(k, n) == 1:
             s = [0] * m
             for i, c in enumerate(nums):
-                for j, t in enumerate(powers[i * k % n][0]):
+                for j, t in rows[i * k % n]:
                     s[j] += c * t
             conj = _cmul(conj, _cyclo(s, 1), n)
     (norm,), _ = _cmul((nums, 1), conj, n)
@@ -450,7 +422,7 @@ class FieldDescriptor:
     def from_rational(self, r) -> "Scalar":
         r = QQ(r)
         if self.kind == RATIONAL_FUNCTIONS:
-            return Scalar(self, ((int(r.numerator),), (int(r.denominator),)) if r else _RZERO)
+            return Scalar(self, ((r.numerator,), (r.denominator,)) if r else _RZERO)
         return Scalar(self, ((r.numerator,), r.denominator) if r else _CZERO)
 
     def generator(self) -> "Scalar":
@@ -556,7 +528,7 @@ class Scalar:
     # -- equality ---------------------------------------------------------
 
     def __eq__(self, other):
-        if other.__class__ is not Scalar and isinstance(other, (int, Fraction, QQ)):
+        if other.__class__ is not Scalar and isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented

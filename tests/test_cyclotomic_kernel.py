@@ -96,6 +96,21 @@ def test_payload_is_canonical(n, xs, ys):
         assert scalars._cinv(a, n) == scalars._cinv.__wrapped__(a, n)
 
 
+@pytest.mark.parametrize("n", [*range(1, 41), 105, 360])
+def test_every_row_of_the_power_table_is_the_remainder_of_z_to_the_k(n):
+    """rows[k] is z^k mod Phi_n, sparse, for every k below max(n, 2 phi(n)):
+    the degrees of a product and the exponents of a Galois conjugate."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.cyclotomic_poly(n, z)
+    _, m, rows = scalars._order_data(n)
+    assert m == sympy.degree(phi, z) and len(rows) == max(n, 2 * m)
+    for k, row in enumerate(rows):
+        expected = sympy.Poly(sympy.rem(z ** k, phi, z), z).as_dict()
+        assert dict(row) == {i: int(c) for (i,), c in expected.items()}, k
+        assert all(t for _, t in row)
+
+
 def test_the_product_memo_keys_on_the_order():
     """z has the same payload in cyclotomic(3) and cyclotomic(4), but z z is
     -1 - z in one and -1 in the other."""

@@ -176,6 +176,20 @@ def test_bilinear_forms_regular(e1, e3, e4):
             _check_bilinear_invariance(H, reg, reg, B)
 
 
+def test_bilinear_forms_pad_each_module_once_per_structure(e3, monkeypatch):
+    import qhopf.invariants as invariants
+    built = []
+    real = invariants.direct_sum
+    monkeypatch.setattr(invariants, "direct_sum",
+                        lambda V, W: built.append((V, W)) or real(V, W))
+    H = e3.structure.with_data()
+    reg = e3.representations["regular"]
+    first = invariant_bilinear_forms(H, reg, reg)
+    assert len(built) == 1  # V and W are the same module: one padded sum
+    assert invariant_bilinear_forms(H, reg, reg) == first
+    assert len(built) == 1
+
+
 # -- module morphisms -------------------------------------------------------------
 
 
