@@ -34,6 +34,7 @@ from .errors import (
     StructureValidationError,
 )
 from .linalg import eliminate
+from .report import AxiomCheck
 from .scalars import FieldDescriptor, Scalar
 
 Key = Tuple[int, ...]
@@ -684,9 +685,9 @@ def linear_form(source: BaseAlgebra, values: Sequence[Scalar], name: str = "") -
 
 
 def quantify(algebra: BaseAlgebra, diff: Callable, arity: int = 1,
-             sound: bool = False) -> tuple:
-    """Find the first basis tuple (i, ...), in order, with diff(i, ...)
-    nonzero.  Returns (passed, difference, label, over, size): ``over`` is
+             sound: bool = False) -> AxiomCheck:
+    """An unnamed AxiomCheck: the first basis tuple (i, ...), in order, with
+    diff(i, ...) nonzero gives its witness and element; ``over`` is
     "generators" or "basis", ``size`` the number of values of i.  With
     ``sound`` the caller vouches that the a with diff(a, ...) = 0 for all
     tuples form a subalgebra, so i runs over the generators; a failure
@@ -700,20 +701,20 @@ def quantify(algebra: BaseAlgebra, diff: Callable, arity: int = 1,
         return None
 
     if sound and first(algebra.generators()) is None:
-        return True, None, None, "generators", len(algebra.generators())
+        return AxiomCheck("", True, over="generators", size=len(algebra.generators()))
     hit = first(range(algebra.dim))
-    return (hit is None, *(hit or (None, None)), "basis", algebra.dim)
+    return AxiomCheck("", hit is None, *(hit or (None, None)), "basis", algebra.dim)
 
 
-def require(result: tuple, error, message: str) -> None:
-    """Raise error(message) with the failing label in its {} when a quantify
-    result failed."""
-    if not result[0]:
-        raise error(message.format(result[2]))
+def require(check: AxiomCheck, error, message: str) -> None:
+    """The one way a construction rejects a failed check: raise
+    error(message) with the check's element in its {}."""
+    if not check.passed:
+        raise error(message.format(check.element))
 
 
 def centralizes(algebra: BaseAlgebra, t, image: Callable = lambda a: a,
-                sound: bool = True) -> tuple:
+                sound: bool = True) -> AxiomCheck:
     """quantify t image(a) = image(a) t over basis elements a; ``sound``
     when image is a unital homomorphism."""
     def diff(i):
@@ -723,7 +724,7 @@ def centralizes(algebra: BaseAlgebra, t, image: Callable = lambda a: a,
 
 
 def multiplicativity(algebra: BaseAlgebra, f: Callable, sound: bool,
-                     anti: bool = False) -> tuple:
+                     anti: bool = False) -> AxiomCheck:
     """quantify f(a x) = f(a) f(x), or with ``anti`` the graded rule
     f(a x) = (-1)^{[a][x]} f(x) f(a), over basis pairs.  ``sound`` when
     f(1) = 1, as source and target are associative."""

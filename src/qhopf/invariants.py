@@ -218,8 +218,8 @@ def is_central(H: QuasiHopfStructure, x: AlgebraElement
                ) -> Tuple[bool, Optional[Tuple[str, AlgebraElement]]]:
     """True when x commutes with every generator, hence with A; otherwise the
     first basis element with a nonzero commutator is the witness."""
-    passed, comm, at, *_ = centralizes(H.algebra, x)
-    return passed, None if passed else (at, comm)
+    c = centralizes(H.algebra, x)
+    return c.passed, None if c.passed else (c.element, c.witness)
 
 
 def center(H: QuasiHopfStructure) -> GradedSubspace:

@@ -4,10 +4,12 @@ A structure bundles a graded algebra with a coproduct, counit, antipode,
 coassociator ``phi`` (with inverse), canonical elements ``alpha``/``beta``,
 and an optional universal R-matrix.  Construction checks shapes only; the
 mathematical axioms are checked by the ``verify_*`` functions, which return
-reports with exact witnesses, never raising on a failed identity.  The
-adjoint and anti-adjoint actions and their defect are defined here for the
-antipode axioms; ``invariants`` solves their fixed spaces and, from those,
-the canonical elements.
+reports with exact witnesses, never raising on a failed identity.  Every
+check yields one ``report.AxiomCheck``: ``_run`` files a named, timed copy
+in a report, and a construction raises on a failed one through
+``graded.require``.  The adjoint and anti-adjoint actions and their defect
+are defined here for the antipode axioms; ``invariants`` solves their fixed
+spaces and, from those, the canonical elements.
 
 An identity quantified over the algebra holds on a subspace.  Once the
 facts of ``_closed`` (plus phi phi^{-1} = 1 for quasi-coassociativity, and
@@ -256,20 +258,23 @@ def defect(H: QuasiHopfStructure, action, i: int, c: AlgebraElement) -> AlgebraE
 # verification
 
 
-def _run(report: AxiomReport, axiom: str, fn: Callable[[], tuple]):
-    """fn returns (passed, witness, element[, over, size])."""
+def _run(report: AxiomReport, axiom: str, fn: Callable[[], AxiomCheck]) -> None:
+    """Add a new record named axiom, with fn's outcome and its seconds.
+    fn's own record is never renamed or retimed: it may be memoised."""
     t0 = time.perf_counter()
-    report.add(AxiomCheck(axiom, *fn(), seconds=time.perf_counter() - t0))
+    c = fn()
+    report.add(AxiomCheck(axiom, c.passed, c.witness, c.element, c.over, c.size,
+                          time.perf_counter() - t0))
 
 
 @memoized
-def _multiplicative(H: QuasiHopfStructure, k: int) -> tuple:
+def _multiplicative(H: QuasiHopfStructure, k: int) -> AxiomCheck:
     """The rule for Delta (k = 0) or eps (1) multiplicative, S (2)
     antimultiplicative; on the generators when the map is unital."""
     A = H.algebra
     f, one = ((H.delta, H.unit_tensor(2)), (H.eps, A.field.one()), (H.s, A.unit()))[k]
     if k == 1 and f(A.unit()) != one:
-        return False, f(A.unit()), "unit"
+        return AxiomCheck("", False, f(A.unit()), "unit")
     return multiplicativity(A, f, f(A.unit()) == one, anti=k == 2)
 
 
@@ -281,13 +286,12 @@ def _closed(H: QuasiHopfStructure) -> bool:
     A = H.algebra
     return (H.delta(A.unit()) == H.unit_tensor(2) and H.s(A.unit()) == A.unit()
             and all(m.parity_preserving for m in (H.coproduct, H.counit, H.antipode))
-            and all(_multiplicative(H, k)[0] for k in range(3)))
+            and all(_multiplicative(H, k).passed for k in range(3)))
 
 
 @memoized
-def _phi_invertible(H: QuasiHopfStructure) -> tuple:
-    unit3 = H.unit_tensor(3)
-    return _all_zero(lambda: H.phi * H.phi_inv - unit3)()
+def _phi_invertible(H: QuasiHopfStructure) -> AxiomCheck:
+    return _all_zero(lambda: H.phi * H.phi_inv - H.unit_tensor(3))()
 
 
 def _closed_canonical(H: QuasiHopfStructure) -> bool:
@@ -295,19 +299,14 @@ def _closed_canonical(H: QuasiHopfStructure) -> bool:
     return _closed(H) and all(c is None or c.is_even() for c in (H.alpha, H.beta))
 
 
-def _tensor_eq(lhs_fn, rhs_fn):
-    """Exact equality of two tensors or elements; the witness is lhs - rhs."""
-    return _all_zero(lambda: lhs_fn() - rhs_fn())
-
-
 def _all_zero(*diff_fns):
-    """Conjunction of several exact equalities; witness is the first nonzero."""
+    """Conjunction of exact equalities given as differences; witness is the first nonzero."""
     def fn():
         for diff_fn in diff_fns:
             d = diff_fn()
             if not d.is_zero():
-                return False, d, None
-        return True, None, None
+                return AxiomCheck("", False, d)
+        return AxiomCheck("", True)
     return fn
 
 
@@ -318,8 +317,8 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
     report = AxiomReport(f"{H.name or 'structure'}:quasi-bialgebra")
     A = H.algebra
 
-    _run(report, "coproduct-unit", _tensor_eq(
-        lambda: H.delta(A.unit()), lambda: H.unit_tensor(2)))
+    _run(report, "coproduct-unit", _all_zero(
+        lambda: H.delta(A.unit()) - H.unit_tensor(2)))
 
     _run(report, "coproduct-homomorphism", lambda: _multiplicative(H, 0))
     _run(report, "counit-homomorphism", lambda: _multiplicative(H, 1))
@@ -327,19 +326,18 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
 
     def phi_even():
         ok = H.phi.is_even() and H.phi_inv.is_even()
-        return ok, None if ok else H.phi, None
+        return AxiomCheck("", ok, None if ok else H.phi)
     _run(report, "coassociator-even", phi_even)
 
     _run(report, "quasi-coassociativity", lambda: quantify(
         A, lambda i: H.delta_right(A.basis_element(i))
         - H.phi_inv * H.delta_left(A.basis_element(i)) * H.phi,
-        1, _closed(H) and _phi_invertible(H)[0]))
+        1, _closed(H) and _phi_invertible(H).passed))
 
     legs4 = H.legs(4)
-    _run(report, "pentagon", _tensor_eq(
-        lambda: H.phi.apply_maps([(0, H.coproduct)])
-        * H.phi.apply_maps([(2, H.coproduct)]),
-        lambda: H.phi.embed((0, 1, 2), legs4)
+    _run(report, "pentagon", _all_zero(
+        lambda: H.phi.apply_maps([(0, H.coproduct)]) * H.phi.apply_maps([(2, H.coproduct)])
+        - H.phi.embed((0, 1, 2), legs4)
         * H.phi.apply_maps([(1, H.coproduct)]) * H.phi.embed((1, 2, 3), legs4)))
 
     def counit_coproduct(i):
@@ -349,8 +347,8 @@ def verify_quasi_bialgebra(H: QuasiHopfStructure) -> AxiomReport:
     _run(report, "counit-coproduct", lambda: quantify(A, counit_coproduct, 1, _closed(H)))
 
     unit2 = H.unit_tensor(2)
-    _run(report, "counit-coassociator", _tensor_eq(
-        lambda: H.phi.apply_maps([(1, H.counit)]), lambda: unit2))
+    _run(report, "counit-coassociator", _all_zero(
+        lambda: H.phi.apply_maps([(1, H.counit)]) - unit2))
     _run(report, "counit-coassociator-outer", _all_zero(
         lambda: H.phi.apply_maps([(0, H.counit)]) - unit2,
         lambda: H.phi.apply_maps([(2, H.counit)]) - unit2))
@@ -377,30 +375,26 @@ def verify_antipode_axioms(H: QuasiHopfStructure) -> AxiomReport:
 
     _run(report, "antipode-antihomomorphism", lambda: _multiplicative(H, 2))
 
-    _run(report, "antipode-unit", _tensor_eq(
-        lambda: H.s(A.unit()), lambda: A.unit()))
+    _run(report, "antipode-unit", _all_zero(lambda: H.s(A.unit()) - A.unit()))
 
-    def canonical_even():
-        if H.alpha is None or H.beta is None:
-            return False, None, "missing"
-        ok = H.alpha.is_even() and H.beta.is_even()
-        return ok, None, None
-    _run(report, "canonical-even", canonical_even)
-    if H.alpha is None or H.beta is None:
+    missing = H.alpha is None or H.beta is None
+    _run(report, "canonical-even", lambda: AxiomCheck("", False, element="missing")
+         if missing else AxiomCheck("", H.alpha.is_even() and H.beta.is_even()))
+    if missing:
         return report
 
     _run(report, "antipode-alpha", lambda: quantify(
         A, lambda i: defect(H, anti_adjoint_action, i, H.alpha), 1, _closed_canonical(H)))
     _run(report, "antipode-beta", lambda: quantify(
         A, lambda i: defect(H, adjoint_action, i, H.beta), 1, _closed_canonical(H)))
-    _run(report, "coassociator-antipode-inv", _tensor_eq(
-        lambda: _phi_sandwich_inv(H, H.beta, H.alpha), lambda: A.unit()))
-    _run(report, "coassociator-antipode", _tensor_eq(
-        lambda: _phi_sandwich(H, H.alpha, H.beta), lambda: A.unit()))
+    _run(report, "coassociator-antipode-inv", _all_zero(
+        lambda: _phi_sandwich_inv(H, H.beta, H.alpha) - A.unit()))
+    _run(report, "coassociator-antipode", _all_zero(
+        lambda: _phi_sandwich(H, H.alpha, H.beta) - A.unit()))
 
     def counit_canonical():
         v = H.eps(H.alpha) * H.eps(H.beta)
-        return v == A.field.one(), v, None
+        return AxiomCheck("", v == A.field.one(), v)
     _run(report, "counit-canonical", counit_canonical)
 
     _run(report, "counit-antipode", lambda: quantify(
@@ -421,7 +415,7 @@ def verify_quasitriangular(H: QuasiHopfStructure) -> AxiomReport:
 
     def r_even():
         ok = H.r.is_even() and H.r_inv.is_even()
-        return ok, None if ok else H.r, None
+        return AxiomCheck("", ok, None if ok else H.r)
     _run(report, "r-even", r_even)
 
     _run(report, "counit-r", _all_zero(
@@ -432,10 +426,10 @@ def verify_quasitriangular(H: QuasiHopfStructure) -> AxiomReport:
         A, lambda i: H.delta_t(A.basis_element(i)) * H.r
         - H.r * H.delta(A.basis_element(i)), 1, _closed(H)))
 
-    _run(report, "hexagon-left", _tensor_eq(
-        lambda: H.r.apply_maps([(0, H.coproduct)]), lambda: _hexagon_word(H, 0)))
-    _run(report, "hexagon-right", _tensor_eq(
-        lambda: H.r.apply_maps([(1, H.coproduct)]), lambda: _hexagon_word(H, 1) * H.phi))
+    _run(report, "hexagon-left", _all_zero(
+        lambda: H.r.apply_maps([(0, H.coproduct)]) - _hexagon_word(H, 0)))
+    _run(report, "hexagon-right", _all_zero(
+        lambda: H.r.apply_maps([(1, H.coproduct)]) - _hexagon_word(H, 1) * H.phi))
     return report
 
 
@@ -455,9 +449,9 @@ def verify_quasi_ybe(H: QuasiHopfStructure) -> AxiomReport:
     H.require_r()
     report = AxiomReport(f"{H.name or 'structure'}:quasi-ybe")
 
-    _run(report, "quasi-yang-baxter", _tensor_eq(
-        lambda: H.r_at("12") * _hexagon_word(H, 0),
-        lambda: reindex(H.phi_inv, "321") * H.r_at("23") * _hexagon_word(H, 1)))
+    _run(report, "quasi-yang-baxter", _all_zero(
+        lambda: H.r_at("12") * _hexagon_word(H, 0)
+        - reindex(H.phi_inv, "321") * H.r_at("23") * _hexagon_word(H, 1)))
     return report
 
 

@@ -23,8 +23,8 @@ from .linalg import rows_of, solve_affine
 from .quasihopf import (
     AxiomReport,
     QuasiHopfStructure,
+    _all_zero,
     _run,
-    _tensor_eq,
     memoized,
     require_verified,
 )
@@ -141,8 +141,8 @@ def check_twisted_canonical_identities(H: QuasiHopfStructure,
     report = AxiomReport(f"{H.name or 'structure'}:twisted-canonical")
     alpha_f, beta_f = twisted_c2(H, F, H.alpha), twisted_c1(H, F, H.beta)
 
-    _run(report, "twist-beta-recovery", _tensor_eq(
-        lambda: H.contract(F.f_inv, (1,), right=(beta_f,)), lambda: H.beta))
-    _run(report, "twist-alpha-recovery", _tensor_eq(
-        lambda: H.contract(F.f, (0,), right=(alpha_f,)), lambda: H.alpha))
+    _run(report, "twist-beta-recovery", _all_zero(
+        lambda: H.contract(F.f_inv, (1,), right=(beta_f,)) - H.beta))
+    _run(report, "twist-alpha-recovery", _all_zero(
+        lambda: H.contract(F.f, (0,), right=(alpha_f,)) - H.alpha))
     return report

@@ -17,8 +17,13 @@ from qhopf.casimir import (
     u_operator,
     verify_twist_invariance,
 )
-from qhopf.errors import NoRMatrixError, NotInvariantError, OddElementError
-from qhopf.graded import linear_form
+from qhopf.errors import (
+    NoRMatrixError,
+    NotInvariantError,
+    OddElementError,
+    PostconditionError,
+)
+from qhopf.graded import TensorElement, linear_form
 from qhopf.invariants import (
     invariant_subspace,
     is_central,
@@ -81,6 +86,55 @@ def test_c1_rejects_bad_inputs(e3, e4):
 
 
 # -- quadratic invariants ------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, name", [(build_C1, "C1"), (build_C2, "C2")])
+def test_a_non_central_c1_c2_fails_the_postcondition(e3, monkeypatch, build, name):
+    """Both coassociator sandwiches return the non-central x, so the two
+    expressions agree and only the centrality postcondition can reject it."""
+    import qhopf.casimir as casimir
+    H = e3.structure.with_data()
+    x = el(H, "x")
+    monkeypatch.setattr(casimir, "_phi_sandwich_inv", lambda *args: x)
+    monkeypatch.setattr(casimir, "_phi_sandwich", lambda *args: x)
+    with pytest.raises(PostconditionError, match=rf"^{name} is not central: \[g\] fails$"):
+        build(H, H.beta if name == "C1" else H.alpha)
+
+
+def _tensor_premises_pass(monkeypatch):
+    """casimir.centralizes passes every tensor premise (it checks the unit
+    tensor instead) and still checks elements, i.e. the postconditions."""
+    import qhopf.casimir as casimir
+    real = casimir.centralizes
+    monkeypatch.setattr(casimir, "centralizes", lambda A, t, *args, **kw: real(
+        A, TensorElement.unit(t.legs) if isinstance(t, TensorElement) else t,
+        *args, **kw))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_a_non_central_theta_output_fails_the_postcondition(e3, monkeypatch, mirror):
+    # theta = x (x) 1 (x) 1 (or 1 (x) 1 (x) x) contracts to x against the counit
+    H = e3.structure.with_data()
+    x, one = el(H, "x"), H.algebra.unit()
+    theta = TensorElement.of(one, one, x) if mirror else TensorElement.of(x, one, one)
+    _tensor_premises_pass(monkeypatch)
+    with pytest.raises(PostconditionError,
+                       match=r"^central_from_theta output fails at \[g\]$"):
+        central_from_theta(H, theta, H.counit, mirror=mirror)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_a_non_central_represented_casimir_fails_the_postcondition(e3, monkeypatch,
+                                                                    mirror):
+    # x (x) 1 on the trivial representation gives a nonzero multiple of x
+    H = e3.structure.with_data()
+    triv, x, one = e3.representations["trivial"], el(H, "x"), H.algebra.unit()
+    omega = TensorElement.of(one, x) if mirror else TensorElement.of(x, one)
+    omega_rep = apply_rep_on_leg(omega, 0 if mirror else 1, triv)
+    _tensor_premises_pass(monkeypatch)
+    with pytest.raises(PostconditionError,
+                       match=r"^represented casimir fails centrality at \[g\]$"):
+        casimir_from_omega_rep(H, triv, omega_rep, mirror=mirror)
 
 
 def test_quadratic_with_identity_omega(e1, e2, e3, e4, e5):

@@ -131,6 +131,8 @@ def test_builtin_reports_agree_and_use_generators(name, full):
                   "counit-antipode", "antipode-antihomomorphism"):
         assert over[axiom] == "generators"
     assert over["exchange-phi-beta"] == "generators"
+    if H.r is not None:
+        assert over["u-su-central"] == "generators"
 
 
 EXCHANGE = ("exchange-phi-beta", "exchange-phi-alpha", "exchange-phiinv-alpha",

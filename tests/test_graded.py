@@ -283,7 +283,7 @@ def identity(algebra):
 
 
 def test_antihom_identity_on_z2(z2):
-    assert multiplicativity(z2, identity(z2), True, anti=True)[0]
+    assert multiplicativity(z2, identity(z2), True, anti=True).passed
 
 
 def test_antihom_sweedler(sweedler):
@@ -292,7 +292,7 @@ def test_antihom_sweedler(sweedler):
     s = LinearMap(sweedler, (sweedler,),
                   [TensorElement.of(sweedler.element(images[lab]))
                    for lab in sweedler.labels], name="antipode")
-    assert multiplicativity(sweedler, s, True, anti=True)[0]
+    assert multiplicativity(sweedler, s, True, anti=True).passed
 
 
 def test_antihom_grassmann(grassmann):
@@ -300,13 +300,13 @@ def test_antihom_grassmann(grassmann):
     s = LinearMap(grassmann, (grassmann,),
                   [TensorElement.of(grassmann.unit()),
                    TensorElement.of(-el(grassmann, "th"))], name="antipode")
-    assert multiplicativity(grassmann, s, True, anti=True)[0]
+    assert multiplicativity(grassmann, s, True, anti=True).passed
 
 
 def test_antihom_failure_reported(sweedler):
     bad = identity(sweedler)  # identity is not an antihomomorphism on H4
-    passed, witness, *_ = multiplicativity(sweedler, bad, True, anti=True)
-    assert not passed and witness is not None
+    check = multiplicativity(sweedler, bad, True, anti=True)
+    assert not check.passed and check.witness is not None
 
 
 # -- construction-time validation -----------------------------------------------------

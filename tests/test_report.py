@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 import qhopf
+from qhopf.catalog import load_builtin
 from qhopf.cli import main
+from qhopf.quasihopf import verify_quasi_bialgebra
 from qhopf.report import AxiomCheck, AxiomReport
 
 
@@ -24,3 +26,14 @@ def test_verify_text_output_carries_seconds(capsys):
     assert main(["verify", str(path), "--checks", "axioms"]) == 0
     checks = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  [")]
     assert checks and all(ln.endswith(" s)") for ln in checks)
+
+
+def test_each_report_gets_its_own_record_of_a_memoised_check():
+    """coproduct-homomorphism reads a per-structure memo; a second report
+    on the same structure gets a new record, and the first keeps its time."""
+    H = load_builtin("sweedler-h4").structure.with_data()
+    first = verify_quasi_bialgebra(H).find("coproduct-homomorphism")
+    seconds = first.seconds
+    second = verify_quasi_bialgebra(H).find("coproduct-homomorphism")
+    assert second is not first and first.passed and second.passed
+    assert first.seconds == seconds

@@ -52,6 +52,13 @@ CASES.update({
     "twist-grassmann-theta-theta-pair": (
         ["twist", "grassmann-theta.qh", "--twistor", "theta-pair",
          "--verify-invariance", "--json"], 0),
+    # a Hopf twist with a nilpotent part, and a twist of a nontrivial coassociator
+    "twist-sweedler-h4-Ft": (
+        ["twist", "sweedler-h4.qh", "--twistor", "Ft", "--verify-invariance",
+         "--json"], 0),
+    "twist-z2-cocycle-pminus": (
+        ["twist", "z2-cocycle.qh", "--twistor", "pminus", "--verify-invariance",
+         "--json"], 0),
     # Q(q) copies: a twist with q-dependent entries, a broken counit law
     "twist-sweedler-twisted-qq-fixed": (
         ["twist", "sweedler-twisted.qq.qh", "--twistor", "fixed",
