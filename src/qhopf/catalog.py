@@ -2,8 +2,8 @@
 
 Every entry is constructed from first principles and passes the full
 verifier before it is handed out.  An entry whose R-matrix is chosen at
-build time passes its candidates to ``search_r``, which keeps the first
-one the verifier accepts; that verification is the entry's.
+build time passes its candidates to ``builders.search_r``, which keeps the
+first one the verifier accepts; that verification is the entry's.
 
 * ``z2-group``        the group algebra of Z2, with the nontrivial
                       triangular R-matrix and a projector twist,
@@ -24,9 +24,10 @@ one the verifier accepts; that verification is the entry's.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import StructureValidationError, UnknownNameError
+from .builders import hopf_structure, search_r
+from .errors import UnknownNameError
 from .graded import (
     GradedAlgebra,
     GradedBasis,
@@ -35,16 +36,12 @@ from .graded import (
     linear_form,
 )
 from .invariants import solve_canonical_elements
-from .quasihopf import (
-    QuasiHopfStructure,
-    require_verified,
-    verify_quasitriangular,
-    verify_structure,
-)
+from .quasihopf import QuasiHopfStructure, require_verified
 from .representations import Representation, regular_representation, trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar
 from .structfile import CatalogEntry
-from .twisting import Twistor, identity_twistor, invert_tensor, twist_structure, validate_twistor
+from .twisting import Twistor, identity_twistor, twist_structure, validate_twistor
+from .uqsl2 import build_small_uqsl2
 
 Q = FieldDescriptor.rationals()
 
@@ -96,26 +93,6 @@ def _verified(H: QuasiHopfStructure) -> QuasiHopfStructure:
     return require_verified(H, f"catalog entry {H.name}")
 
 
-def search_r(H: QuasiHopfStructure, candidates: Iterable[TensorElement],
-             what: str) -> QuasiHopfStructure:
-    """H with the first candidate R that intertwines the coproduct with its
-    flip on the generators (the one R axiom that needs no inverse), has an
-    inverse, passes the memoised ``verify_quasitriangular`` and then
-    ``verify_structure``, the entry's verification, which only the winner reaches."""
-    A = H.algebra
-    gens = [A.basis_element(i) for i in A.generators()]
-    for r in candidates:
-        if any(H.delta_t(a) * r != r * H.delta(a) for a in gens):
-            continue
-        r_inv = invert_tensor(r)
-        if r_inv is not None:
-            candidate = H.with_data(r=r, r_inv=r_inv)
-            if verify_quasitriangular(candidate).passed and verify_structure(candidate).passed:
-                return candidate
-    raise StructureValidationError(
-        f"catalog entry {H.name}: no R-matrix in {what} passed verification")
-
-
 # ---------------------------------------------------------------------------
 # E1 / E2: the Z2 group algebra and its cocycle deformation
 
@@ -163,10 +140,7 @@ def _build_z2_group() -> CatalogEntry:
     A = _z2_algebra()
     coproduct, counit, antipode = _z2_maps(A)
     r2 = _z2_r2(A)
-    H = _verified(QuasiHopfStructure(
-        algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=TensorElement.unit((A, A, A)), phi_inv=TensorElement.unit((A, A, A)),
-        alpha=A.unit(), beta=A.unit(), r=r2, r_inv=r2, name="z2-group"))
+    H = _verified(hopf_structure(A, coproduct, counit, antipode, "z2-group", r=r2, r_inv=r2))
     return CatalogEntry("z2-group", H, _z2_twistors(H), _z2_representations(H),
                         notes="group algebra of Z2 with the nontrivial triangular R")
 
@@ -218,11 +192,7 @@ def _build_sweedler() -> CatalogEntry:
     counit = make_counit(A, {"1": 1, "g": 1, "x": 0, "gx": 0})
     antipode = make_antipode(A, {"1": {"1": 1}, "g": {"g": 1},
                                  "x": {"gx": -1}, "gx": {"x": 1}})
-    unit3 = TensorElement.unit((A, A, A))
-    H0 = QuasiHopfStructure(
-        algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
-        name="sweedler-h4")
+    H0 = hopf_structure(A, coproduct, counit, antipode, "sweedler-h4")
     # R is the Z2 R-matrix plus a nilpotent part with coefficients +-1/2
     base, nil = _z2_r2(A), (("x", "x"), ("x", "gx"), ("gx", "x"), ("gx", "gx"))
     signs = ((1, 1, -1, 1), (1, -1, 1, 1), (1, 1, 1, -1), (-1, 1, 1, 1),
@@ -252,11 +222,7 @@ def _build_grassmann() -> CatalogEntry:
                                    "th": [("th", "1", 1), ("1", "th", 1)]})
     counit = make_counit(A, {"1": 1, "th": 0})
     antipode = make_antipode(A, {"1": {"1": 1}, "th": {"th": -1}})
-    unit3 = TensorElement.unit((A, A, A))
-    H0 = QuasiHopfStructure(
-        algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
-        name="grassmann-theta")
+    H0 = hopf_structure(A, coproduct, counit, antipode, "grassmann-theta")
     # the hexagon residuals of R(c) are polynomial in c and vanish identically
     H = search_r(H0, [grassmann_r_candidate(H0, 1)], "R(c) = 1 + c th (x) th at c = 1")
     f = H.unit_tensor(2) + tensor_from(A, [("th", "th", 1)])
@@ -312,12 +278,10 @@ def load_builtin(name: str) -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _load(key: str) -> CatalogEntry:
-    if key == "small-uqsl2":
-        from .uqsl2 import build_small_uqsl2
-        return build_small_uqsl2()
     builders = {"z2-group": _build_z2_group, "z2-cocycle": _build_z2_cocycle,
                 "sweedler-h4": _build_sweedler, "grassmann-theta": _build_grassmann,
-                "sweedler-twisted": _build_sweedler_twisted}
+                "sweedler-twisted": _build_sweedler_twisted,
+                "small-uqsl2": build_small_uqsl2}
     if key not in builders:
         raise UnknownNameError(
             f"unknown builtin {key!r}; available: {', '.join(BUILTIN_NAMES)}")

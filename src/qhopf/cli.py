@@ -115,7 +115,7 @@ def cmd_casimir(args) -> int:
         out["element"] = u.to_dict()
         out["checks"] = {"conjugates-antipode-squared": True,
                          "fixed-by-antipode-squared": True}
-        if H.r_inv is not None and H.antipode_inv is not None:
+        if H.antipode_inv is not None:
             out["inverse"] = u_inverse(H).to_dict()
             out["checks"]["two-sided-inverse"] = True
     elif args.kind in ("c1", "c2"):

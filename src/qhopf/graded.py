@@ -295,12 +295,23 @@ class MatrixSpaceAlgebra(BaseAlgebra):
 
 class _Sparse:
     """Linear structure shared by elements and tensors: ``coeffs`` maps keys
-    to nonzero scalars; ``_like`` builds a sibling, ``_check`` its operand."""
+    to nonzero scalars; ``_like`` builds a sibling, ``_check`` its operand,
+    ``_space`` what equal siblings share, and ``key_parity`` and ``_label``
+    give a key's parity and printed name."""
 
     __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def is_even(self) -> bool:
+        return all(self.key_parity(k) == 0 for k in self.coeffs)
+
+    def even_part(self):
+        return self._like({k: c for k, c in self.coeffs.items() if not self.key_parity(k)})
+
+    def odd_part(self):
+        return self._like({k: c for k, c in self.coeffs.items() if self.key_parity(k)})
 
     def __add__(self, other):
         self._check(other)
@@ -330,6 +341,20 @@ class _Sparse:
             return self.scale(other)
         return NotImplemented
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space() == other._space() and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{_factor(c)}*{self._label(k)}"
+                          for k, c in sorted(self.coeffs.items()))
+
 
 class AlgebraElement(_Sparse):
     """Sparse linear combination of basis elements, zero coefficients stripped."""
@@ -347,6 +372,15 @@ class AlgebraElement(_Sparse):
     def _like(self, coeffs) -> "AlgebraElement":
         return AlgebraElement(self.algebra, coeffs, False)
 
+    def _space(self) -> BaseAlgebra:
+        return self.algebra
+
+    def key_parity(self, i: int) -> int:
+        return self.algebra.parity[i]
+
+    def _label(self, i: int) -> str:
+        return self.algebra.labels[i]
+
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements (zero counts as even), else None."""
         ps = {self.algebra.parity[i] for i in self.coeffs}
@@ -355,19 +389,6 @@ class AlgebraElement(_Sparse):
         if len(ps) == 1:
             return ps.pop()
         return None
-
-    def is_even(self) -> bool:
-        return self.parity() == 0
-
-    def even_part(self) -> "AlgebraElement":
-        par = self.algebra.parity
-        return AlgebraElement(self.algebra,
-                              {i: c for i, c in self.coeffs.items() if par[i] == 0})
-
-    def odd_part(self) -> "AlgebraElement":
-        par = self.algebra.parity
-        return AlgebraElement(self.algebra,
-                              {i: c for i, c in self.coeffs.items() if par[i] == 1})
 
     def _check(self, other: "AlgebraElement"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -390,23 +411,9 @@ class AlgebraElement(_Sparse):
                             yield k, mul(cd, e)
         return AlgebraElement(alg, _collect(alg.field, terms()), False)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset((i, v) for i, v in self.coeffs.items()))
-
     def to_dict(self) -> Dict[str, str]:
         return {self.algebra.labels[i]: str(c)
                 for i, c in sorted(self.coeffs.items())}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{_factor(c)}*{self.algebra.labels[i]}"
-                          for i, c in sorted(self.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +458,8 @@ class TensorElement(_Sparse):
     def key_parity(self, key: Key) -> int:
         return sum(self.legs[t].parity[key[t]] for t in range(len(key))) % 2
 
-    def is_even(self) -> bool:
-        return all(self.key_parity(k) == 0 for k in self.coeffs)
+    def _label(self, key: Key) -> str:
+        return "[" + "(x)".join(leg.labels[k] for leg, k in zip(self.legs, key)) + "]"
 
     # -- linear structure --------------------------------------------------
 
@@ -465,6 +472,9 @@ class TensorElement(_Sparse):
 
     def _like(self, coeffs) -> "TensorElement":
         return TensorElement(self.legs, coeffs, False)
+
+    def _space(self) -> Tuple[BaseAlgebra, ...]:
+        return self.legs
 
     # -- graded product ------------------------------------------------------
 
@@ -598,29 +608,6 @@ class TensorElement(_Sparse):
         if self.rank != 1:
             raise RankMismatchError("only rank-1 tensors convert to elements")
         return AlgebraElement(self.legs[0], {k[0]: c for k, c in self.coeffs.items()}, False)
-
-    # -- equality ----------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.rank != other.rank:
-            return False
-        if any(a is not b and a != b for a, b in zip(self.legs, other.legs)):
-            return False
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for key, c in sorted(self.coeffs.items()):
-            label = "(x)".join(self.legs[t].labels[key[t]] for t in range(self.rank))
-            terms.append(f"{_factor(c)}*[{label}]")
-        return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------

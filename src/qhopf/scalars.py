@@ -633,9 +633,9 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; isdigit() also takes '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

@@ -14,13 +14,13 @@ on payloads.  The Hopf structure used here is
     coproduct(E) = E (x) K + 1 (x) E,    coproduct(F) = F (x) 1 + K^{-1} (x) F,
     antipode(E) = -E K^{-1},             antipode(F) = -K F,
 
-with trivial coassociator and alpha = beta = 1.  The R-matrix is chosen
-among the standard exponent conventions
+with trivial coassociator and alpha = beta = 1 (``builders.hopf_structure``).
+The R-matrix is chosen among the standard exponent conventions
 
     R = (1/3) sum_{n,i,j} (q - q^{-1})^n / [n]! *
             q^{g n(n-1)/2 + d n(i-j) + c i j}  E^n K^i (x) F^n K^j
 
-for small (g, d, c) by ``catalog.search_r``, the catalog's one R-matrix
+for small (g, d, c) by ``builders.search_r``, the built-ins' one R-matrix
 search: the first candidate that intertwines the coproduct with its flip,
 has an inverse and passes the generic verifier is kept, and that
 verification is the entry's.
@@ -33,7 +33,7 @@ import operator
 from functools import cache
 from typing import Dict, Tuple
 
-from .catalog import search_r
+from .builders import hopf_structure, search_r
 from .graded import (
     AlgebraElement,
     GradedAlgebra,
@@ -43,7 +43,6 @@ from .graded import (
     _sum,
     linear_form,
 )
-from .quasihopf import QuasiHopfStructure
 from .representations import trivial_representation
 from .scalars import FieldDescriptor, QQ, Scalar, _power
 from .structfile import CatalogEntry
@@ -177,11 +176,7 @@ def _r_candidate(A: GradedAlgebra, g: int, d: int, c: int) -> TensorElement:
 def build_small_uqsl2() -> CatalogEntry:
     A = _build_algebra()
     coproduct, counit, antipode = _build_maps(A)
-    unit3 = TensorElement.unit((A, A, A))
-    H0 = QuasiHopfStructure(
-        algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
-        phi=unit3, phi_inv=unit3, alpha=A.unit(), beta=A.unit(),
-        name="small-uqsl2")
+    H0 = hopf_structure(A, coproduct, counit, antipode, "small-uqsl2")
     H = search_r(H0, (_r_candidate(A, g, d, c) for g, d, c in
                       itertools.product((0, 1, 2), (1, 2, 0), (1, 2))),
                  "the exponent conventions (g, d, c)")

@@ -101,6 +101,55 @@ def test_a_non_central_c1_c2_fails_the_postcondition(e3, monkeypatch, build, nam
         build(H, H.beta if name == "C1" else H.alpha)
 
 
+def _doubled(monkeypatch, module, name):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: original(*args).scale(2))
+
+
+@pytest.mark.parametrize("build, name", [(build_C1, "C1"), (build_C2, "C2")])
+def test_disagreeing_sandwiches_fail_the_postcondition(e3, monkeypatch, build, name):
+    import qhopf.casimir as casimir
+    H = e3.structure
+    _doubled(monkeypatch, casimir, "_phi_sandwich")
+    with pytest.raises(PostconditionError, match=rf"^the two {name} expressions disagree$"):
+        build(H, H.beta if name == "C1" else H.alpha)
+
+
+@pytest.mark.parametrize("build, message", [(build_C1, "C1 beta does not recover c1"),
+                                            (build_C2, "C2 alpha does not recover c2")])
+def test_a_central_element_that_misses_its_source_fails_the_postcondition(
+        e3, monkeypatch, build, message):
+    """Both sandwiches doubled: they agree on 2, which is central, but on
+    sweedler-h4 (alpha = beta = 1) 2 beta = 2 alpha = 2 is not the source 1."""
+    import qhopf.casimir as casimir
+    H = e3.structure
+    _doubled(monkeypatch, casimir, "_phi_sandwich")
+    _doubled(monkeypatch, casimir, "_phi_sandwich_inv")
+    with pytest.raises(PostconditionError, match=rf"^{message}$"):
+        build(H, H.beta if build is build_C1 else H.alpha)
+
+
+def test_a_u_inverse_that_misses_u_fails_the_postcondition(e1, monkeypatch):
+    """A doubled alpha R^{-1} sum doubles u^{-1}, which is still fixed by S^2."""
+    import qhopf.casimir as casimir
+    H = e1.structure.with_data()  # an empty memo
+    _doubled(monkeypatch, casimir, "_alpha_rinv")
+    with pytest.raises(PostconditionError, match=r"^u inverse does not invert u$"):
+        u_inverse(H)
+
+
+def test_a_non_invariant_supertrace_form_fails_the_postcondition(e3, monkeypatch):
+    """Adding 1 to every supertrace adds the form that is 1 on every basis
+    element, which is not invariant on sweedler-h4."""
+    from qhopf.representations import Representation
+    original = Representation.supertrace_of
+    monkeypatch.setattr(Representation, "supertrace_of",
+                        lambda self, x: original(self, x) + 1)
+    H = e3.structure.with_data()  # an empty memo
+    with pytest.raises(PostconditionError, match=r"^the supertrace form is not invariant$"):
+        trace_forms(H, e3.representations["regular"])
+
+
 def _tensor_premises_pass(monkeypatch):
     """casimir.centralizes passes every tensor premise (it checks the unit
     tensor instead) and still checks elements, i.e. the postconditions."""

@@ -314,6 +314,38 @@ def test_twist_text_output_with_invariance(capsys):
     assert all(line.startswith("  [ok  ] ") for line in lines[1:])
 
 
+def double_transported_c1(monkeypatch):
+    """A mutant whose twisted C1 comes out doubled: the transported invariant
+    stays invariant, so the report records a failed comparison (exit 1
+    from the report) and no PostconditionError is raised."""
+    original = qhopf.casimir.twisted_c1
+    monkeypatch.setattr(qhopf.casimir, "twisted_c1",
+                        lambda H, F, c: original(H, F, c).scale(2))
+
+
+@pytest.mark.parametrize("name, twistor", [("z2-group", "pminus"), ("sweedler-h4", "Ft")])
+def test_twist_invariance_failure_exits_1_with_a_witness(monkeypatch, capsys, name, twistor):
+    double_transported_c1(monkeypatch)
+    assert main(["twist", path(name), "--twistor", twistor,
+                 "--verify-invariance", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)["invariance"]
+    assert report["passed"] is False
+    failed = {c["name"]: c for c in report["checks"] if not c["twist_invariant"]}
+    assert failed["C1[inv:0]"]["witness"] == "1*1"  # 2 C1 - C1 for C1 = 1
+    assert all(n.startswith("C1[") for n in failed)
+
+
+def test_twist_text_output_with_a_failed_invariance(monkeypatch, capsys):
+    double_transported_c1(monkeypatch)
+    assert main(["twist", path("z2-group"), "--twistor", "pminus",
+                 "--verify-invariance"]) == 1
+    summary = capsys.readouterr().out.split("twist-invariance: ")[1].splitlines()
+    assert summary[0] == "FAIL" and "  [FAIL] C1[inv:0]" in summary
+    assert "  [ok  ] u" in summary
+
+
 @pytest.mark.parametrize("command", [["verify"], ["center"],
                                      ["casimir", "--kind", "c1", "--source", "beta"],
                                      ["twist", "--twistor", "pminus"]], ids=lambda c: c[0])

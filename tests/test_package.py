@@ -50,11 +50,22 @@ def test_a_file_command_loads_no_dataclasses_inspect_or_catalog_builders():
                 "before = set(sys.modules)\n"
                 "import qhopf.cli\n"
                 "status = qhopf.cli.main(['verify', sys.argv[1], '--json'])\n"
-                "heavy = ('dataclasses', 'inspect', 'qhopf.catalog', 'qhopf.uqsl2')\n"
+                "heavy = ('dataclasses', 'inspect', 'qhopf.builders', 'qhopf.catalog',\n"
+                "         'qhopf.uqsl2')\n"
                 "print(json.dumps([status, [m for m in heavy\n"
                 "                           if m in sys.modules and m not in before]]))\n",
                 str(DATA / "z2-group.qh"))
     assert json.loads(out.splitlines()[-1]) == [0, []]
+
+
+def test_building_small_uqsl2_loads_neither_the_catalog_nor_the_invariants():
+    """uqsl2 takes its Hopf-structure constructor and its R search from
+    builders, so importing it loads neither catalog.py nor invariants.py."""
+    out = fresh("import json, sys\n"
+                "from qhopf.uqsl2 import build_small_uqsl2\n"
+                "print(json.dumps([m for m in ('qhopf.builders', 'qhopf.catalog',\n"
+                "                              'qhopf.invariants') if m in sys.modules]))\n")
+    assert json.loads(out) == ["qhopf.builders"]
 
 
 # -- exports ------------------------------------------------------------------

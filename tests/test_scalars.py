@@ -248,6 +248,16 @@ def test_overlong_integer_literal_is_a_syntax_error(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("field", [Q, C3, RQ], ids=str)
+def test_a_superscript_digit_is_an_unexpected_character(field):
+    """'²' is a digit to str.isdigit() but not to int(): the tokenizer reads
+    a decimal literal and stops before it, so it is not an overlong integer."""
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar("2²", field)
+    assert (err.value.message, err.value.position) == ("unexpected character '²'", 1)
+    assert str(err.value) == "unexpected character '²' (at position 1)"
+
+
 def test_the_render_memo_stays_within_its_cap():
     """Rendering is memoised by payload and indeterminate: one payload
     renders over each field's own variable, and the memo stays bounded."""

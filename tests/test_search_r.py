@@ -1,11 +1,12 @@
-"""``catalog.search_r``, the catalog's one R-matrix search: the candidate each
-entry keeps, the order of its three tests, its error when nothing passes,
-and that its verification is the only one a built entry gets."""
+"""``builders.search_r``, the built-ins' one R-matrix search: the candidate
+each entry keeps, the order of its three tests, its error when nothing
+passes, and that its verification is the only one a built entry gets."""
 
 import itertools
 
 import pytest
 
+import qhopf.builders as builders
 import qhopf.catalog as catalog
 import qhopf.quasihopf as quasihopf
 from qhopf.catalog import grassmann_r_candidate, load_builtin, search_r, tensor_from
@@ -64,7 +65,7 @@ def test_a_candidate_failing_intertwining_is_never_inverted(e3, monkeypatch):
     assert not check(report, "r-intertwines-coproduct")
     assert check(report, "hexagon-left") and check(report, "hexagon-right")
     inverted = []
-    monkeypatch.setattr(catalog, "invert_tensor",
+    monkeypatch.setattr(builders, "invert_tensor",
                         lambda t: inverted.append(t) or invert_tensor(t))
     chosen = sweedler_r(H, 1, -1, 1, 1)
     assert search_r(H, [unit2, chosen], "unit first").r == chosen
@@ -86,7 +87,7 @@ def test_no_passing_candidate_raises_naming_the_entry(e3, e4):
 
 
 def count_calls(monkeypatch, names, record):
-    """Wrap each named verifier in quasihopf, and in catalog where it is
+    """Wrap each named verifier in quasihopf, and in builders where it is
     imported, so that every call appends record(name, H) to the list returned."""
     calls = []
     for name in names:
@@ -94,8 +95,8 @@ def count_calls(monkeypatch, names, record):
             calls.append(record(name, H))
             return original(H)
         monkeypatch.setattr(quasihopf, name, wrapper)
-        if hasattr(catalog, name):
-            monkeypatch.setattr(catalog, name, wrapper)
+        if hasattr(builders, name):
+            monkeypatch.setattr(builders, name, wrapper)
     return calls
 
 
