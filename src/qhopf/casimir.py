@@ -19,8 +19,8 @@ constructor checks its postconditions (centrality, conjugation, recovery,
 agreement of paired formulas) and raises on violation; where two printed
 formulas exist for one object both are computed and compared.  The
 twist-invariance verifier recomputes all of these inside the twisted
-structure, which ``twist_structure`` has verified, and asserts exact
-equality with the untwisted values.
+structure, which ``twist_structure`` has verified, and files each exact
+comparison with the untwisted value as an ``AxiomCheck`` in an ``AxiomReport``.
 Represented constructions run on End(V) tensor legs, so every sum here is
 a contraction whose Koszul signs come from the graded tensor product;
 list matrices are only the format of a representation.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .errors import (
     AntipodeNotInvertibleError,
@@ -406,44 +406,38 @@ def casimir_from_omega_rep(H: QuasiHopfStructure, rep: Representation,
     return out
 
 
-class CasimirCheck:
-    def __init__(self, name: str, element: AlgebraElement, agreement: bool = True,
+class CasimirCheck(AxiomCheck):
+    """One central-element comparison: ``value`` is the element built in the
+    structure, ``witness`` the exact failure (a difference or a message)."""
+
+    def __init__(self, name: str, value: AlgebraElement, agreement: bool = True,
                  twist_invariant: Optional[bool] = None, witness: Any = None):
-        self.name, self.element, self.agreement = name, element, agreement
-        self.twist_invariant, self.witness = twist_invariant, witness
+        super().__init__(name, agreement and twist_invariant is not False, witness)
+        self.value, self.agreement, self.twist_invariant = value, agreement, twist_invariant
 
     @property
-    def passed(self) -> bool:
-        return self.agreement and self.twist_invariant is not False
-
-
-class CasimirReport:
-    def __init__(self, subject: str, twistor: Optional[str] = None,
-                 checks: Optional[List[CasimirCheck]] = None):
-        self.subject, self.twistor = subject, twistor
-        self.checks = [] if checks is None else checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> List[CasimirCheck]:
-        return [c for c in self.checks if not c.passed]
+    def name(self) -> str:
+        return self.axiom
 
     def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "twistor": self.twistor,
-            "passed": self.passed,
-            "checks": [{
-                "name": c.name,
-                "element": c.element.to_dict(),
+        return {"name": self.name, "element": self.value.to_dict(),
                 "central": True,  # every construction checks centrality
-                "agreement": c.agreement,
-                "twist_invariant": c.twist_invariant,
-                **({"witness": str(c.witness)} if c.witness is not None else {}),
-            } for c in self.checks],
-        }
+                "agreement": self.agreement, "twist_invariant": self.twist_invariant,
+                **({"witness": str(self.witness)} if self.witness is not None else {})}
+
+
+class CasimirReport(AxiomReport):
+    def __init__(self, subject: str, twistor: Optional[str] = None):
+        super().__init__(subject)
+        self.twistor = twistor
+
+    def as_dict(self) -> dict:
+        return {**super().as_dict(), "twistor": self.twistor}
+
+    def summary(self) -> str:
+        lines = [f"twist-invariance: {'PASS' if self.passed else 'FAIL'}"]
+        lines += [f"  [{'ok  ' if c.passed else 'FAIL'}] {c.name}" for c in self.checks]
+        return "\n".join(lines)
 
 
 def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
@@ -464,8 +458,8 @@ def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
 
     def compare(name: str, base: AlgebraElement, twisted: AlgebraElement) -> None:
         same = twisted == base
-        report.checks.append(CasimirCheck(name, base, twist_invariant=same,
-                                          witness=None if same else twisted - base))
+        report.add(CasimirCheck(name, base, twist_invariant=same,
+                                witness=None if same else twisted - base))
 
     for label, space, build, transport, failure in (
             ("C1[inv:{}]", invariant_subspace, build_C1, twisted_c1,
@@ -477,8 +471,8 @@ def verify_twist_invariance(H: QuasiHopfStructure, F: Twistor,
             try:  # build checks the transported element's invariance
                 twisted = build(HF, transport(H, F, c))
             except NotInvariantError:
-                report.checks.append(CasimirCheck(
-                    label.format(t), base, agreement=False, witness=failure))
+                report.add(CasimirCheck(label.format(t), base, agreement=False,
+                                        witness=failure))
                 continue
             compare(label.format(t), base, twisted)
 

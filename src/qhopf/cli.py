@@ -128,7 +128,6 @@ def cmd_casimir(args) -> int:
         out["checks"] = {"central": True, "formulas-agree": True,
                          "recovers-source": True}
     elif args.kind == "quadratic":
-        H.require_r()
         omega = rtr_power(H, args.power)
         c1, c2 = quadratic_invariants(H, omega)
         out["power"] = args.power
@@ -191,11 +190,7 @@ def cmd_twist(args) -> int:
         else:
             print(render_entry(new_entry), end="")
         if args.verify_invariance:
-            rep = result["invariance"]
-            print("twist-invariance:", "PASS" if rep["passed"] else "FAIL")
-            for check in rep["checks"]:
-                mark = "ok  " if check["twist_invariant"] is not False else "FAIL"
-                print(f"  [{mark}] {check['name']}")
+            print(report.summary())
     return status
 
 

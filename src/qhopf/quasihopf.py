@@ -30,7 +30,7 @@ import functools
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import NoRMatrixError, StructureValidationError
+from .errors import AntipodeNotInvertibleError, NoRMatrixError, StructureValidationError
 from .graded import (
     AlgebraElement,
     BaseAlgebra,
@@ -143,7 +143,7 @@ class QuasiHopfStructure:
 
     def s_inv(self, x: AlgebraElement) -> AlgebraElement:
         if self.antipode_inv is None:
-            raise StructureValidationError("the antipode is not invertible")
+            raise AntipodeNotInvertibleError("the antipode is not invertible")
         return self.antipode_inv(x)
 
     def delta_left(self, x: AlgebraElement) -> TensorElement:

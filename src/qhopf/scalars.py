@@ -642,7 +642,7 @@ def _tokenize(text: str):
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

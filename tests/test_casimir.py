@@ -18,6 +18,7 @@ from qhopf.casimir import (
     verify_twist_invariance,
 )
 from qhopf.errors import (
+    AntipodeNotInvertibleError,
     NoRMatrixError,
     NotInvariantError,
     OddElementError,
@@ -549,3 +550,38 @@ def test_a_transported_element_that_fails_invariance_is_recorded(e3, monkeypatch
         **{f"C2[pinv:{t}]": "transported pseudo-invariant fails its invariance"
            for t in range(len(pseudo_invariant_subspace(H).even))}}
     assert all(c.agreement is False for c in report.failures())
+
+
+def test_the_twist_comparisons_are_axiom_checks_in_an_axiom_report(e3):
+    from qhopf.report import AxiomCheck, AxiomReport
+    H = e3.structure
+    report = verify_twist_invariance(H, e3.twistors["Ft"], powers=(0,),
+                                     reps=e3.representations)
+    assert isinstance(report, AxiomReport)
+    assert report.checks and all(isinstance(c, AxiomCheck) for c in report.checks)
+    u = report.find("u")
+    assert u is next(c for c in report.checks if c.name == "u")
+    assert u.passed and u.value == u_operator(H)
+
+
+# -- a singular antipode ---------------------------------------------------------
+
+
+def test_a_singular_antipode_raises_one_exception(e1):
+    """The zero map as antipode: every use of S^{-1} raises
+    AntipodeNotInvertibleError, and the identity suite skips the one check
+    that needs it."""
+    from qhopf.graded import LinearMap
+    H = e1.structure
+    A = H.algebra
+    zero = LinearMap(A, (A,), [TensorElement((A,), {})] * A.dim, name="antipode")
+    singular = H.with_data(antipode=zero)
+    assert singular.antipode_inv is None
+    with pytest.raises(AntipodeNotInvertibleError, match="^the antipode is not invertible$"):
+        singular.s_inv(A.unit())
+    with pytest.raises(AntipodeNotInvertibleError):
+        u_inverse(singular)
+    with pytest.raises(AntipodeNotInvertibleError):
+        trace_forms(singular, e1.representations["regular"])
+    report = identity_suite(singular)
+    assert report.checks and report.find("u-alpha-rinv") is None

@@ -346,6 +346,26 @@ def test_twist_text_output_with_a_failed_invariance(monkeypatch, capsys):
     assert "  [ok  ] u" in summary
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_transported_invariant_that_fails_invariance_is_marked_failed(
+        monkeypatch, capsys, json_flag):
+    """A transported C1 that is not invariant fails on agreement, not on
+    twist invariance; its text mark and its JSON come from the same record."""
+    H = load_entry(path("sweedler-h4")).structure
+    g = H.algebra.basis_element(H.algebra.index_of("g"))
+    monkeypatch.setattr(qhopf.casimir, "twisted_c1", lambda H, F, c: g)
+    assert main(["twist", path("sweedler-h4"), "--twistor", "Ft",
+                 "--verify-invariance", *json_flag]) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        disagree = {c["name"] for c in json.loads(out)["invariance"]["checks"]
+                    if c["agreement"] is False}
+        assert '"agreement": false' in out and "C1[inv:0]" in disagree
+    else:
+        summary = out.split("twist-invariance: ")[1].splitlines()
+        assert summary[0] == "FAIL" and "  [FAIL] C1[inv:0]" in summary
+
+
 @pytest.mark.parametrize("command", [["verify"], ["center"],
                                      ["casimir", "--kind", "c1", "--source", "beta"],
                                      ["twist", "--twistor", "pminus"]], ids=lambda c: c[0])

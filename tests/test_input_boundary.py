@@ -242,6 +242,17 @@ def test_a_superscript_digit_exits_2_with_one_error_line(tmp_path, capsys):
     assert out.err.splitlines() == ["error: beta.1: unexpected character '²' (at position 1)"]
 
 
+def test_a_superscript_digit_after_the_indeterminate_exits_2_with_one_error_line(
+        tmp_path, capsys):
+    def mutate(doc):
+        doc["field"] = {"kind": "rational-functions", "indeterminate": "q"}
+        doc["beta"]["1"] = "q²"
+    assert main(["verify", corrupt(tmp_path, "z2-group", mutate), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: beta.1: unexpected character '²' (at position 1)"]
+
+
 def test_a_qq_product_beyond_the_degree_cap_exits_2_at_once(tmp_path, capsys):
     """800 factors of degree 1000 (8.8 kB): refused at the second product,
     before it is formed."""

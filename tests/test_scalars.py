@@ -258,6 +258,15 @@ def test_a_superscript_digit_is_an_unexpected_character(field):
     assert str(err.value) == "unexpected character '²' (at position 1)"
 
 
+@pytest.mark.parametrize("field, text", [(RQ, "q²"), (C3, "z²")], ids=["Q(q)", "cyclotomic(3)"])
+def test_a_superscript_digit_after_a_name_is_an_unexpected_character(field, text):
+    """A name continues with letters, decimal digits and '_' only, so '²'
+    is reported itself rather than as part of a foreign name 'q²'."""
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, field)
+    assert (err.value.message, err.value.position) == ("unexpected character '²'", 1)
+
+
 def test_the_render_memo_stays_within_its_cap():
     """Rendering is memoised by payload and indeterminate: one payload
     renders over each field's own variable, and the memo stays bounded."""
