@@ -164,11 +164,14 @@ def cmd_twist(args) -> int:
     F = entry.twistor(args.twistor)
     result: Dict[str, object] = {"file": args.file, "twistor": args.twistor,
                                  "verified": True}
-    twisted = twist_structure(H, F)
+    try:
+        twisted = twist_structure(H, F)
+    except PostconditionError:  # a twist fails only where its input does: name the input
+        require_verified(H, args.file, PostconditionError)
+        raise
     status = 0
     if args.verify_invariance:  # reuses the memoised twisted structure
-        report = verify_twist_invariance(H, F, powers=(-1, 0, 1, 2),
-                                         reps=entry.representations)
+        report = verify_twist_invariance(H, F, reps=entry.representations)
         result["invariance"] = report.as_dict()
         if not report.passed:
             status = 1

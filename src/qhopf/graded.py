@@ -616,7 +616,8 @@ class TensorElement(_Sparse):
 
 class LinearMap:
     """A linear map from one algebra into a tensor power, stored as the image
-    of every basis element.  ``parity_preserving`` is computed from the data."""
+    of every basis element.  ``odd_at`` is the first basis index whose image
+    has the other parity, or None, and then the map is ``parity_preserving``."""
 
     def __init__(self, source: BaseAlgebra, target_legs: Sequence[BaseAlgebra],
                  images: Sequence[TensorElement], name: str = ""):
@@ -630,10 +631,10 @@ class LinearMap:
         for img in self.images:
             if img.rank != len(self.target_legs):
                 raise StructureValidationError(f"map {name or '?'}: image rank mismatch")
-        self.parity_preserving = all(
-            img.key_parity(key) == source.parity[i]
-            for i, img in enumerate(self.images)
-            for key in img.coeffs)
+        self.odd_at = next((i for i, img in enumerate(self.images)
+                            if any(img.key_parity(key) != source.parity[i]
+                                   for key in img.coeffs)), None)
+        self.parity_preserving = self.odd_at is None
 
     @property
     def target_rank(self) -> int:

@@ -86,10 +86,9 @@ class Representation:
         self._supertrace_map = linear_form(self._end, [
             (-one if self.carrier_parity[i] else one) if i == j else zero
             for i in range(d) for j in range(d)], name=f"str:{label}")
-        for idx, img in enumerate(rho.images):
-            if any(img.key_parity(key) != A.parity[idx] for key in img.coeffs):
-                raise StructureValidationError(
-                    f"grading violation in the matrix of {A.labels[idx]}")
+        if not rho.parity_preserving:
+            raise StructureValidationError(
+                f"grading violation in the matrix of {A.labels[rho.odd_at]}")
         if rho(A.unit()) != self._end.unit():
             raise StructureValidationError("the unit must act as the identity")
         require(multiplicativity(A, rho, True), StructureValidationError,

@@ -31,11 +31,9 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cache
-from typing import Dict, Tuple
 
 from .builders import hopf_structure, search_r
 from .graded import (
-    AlgebraElement,
     GradedAlgebra,
     GradedBasis,
     LinearMap,
@@ -123,16 +121,8 @@ def _build_algebra() -> GradedAlgebra:
     return GradedAlgebra(basis, entries, C3, name="uqsl2(3)")
 
 
-def _element(A: GradedAlgebra, table: Dict[Tuple[int, int, int], Scalar]) -> AlgebraElement:
-    return AlgebraElement(A, {A.index_of(_monomial_label(*t)): c
-                              for t, c in table.items()})
-
-
 def _build_maps(A: GradedAlgebra):
-    E = _element(A, {(1, 0, 0): C3.one()})
-    F = _element(A, {(0, 1, 0): C3.one()})
-    K = _element(A, {(0, 0, 1): C3.one()})
-    Kinv = _element(A, {(0, 0, 2): C3.one()})
+    E, F, K, Kinv = (A.element({label: 1}) for label in ("E", "F", "K", "K^2"))
     one = A.unit()
     unit2 = TensorElement.unit((A, A))
 

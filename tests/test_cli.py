@@ -379,6 +379,20 @@ def test_every_command_rejects_a_bad_twistor_when_reading_the_file(tmp_path, cap
     assert out.err.splitlines() == ["error: twistor identity: supplied inverse is wrong"]
 
 
+def test_twist_of_a_structure_that_fails_verification_names_the_file(tmp_path, capsys):
+    """Twisting by F^-1 undoes a twist, so a twisted structure fails only
+    where its input does: the error names the input file."""
+    def mutate(doc):
+        doc["phi_inv"][0][3] = "2"
+    bad = corrupt(tmp_path, "z2-group", mutate)
+    assert main(["twist", bad, "--twistor", "identity"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"error: {bad} failed verification: coassociator-invertible, quasi-coassociativity, "
+        "coassociator-antipode-inv, hexagon-left, hexagon-right"]
+
+
 def test_twist_unknown_twistor(capsys):
     assert main(["twist", path("z2-group"), "--twistor", "nope"]) == 2
 

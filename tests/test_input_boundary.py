@@ -199,6 +199,24 @@ def test_malformed_carrier_exits_2_naming_the_representation(tmp_path, mutate, c
     assert len(err) == 1 and err[0].startswith("error:") and "regular" in err[0]
 
 
+GRADING_VIOLATIONS = {  # th is odd; each map sends it to the even image of 1
+    "coproduct": lambda doc: doc["coproduct"].update(th=[["1", "1", "1"]]),
+    "counit": lambda doc: doc["counit"].update(th="1"),
+    "antipode": lambda doc: doc["antipode"].update(th={"1": "1"}),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "center"])
+@pytest.mark.parametrize("name", sorted(GRADING_VIOLATIONS))
+def test_a_structure_map_that_breaks_the_grading_exits_2_at_load(
+        tmp_path, capsys, name, command):
+    bad = corrupt(tmp_path, "grassmann-theta", GRADING_VIOLATIONS[name])
+    assert main([command, bad]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: grading violation in the {name} of th"]
+
+
 # -- the size of a parsed scalar ---------------------------------------------
 
 LIMIT = sys.get_int_max_str_digits()  # the most digits an int converts to text

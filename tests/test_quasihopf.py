@@ -280,3 +280,39 @@ def test_equality_compares_the_data_not_the_name(e3):
     assert H.with_data(r=H.r.scale(-1), r_inv=H.r_inv.scale(-1)) != H
     with pytest.raises(TypeError):
         hash(H)
+
+
+@pytest.mark.parametrize("name", ["coproduct", "counit", "antipode"])
+def test_construction_refuses_a_structure_map_that_sends_th_to_an_even_image(e4, name):
+    """The grading of the structure maps is checked when the structure is
+    made, as the product table's is: th is odd, the image of 1 is even."""
+    H = e4.structure
+    A = H.algebra
+    m = getattr(H, name)
+    images = list(m.images)
+    images[A.index_of("th")] = images[A.index_of("1")]
+    with pytest.raises(StructureValidationError) as err:
+        H.with_data(**{name: LinearMap(A, m.target_legs, images, name=name)})
+    assert str(err.value) == f"grading violation in the {name} of th"
+
+
+@pytest.mark.parametrize("mutate, verifier, axiom, witness", [
+    (lambda H, one, th: {"phi": H.phi + TensorElement.of(th, one, one)},
+     verify_quasi_bialgebra, "coassociator-even", "1*[th(x)1(x)1]"),
+    (lambda H, one, th: {"r": H.r + TensorElement.of(th, one)},
+     verify_quasitriangular, "r-even", "1*[th(x)1]"),
+    (lambda H, one, th: {"alpha": one + th},
+     verify_antipode_axioms, "canonical-even", "1*th"),
+    (lambda H, one, th: {"beta": one + one},
+     verify_antipode_axioms, "counit-canonical", "1"),
+], ids=["phi", "r", "alpha", "beta"])
+def test_an_evenness_or_counit_check_has_the_nonzero_difference_as_its_witness(
+        e4, mutate, verifier, axiom, witness):
+    """An evenness check is a zero test of the odd parts, so its witness is
+    the first nonzero odd part; counit-canonical's is eps(alpha) eps(beta) - 1."""
+    H = e4.structure
+    A = H.algebra
+    mutated = H.with_data(**mutate(H, A.unit(), A.basis_element(A.index_of("th"))))
+    [check] = [c for c in verifier(mutated).checks if c.axiom == axiom]
+    assert not check.passed
+    assert str(check.witness) == witness

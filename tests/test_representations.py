@@ -95,3 +95,13 @@ def test_supertrace_of_matches_the_list_matrix_supertrace():
         for rep in entry.representations.values():
             for x in [A.basis_element(i) for i in range(A.dim)] + [mixed]:
                 assert rep.supertrace_of(x) == supertrace(rep.matrix_of(x), rep.carrier_parity)
+
+
+def test_a_grading_violation_names_the_basis_element(e4):
+    A = e4.structure.algebra
+    one, zero = A.field.one(), A.field.zero()
+    matrices = [[[one, zero], [zero, one]],
+                [[one, zero], [zero, zero]]]
+    with pytest.raises(StructureValidationError) as err:
+        Representation(A, (0, 1), matrices)
+    assert str(err.value) == "grading violation in the matrix of th"
