@@ -1,9 +1,9 @@
 """Built-in catalog of verified quasi-Hopf structures.
 
 Every entry is constructed from first principles and passes the full
-verifier before it is handed out.  An entry whose R-matrix is chosen at
-build time passes its candidates to ``builders.search_r``, which keeps the
-first one the verifier accepts; that verification is the entry's.
+verifier before it is handed out.  Every entry built with an R-matrix passes
+its candidates (z2-group its one R) to ``builders.search_r``, which keeps
+the first one the verifier accepts; that verification is the entry's.
 
 * ``z2-group``        the group algebra of Z2, with the nontrivial
                       triangular R-matrix and a projector twist,
@@ -89,10 +89,6 @@ def tensor_from(A: GradedAlgebra,
          c if isinstance(c, Scalar) else A.field.from_rational(QQ(c))) for *labs, c in entries))
 
 
-def _verified(H: QuasiHopfStructure) -> QuasiHopfStructure:
-    return require_verified(H, f"catalog entry {H.name}")
-
-
 # ---------------------------------------------------------------------------
 # E1 / E2: the Z2 group algebra and its cocycle deformation
 
@@ -139,8 +135,8 @@ def _z2_representations(H: QuasiHopfStructure) -> Dict[str, Representation]:
 def _build_z2_group() -> CatalogEntry:
     A = _z2_algebra()
     coproduct, counit, antipode = _z2_maps(A)
-    r2 = _z2_r2(A)
-    H = _verified(hopf_structure(A, coproduct, counit, antipode, "z2-group", r=r2, r_inv=r2))
+    H0 = hopf_structure(A, coproduct, counit, antipode, "z2-group")
+    H = search_r(H0, [_z2_r2(A)], "the triangular R of Z2")
     return CatalogEntry("z2-group", H, _z2_twistors(H), _z2_representations(H),
                         notes="group algebra of Z2 with the nontrivial triangular R")
 
@@ -157,7 +153,7 @@ def _build_z2_cocycle() -> CatalogEntry:
         algebra=A, coproduct=coproduct, counit=counit, antipode=antipode,
         phi=phi, phi_inv=phi, alpha=None, beta=None, name="z2-cocycle")
     alpha, beta = solve_canonical_elements(bare)[0]
-    H = _verified(bare.with_data(alpha=alpha, beta=beta))
+    H = require_verified(bare.with_data(alpha=alpha, beta=beta), "catalog entry z2-cocycle")
     return CatalogEntry("z2-cocycle", H, _z2_twistors(H), _z2_representations(H),
                         notes="Z2 algebra with the 3-cocycle coassociator; "
                               "canonical elements solved at build time")

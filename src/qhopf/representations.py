@@ -53,7 +53,12 @@ class Representation:
         self.carrier_parity = tuple(carrier_parity)
         self.matrices = [[row[:] for row in m] for m in matrices]
         self.name = name
-        self._validate()
+        try:
+            self._validate()
+        except StructureValidationError as err:
+            if not name:
+                raise
+            raise StructureValidationError(f"representation {name}: {err}") from None
 
     @property
     def dim(self) -> int:
@@ -70,8 +75,8 @@ class Representation:
         label = self.name or "V"
         if not d or any(p not in (0, 1) for p in self.carrier_parity):
             raise StructureValidationError(
-                f"representation {label}: the carrier parities must be "
-                "a nonempty list of 0 and 1")
+                ("" if self.name else "representation V: ")
+                + "the carrier parities must be a nonempty list of 0 and 1")
         if len(self.matrices) != A.dim:
             raise StructureValidationError("one matrix per basis element required")
         for idx, m in enumerate(self.matrices):

@@ -296,9 +296,21 @@ def entry_from_dict(doc) -> CatalogEntry:
         notes=notes)
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error, not its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def parse_entry(text: Union[str, bytes]) -> CatalogEntry:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as err:  # also bad UTF-8, long ints, deep nesting
         raise StructureValidationError(f"not valid JSON: {err}") from None
     return entry_from_dict(doc)

@@ -14,22 +14,22 @@ on payloads.  The Hopf structure used here is
     coproduct(E) = E (x) K + 1 (x) E,    coproduct(F) = F (x) 1 + K^{-1} (x) F,
     antipode(E) = -E K^{-1},             antipode(F) = -K F,
 
-with trivial coassociator and alpha = beta = 1 (``builders.hopf_structure``).
-The R-matrix is chosen among the standard exponent conventions
+extended to the basis words by powers (``_build_maps``), with trivial
+coassociator and alpha = beta = 1 (``builders.hopf_structure``).  The
+R-matrix is chosen among the standard exponent conventions
 
     R = (1/3) sum_{n,i,j} (q - q^{-1})^n / [n]! *
             q^{g n(n-1)/2 + d n(i-j) + c i j}  E^n K^i (x) F^n K^j
 
 for small (g, d, c) by ``builders.search_r``, the built-ins' one R-matrix
-search: the first candidate that intertwines the coproduct with its flip,
-has an inverse and passes the generic verifier is kept, and that
-verification is the entry's.
+search: the first candidate that intertwines the coproduct with its flip
+and, with R^{-1} = (S (x) 1)(R), passes the generic verifier is kept, and
+that verification is the entry's.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import cache
 
 from .builders import hopf_structure, search_r
@@ -42,7 +42,7 @@ from .graded import (
     linear_form,
 )
 from .representations import trivial_representation
-from .scalars import FieldDescriptor, QQ, Scalar, _power
+from .scalars import FieldDescriptor, QQ, Scalar
 from .structfile import CatalogEntry
 from .twisting import identity_twistor
 
@@ -122,31 +122,20 @@ def _build_algebra() -> GradedAlgebra:
 
 
 def _build_maps(A: GradedAlgebra):
+    """Delta, eps and S on the words E^a F^b K^c from one list of powers per
+    generator image: Delta(E)^a Delta(F)^b Delta(K)^c, and S(K)^c S(F)^b S(E)^a."""
     E, F, K, Kinv = (A.element({label: 1}) for label in ("E", "F", "K", "K^2"))
-    one = A.unit()
-    unit2 = TensorElement.unit((A, A))
-
-    dE = TensorElement.of(E, K) + TensorElement.of(one, E)
-    dF = TensorElement.of(F, one) + TensorElement.of(Kinv, F)
-    dK = TensorElement.of(K, K)
-    cop_images = []
-    eps_values = []
-    s_images = []
-    sE = -(E * Kinv)
-    sF = -(K * F)
-    sK = Kinv
-    for a, b, c in itertools.product(range(3), repeat=3):
-        cop_images.append(_power(dK, c, operator.mul, _power(
-            dF, b, operator.mul, _power(dE, a, operator.mul, unit2))))
-        eps_values.append(C3.one() if (a == 0 and b == 0) else C3.zero())
-        # antihomomorphism on the ordered word: S(K)^c S(F)^b S(E)^a
-        s_images.append(TensorElement.of(
-            _power(sE, a, operator.mul, _power(
-                sF, b, operator.mul, _power(sK, c, operator.mul, one)))))
-    coproduct = LinearMap(A, (A, A), cop_images, name="coproduct")
-    counit = linear_form(A, eps_values, name="counit")
-    antipode = LinearMap(A, (A,), s_images, name="antipode")
-    return coproduct, counit, antipode
+    one, unit2 = A.unit(), TensorElement.unit((A, A))
+    dE, dF, dK = (_powers(lambda y, x=x: y * x, unit2) for x in (
+        TensorElement.of(E, K) + TensorElement.of(one, E),
+        TensorElement.of(F, one) + TensorElement.of(Kinv, F), TensorElement.of(K, K)))
+    sE, sF, sK = (_powers(lambda y, x=x: y * x, one) for x in (-(E * Kinv), -(K * F), Kinv))
+    words = list(itertools.product(range(3), repeat=3))
+    return (LinearMap(A, (A, A), [dE[a] * dF[b] * dK[c] for a, b, c in words], name="coproduct"),
+            linear_form(A, [C3.one() if a == b == 0 else C3.zero() for a, b, _ in words],
+                        name="counit"),
+            LinearMap(A, (A,), [TensorElement.of(sK[c] * sF[b] * sE[a]) for a, b, c in words],
+                      name="antipode"))
 
 
 def _r_candidate(A: GradedAlgebra, g: int, d: int, c: int) -> TensorElement:

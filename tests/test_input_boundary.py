@@ -217,6 +217,28 @@ def test_a_structure_map_that_breaks_the_grading_exits_2_at_load(
     assert out.err.splitlines() == [f"error: grading violation in the {name} of th"]
 
 
+def test_a_representation_error_names_the_representation(tmp_path, capsys):
+    def mutate(doc):
+        doc["representations"]["regular"]["matrices"]["th"] = [["1", "0"], ["0", "0"]]
+    assert main(["verify", corrupt(tmp_path, "grassmann-theta", mutate)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: representation regular: grading violation in the matrix of th"]
+
+
+def test_a_duplicate_json_key_exits_2_naming_the_key(tmp_path, capsys):
+    """json.loads alone keeps a repeated key's last value, so this copy,
+    with beta = 2 ahead of the real beta, would verify."""
+    text = (DATA / "z2-group.qh").read_text()
+    bad = tmp_path / "duplicate-beta.qh"
+    bad.write_text(text.replace("{", '{"beta": {"1": "2"}, ', 1))
+    assert main(["verify", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: not valid JSON: duplicate key 'beta'"]
+
+
 # -- the size of a parsed scalar ---------------------------------------------
 
 LIMIT = sys.get_int_max_str_digits()  # the most digits an int converts to text

@@ -1,6 +1,7 @@
 """The package surface: lazy exports, what a command imports, and the
 equality, hashing and read-only rules of the record types."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -69,6 +70,25 @@ def test_building_small_uqsl2_loads_neither_the_catalog_nor_the_invariants():
 
 
 # -- exports ------------------------------------------------------------------
+
+
+def test_every_name_the_bench_traces_resolves():
+    """bench/trace_child.py wraps these names before a traced job runs; a
+    renamed or deleted one crashes ``--trace`` and ``--self-check``."""
+    path = Path(__file__).parents[1] / "bench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)  # it imports the standard library only
+    for name in trace_child.QHOPF_MODULES:
+        importlib.import_module(f"qhopf.{name}")
+    for _, module, attribute in trace_child.TRACED:
+        owner = importlib.import_module(f"qhopf.{module}")
+        if "." in attribute:
+            cls_name, attribute = attribute.split(".")
+            owner = vars(getattr(owner, cls_name))  # wrapped on the class itself
+            assert attribute in owner, f"{module}.{cls_name}.{attribute}"
+        else:
+            assert callable(getattr(owner, attribute, None)), f"{module}.{attribute}"
 
 
 def test_every_export_is_the_object_of_its_defining_module():

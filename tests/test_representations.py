@@ -105,3 +105,20 @@ def test_a_grading_violation_names_the_basis_element(e4):
     with pytest.raises(StructureValidationError) as err:
         Representation(A, (0, 1), matrices)
     assert str(err.value) == "grading violation in the matrix of th"
+
+
+def test_a_named_representation_prefixes_every_message_once(e4):
+    A = e4.structure.algebra
+    one, zero = A.field.one(), A.field.zero()
+    odd_th = [[[one, zero], [zero, one]], [[one, zero], [zero, zero]]]
+    with pytest.raises(StructureValidationError) as err:
+        Representation(A, (0, 1), odd_th, name="W")
+    assert str(err.value) == "representation W: grading violation in the matrix of th"
+    with pytest.raises(StructureValidationError) as err:
+        Representation(A, (), [[], []], name="W")
+    assert str(err.value) == (
+        "representation W: the carrier parities must be a nonempty list of 0 and 1")
+    with pytest.raises(StructureValidationError) as err:
+        Representation(A, (), [[], []])
+    assert str(err.value) == (
+        "representation V: the carrier parities must be a nonempty list of 0 and 1")

@@ -58,18 +58,35 @@ def test_a_candidate_failing_the_hexagons_is_passed_over(e3):
 
 def test_a_candidate_failing_intertwining_is_never_inverted(e3, monkeypatch):
     """The unit tensor is invertible and satisfies both hexagons for phi = 1,
-    but Sweedler's coproduct is not cocommutative."""
+    but Sweedler's coproduct is not cocommutative, so the search drops it
+    before it forms an inverse or an R report."""
     H = bare(e3.structure)
     unit2 = H.unit_tensor(2)
     report = verify_quasitriangular(H.with_data(r=unit2, r_inv=unit2))
     assert not check(report, "r-intertwines-coproduct")
     assert check(report, "hexagon-left") and check(report, "hexagon-right")
-    inverted = []
-    monkeypatch.setattr(builders, "invert_tensor",
-                        lambda t: inverted.append(t) or invert_tensor(t))
+    calls = count_calls(monkeypatch, ("verify_quasitriangular",), lambda n, H: H.r)
     chosen = sweedler_r(H, 1, -1, 1, 1)
     assert search_r(H, [unit2, chosen], "unit first").r == chosen
-    assert inverted == [chosen]
+    assert calls == [chosen, chosen]  # the search's report, then verify_structure's
+
+
+@pytest.mark.parametrize("name", ["z2-group", "sweedler-h4", "grassmann-theta",
+                                  "small-uqsl2"])
+def test_the_closed_form_inverse_is_the_solved_one(name):
+    """On a Hopf algebra R^{-1} = (S (x) 1)(R): the search's closed form is
+    the inverse the entry holds and the one a linear solve finds."""
+    H = load_builtin(name).structure
+    assert H.r.apply_maps([(0, H.antipode)]) == H.r_inv == invert_tensor(H.r)
+
+
+def test_the_closed_form_inverse_needs_a_trivial_coassociator():
+    """Why search_r takes only structures with phi = 1: on the twisted
+    Sweedler entry (S (x) 1)(R) is not R^{-1}."""
+    H = load_builtin("sweedler-twisted").structure
+    assert H.phi != H.unit_tensor(3)
+    assert H.r.apply_maps([(0, H.antipode)]) != H.r_inv
+    assert H.r * H.r_inv == H.unit_tensor(2)
 
 
 def test_no_passing_candidate_raises_naming_the_entry(e3, e4):
@@ -101,6 +118,7 @@ def count_calls(monkeypatch, names, record):
 
 
 @pytest.mark.parametrize("name, rejected_by_r_report", [
+    ("z2-group", 0),  # its one R
     ("sweedler-h4", 1),  # the first sign tuple intertwines, fails the hexagons
     ("grassmann-theta", 0),
     ("small-uqsl2", 0),  # the first eight conventions fail intertwining
