@@ -86,7 +86,9 @@ def _pick_source(H, selector: str):
                                 ("pinv:", "pseudo-invariant", pseudo_invariant_subspace)):
         if selector.startswith(prefix):
             sub, idx = space(H).even, selector[len(prefix):]
-            if not idx.isdecimal() or int(idx) >= len(sub):
+            # more digits than len(sub) has are no index below it, and int() may refuse them
+            if not idx.isdecimal() or len(idx.lstrip("0")) > len(str(len(sub))) \
+                    or int(idx) >= len(sub):
                 raise QhopfError(f"source {selector!r}: N must be an index below "
                                  f"{len(sub)}, the number of even {kind} vectors")
             return sub[int(idx)]

@@ -336,11 +336,6 @@ class _Sparse:
         f, v, mul = s.field, s.value, s.field.ops.mul
         return self._like({k: Scalar(f, mul(v, c.value)) for k, c in self.coeffs.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -395,8 +390,6 @@ class AlgebraElement(_Sparse):
             raise BasisMismatchError("elements of different algebras")
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
         self._check(other)
         alg, mul = self.algebra, self.algebra.field.ops.mul
 
@@ -483,12 +476,10 @@ class TensorElement(_Sparse):
         keys K (left) and L (right) is sum over i < j of parity(L_i)*parity(K_j):
         mod 2, the bits two masks share, of the i with L_i odd and of the i with
         parity(K_{i+1}) + ... + parity(K_{r-1}) odd (both 0 if every leg is even)."""
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
         self._check(other)
         legs, field = self.legs, self.legs[0].field
         mul, neg = field.ops.mul, field.ops.neg
-        parities = [leg.parity for leg in legs] if any(1 in leg.parity for leg in legs) else []
+        parities = [leg.parity for leg in legs]
 
         def odd(key):  # bit t: leg t of key is odd
             return sum(1 << t for t, p in enumerate(parities) if p[key[t]])
@@ -651,7 +642,7 @@ class LinearMap:
         if self.target_rank == 1:
             return out.as_element()
         if self.target_rank == 0:
-            return out.coeffs.get((), self.source.field.zero())
+            return out.coeffs[()] if out.coeffs else field.zero()
         return out
 
     def on_basis(self, i: int) -> TensorElement:

@@ -45,7 +45,8 @@ def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], Li
     """Reduced row echelon form; pivots are taken in the columns below
     ``cols`` and entries at or beyond it are carried along.  Returns the
     nonzero reduced rows in pivot order and their pivot columns.  The
-    elimination runs on payloads; a pivot equal to one is not inverted."""
+    elimination runs on payloads, and every pivot row is scaled by the
+    inverse of its pivot (``ops.inv`` and ``ops.mul`` pass a one through)."""
     field = next((v.field for row in rows for v in row.values()), None)
     if field is None:
         return [], []
@@ -61,7 +62,7 @@ def rref(rows: Sequence[Mapping[int, Scalar]], cols: int) -> Tuple[List[Row], Li
             continue
         chosen = min(candidates, key=len)
         inv = ops.inv(chosen[c])
-        pivot = chosen if inv == ops.one else {k: mul(v, inv) for k, v in chosen.items()}
+        pivot = {k: mul(v, inv) for k, v in chosen.items()}
         for row in reduced + candidates:
             if c in row and row is not chosen:
                 eliminate(row, pivot, c, ops)

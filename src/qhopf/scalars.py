@@ -411,7 +411,7 @@ class FieldDescriptor:
     # -- element constructors -----------------------------------------
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return Scalar(self, _RZERO if self.kind == RATIONAL_FUNCTIONS else _CZERO)
 
     def one(self) -> "Scalar":
         return Scalar(self, self.ops.one)
@@ -564,13 +564,6 @@ def _over(nums: Poly, den) -> Poly:
     return nums if den == 1 else tuple(QQ(c, den) for c in nums)
 
 
-def _render_q(c) -> str:
-    c = QQ(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _render_poly(p: Poly, var: str, shift: int = 0) -> str:
     """Render sum of c_i * var^(i+shift), highest power first."""
     if not p:
@@ -584,9 +577,9 @@ def _render_poly(p: Poly, var: str, shift: int = 0) -> str:
         neg = c < 0
         mag = -c if neg else c
         if e == 0:
-            body = _render_q(mag)
+            body = str(mag)
         else:
-            head = "" if mag == 1 else _render_q(mag) + "*"
+            head = "" if mag == 1 else f"{mag}*"
             body = head + (var if e == 1 else f"{var}^{e}")
         if not parts:
             parts.append(("-" if neg else "") + body)

@@ -2,6 +2,7 @@ import pytest
 
 from qhopf.catalog import BUILTIN_NAMES, load_builtin
 from qhopf.casimir import (
+    _thetas,
     build_C1,
     build_C2,
     casimir_Cm,
@@ -33,7 +34,8 @@ from qhopf.invariants import (
     pseudo_invariant_subspace,
 )
 from qhopf.representations import apply_rep_on_leg, supertrace
-from qhopf.twisting import check_twisted_canonical_identities, twist_structure
+from qhopf.scalars import QQ
+from qhopf.twisting import check_twisted_canonical_identities, twist_structure, validate_twistor
 
 
 def el(H, label):
@@ -397,6 +399,50 @@ def test_hopf_reduction_matches_classical_formula(e1, e3):
             for m in (0, 1, 2):
                 cm, _ = casimir_Cm(H, rep, m)
                 assert cm == classical_hopf_cm(H, rep, m)
+
+
+def cartan_twistor(H):
+    """F = sum f(a, b) 1_a (x) 1_b over the idempotents 1_a = (1/3) sum_k z^(-ak) K^k
+    of small-uqsl2, with f(1, 1) = 2, f(2, 1) = 3, f(1, 2) = 5 and f = 1 elsewhere.
+    It is counital with F^-1 = sum f^-1 1_a (x) 1_b, and not a 2-cocycle, so
+    the twisted coassociator is not trivial."""
+    A = H.algebra
+    z_inv, third = A.field.generator().inv(), A.field.from_rational(QQ(1, 3))
+    ones = [A.element({"1": third, "K": third * z_inv ** a, "K^2": third * z_inv ** (2 * a)})
+            for a in range(3)]
+    f = {(1, 1): 2, (2, 1): 3, (1, 2): 5}
+
+    def tensor(value):
+        return sum((TensorElement.of(ones[a], ones[b]).scale(value(f.get((a, b), 1)))
+                    for a in range(3) for b in range(3)), TensorElement((A, A), {}))
+    return validate_twistor(tensor(lambda v: v), H,
+                            tensor(lambda v: A.field.from_rational(QQ(1, v))), "cartan")
+
+
+def test_theta_puts_the_inverse_coassociator_first():
+    """theta = phi^-1 (omega (x) 1) phi, not phi (omega (x) 1) phi^-1, and the
+    mirror the other way round.  Twisting by F gives omega_F = F omega F^-1,
+    and omega commutes with the coproduct, so theta_F = G theta G^-1 with
+    G = (1 (x) F)(1 (x) coproduct)(F), and thetabar_F = G' thetabar G'^-1 with
+    G' = (F (x) 1)(coproduct (x) 1)(F).  small-uqsl2 has phi = 1, so theta and
+    thetabar are read off omega; its twist by a Cartan twistor has phi_F != 1."""
+    H = load_builtin("small-uqsl2").structure
+    assert H.phi == H.unit_tensor(3)
+    F = cartan_twistor(H)
+    HF, legs3 = twist_structure(H, F), H.legs(3)
+    assert HF.phi != HF.unit_tensor(3)
+    omega = rtr_power(H, 1)
+    g, g_inv, gbar, gbar_inv = (
+        F.f.embed((1, 2), legs3) * F.f.apply_maps([(1, H.coproduct)]),
+        F.f_inv.apply_maps([(1, H.coproduct)]) * F.f_inv.embed((1, 2), legs3),
+        F.f.embed((0, 1), legs3) * F.f.apply_maps([(0, H.coproduct)]),
+        F.f_inv.apply_maps([(0, H.coproduct)]) * F.f_inv.embed((0, 1), legs3))
+    theta, theta_bar = _thetas(HF, 1)
+    assert theta == g * omega.embed((0, 1), legs3) * g_inv
+    assert theta_bar == gbar * omega.embed((1, 2), legs3) * gbar_inv
+    omega_f = rtr_power(HF, 1)  # the other order gives other tensors
+    assert theta != HF.phi * omega_f.embed((0, 1), legs3) * HF.phi_inv
+    assert theta_bar != HF.phi_inv * omega_f.embed((1, 2), legs3) * HF.phi
 
 
 # -- represented omega --------------------------------------------------------------

@@ -190,11 +190,24 @@ def test_casimir_from_an_invariant_vector(kind, source, capsys):
     assert doc["source"] == {"1": "1"} and doc["element"] == {"1": "1"}
 
 
-@pytest.mark.parametrize("source", ["inv:1", "pinv:7", "inv:-1", "pinv:x", "inv:"])
+@pytest.mark.parametrize("source", ["inv:1", "pinv:7", "inv:-1", "pinv:x", "inv:",
+                                    pytest.param("inv:" + "9" * 5000, id="inv:5000-digits")])
 def test_casimir_source_index_out_of_range(source, capsys):
+    """5000 digits are more than int() reads (sys.get_int_max_str_digits())."""
     assert main(["casimir", path("sweedler-h4"), "--kind", "c1",
                  "--source", source]) == 2
     assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "c1", "--source", "gamma"],
+     "unknown source 'gamma'; use beta, alpha, inv:N or pinv:N"),
+    (["--kind", "cm", "--rep", "nosuch"], "entry z2-group has no representation 'nosuch'"),
+], ids=["source", "rep"])
+def test_casimir_unknown_source_or_rep_exits_2_with_one_line(args, message, capsys):
+    assert main(["casimir", path("z2-group"), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_casimir_cm_picks_a_representation_without_rep(tmp_path, capsys):

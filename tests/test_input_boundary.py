@@ -124,12 +124,13 @@ def _bad_matrix_entry(doc):
     (lambda doc: doc["basis"]["parity"].pop(), "basis.parity: expected 2 items"),
     (lambda doc: doc["basis"]["parity"].__setitem__(0, 1),
      "basis.unit: the unit must be even"),
+    (lambda doc: doc.update(field={"kind": "quaternions"}), "unknown field kind 'quaternions'"),
 ], ids=["short-mul-row", "mul-not-a-list", "r-is-a-number", "missing-matrix",
         "unknown-label", "scalar-not-a-string", "field-order", "basis-parity",
         "basis-unit", "coproduct-label", "antipode-value", "twistor-f-inv",
         "carrier-parity", "matrix-row", "notes", "matrix-scalar", "mul-scalar",
         "alpha-scalar", "basis-label-repeated", "basis-parity-two",
-        "basis-parity-count", "basis-unit-odd"])
+        "basis-parity-count", "basis-unit-odd", "field-kind"])
 def test_malformed_shape_exits_2_naming_the_json_path(tmp_path, mutate, message):
     bad = corrupt(tmp_path, "z2-group", mutate)
     env = dict(os.environ, PYTHONPATH=str(Path(qhopf.__file__).parents[1]))
